@@ -7,8 +7,8 @@ form only, so those sentinels never appear here.)
 
 Two letters commute when they are separated by a gap of at least two levels,
 so no letter commutes with itself or with any of its subletters.  Index sets
-(subsets of ``[0, N]``) are plain frozensets; dimensions are capped at 62 so
-they always fit a machine-word bitmask in the compiled kernels.
+(subsets of ``[0, N]``) are plain frozensets.  Dimensions are capped at 62;
+the cap is a bound on input, and no code here depends on its exact value.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import flags as FL
+from . import kernels
 from . import space as SP
 from . import words as W
 from .errors import SearchBoundExceededError, UnknownSuiteError
@@ -156,16 +157,10 @@ def random_strategy_reduce(rng: random.Random, u: Word) -> Word:
             if commutes(letters[i], letters[i + 1]):
                 letters[i], letters[i + 1] = letters[i + 1], letters[i]
         key = tuple(s.key for s in letters)
-        candidates = [i for i in range(len(letters)) if _kernel_absorbed(key, i)]
+        candidates = [i for i in range(len(letters)) if kernels.absorbed_at(key, i)]
         if not candidates:
             return W.normal_form(Word(tuple(letters), u.n))
         del letters[rng.choice(candidates)]
-
-
-def _kernel_absorbed(key, i):
-    from . import kernels
-
-    return kernels.absorbed_at(key, i)
 
 
 def _fail(report: SuiteReport, law: str, inputs, observed) -> None:
@@ -450,18 +445,16 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
     for level in range(space.n):
         if not _is_forest(space, level):
             _fail(report, "adjacent-level-forest", inputs, level)
-    # amalgam on the first two ops applicable to the base space
-    base = ColoredSpace(script["n"])
-    candidates = _applicable_ops(base)
-    if len(candidates) >= 1 and script["ops"]:
+    # amalgam on the first two ops applicable after the script's first op
+    if script["ops"]:
+        base = ColoredSpace(script["n"])
         op1 = script["ops"][0]
         base.apply_alpha(Letter(*_letter_key(op1["letter"])), op1["lo"], op1["hi"])
-        pair = _applicable_ops(ColoredSpace(script["n"]))
+        pair = _applicable_ops(base)
         if len(pair) >= 2:
             o1, o2 = pair[0], pair[1]
-            fresh = ColoredSpace(script["n"])
             if not SP.amalgam_isomorphic(
-                fresh, SP.BuildOp(o1[0], o1[1], o1[2], ()), SP.BuildOp(o2[0], o2[1], o2[2], ())
+                base, SP.BuildOp(o1[0], o1[1], o1[2], ()), SP.BuildOp(o2[0], o2[1], o2[2], ())
             ):
                 _fail(report, "amalgam", inputs, None)
 
@@ -533,7 +526,7 @@ def _suite_flags_paths(config: SuiteConfig, report: SuiteReport) -> None:
                 if not W.equivalent(alt.word, path.word):
                     _fail(report, "path-word-invariance", inputs,
                           {"f": str(f), "g": str(g), "w1": str(path.word), "w2": str(alt.word)})
-                _check_scaffold(report, space, FL.flag_path(space, f, g), inputs)
+                _check_scaffold(report, space, path, inputs)
         # flags inside a path's vertex set occur in some permutation of it
         if len(all_flags) >= 2:
             f, g = all_flags[0], all_flags[-1]
@@ -688,9 +681,9 @@ def _suite_flags_forking(config: SuiteConfig, report: SuiteReport) -> None:
         f = FL.realize_type(space, base, u)
         h = FL.realize_type(space, base, v)
         # the connecting words are what realize_type promises
-        if not W.equivalent(FL.flag_path(space, f, base).word, u):
-            _fail(report, "realize-word-roundtrip", inputs,
-                  str(FL.flag_path(space, f, base).word))
+        path_fb = FL.flag_path(space, f, base)
+        if not W.equivalent(path_fb.word, u):
+            _fail(report, "realize-word-roundtrip", inputs, str(path_fb.word))
         # independence via the word criterion matches the basepoint criterion
         path_gh = FL.flag_path(space, base, h)
         region = set(base.vertices) | path_gh.vertex_set()
@@ -704,18 +697,18 @@ def _suite_flags_forking(config: SuiteConfig, report: SuiteReport) -> None:
             for mid in path_gh.flags:
                 if not FL.indep(space, f, base, mid):
                     _fail(report, "indep-from-path", inputs, str(mid))
-        _check_basepoint_chain(report, space, f, base, inputs)
-        _check_basepoint_support(report, space, f, base, inputs)
+        if FL.indep_over_set(space, f, base, set(base.vertices)):
+            _check_basepoint_chain(report, space, path_fb, base, inputs)
+            _check_basepoint_support(report, space, path_fb, base, inputs)
         _check_transitivity(report, space, rng, n, inputs)
     _check_counterexample(report, config)
     _check_two_realizations(report, config)
 
 
-def _check_basepoint_chain(report, space, f, base, inputs) -> None:
-    path = FL.flag_path(space, f, base)
+def _check_basepoint_chain(report, space, path, base, inputs) -> None:
+    """``path`` runs from a flag f to ``base``; the caller has checked that f
+    is independent from base over base's own vertices."""
     region = set(base.vertices)
-    if not FL.indep_over_set(space, f, base, region):
-        return
     # every step is a global application over the remaining tail plus region
     for i in range(len(path.flags) - 1):
         tail: set[int] = set(region)
@@ -737,12 +730,11 @@ def _check_basepoint_chain(report, space, f, base, inputs) -> None:
         _fail(report, "basepoint-chain-nice", inputs, sorted(union))
 
 
-def _check_basepoint_support(report, space, f, base, inputs) -> None:
-    path = FL.flag_path(space, f, base)
+def _check_basepoint_support(report, space, path, base, inputs) -> None:
+    """``path`` runs from a flag f to ``base``; the caller has checked that f
+    is independent from base over base's own vertices."""
     word = path.word
     region = set(base.vertices)
-    if not FL.indep_over_set(space, f, base, region):
-        return
     region_flags = FL.enumerate_flags(space, within=region)
     for i in range(1, len(path.flags) - 1):
         mid = path.flags[i]

@@ -16,7 +16,6 @@ measured here are absolute.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -625,7 +624,3 @@ def _replay(space: ColoredSpace) -> ColoredSpace:
     for op in space.build_log:
         clone.apply_alpha(op.letter, op.lo, op.hi)
     return clone
-
-
-def load_script(text: str) -> ColoredSpace:
-    return ColoredSpace.from_script(json.loads(text))

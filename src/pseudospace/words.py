@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import kernels
 from .errors import (
@@ -60,10 +60,6 @@ class Word:
         for s in self.letters:
             if not s.valid_for(self.n):
                 raise DimensionError(f"letter {s} exceeds dimension {self.n}")
-
-    @classmethod
-    def from_letters(cls, letters: Iterable[Letter], n: int) -> "Word":
-        return cls(tuple(letters), n)
 
     @classmethod
     def one(cls, n: int) -> "Word":
@@ -190,11 +186,6 @@ def absorbs_left(v: Word, u: Word) -> bool:
     return support(u) <= left_stabilizer(v)
 
 
-def absorbs_right(v: Word, u: Word) -> bool:
-    _same_dimension(u, v)
-    return support(u) <= right_stabilizer(v)
-
-
 def left_absorption_witness(v: Word, s: Letter) -> int | None:
     """Position in ``v`` of the (unique) letter absorbing ``s``, else None."""
     for j, t in enumerate(v.letters):
@@ -216,13 +207,6 @@ def properly_absorbs_left(v: Word, u: Word) -> bool:
 
 def properly_absorbs_right(v: Word, u: Word) -> bool:
     return properly_absorbs_left(inverse(v), inverse(u))
-
-
-def bites_from_right(v: Word, u: Word) -> bool:
-    """True iff ``v`` left-absorbs some letter of the final segment of ``u``."""
-    sl = left_stabilizer(v)
-    _, seg = final_segment(u)
-    return any(s.levels() <= sl for s in seg.letters)
 
 
 def wobbling(u: Word, v: Word) -> IndexSet:

@@ -66,6 +66,23 @@ def exhaustive_reducts(word: Word) -> set[tuple]:
     return results
 
 
+def restart_reduce(key: tuple) -> tuple:
+    """Reference for ``kernels.reduce_word`` on raw words: delete the leftmost
+    absorbed letter and rescan from the start until none is left, then take
+    the normal form.  Cubic in the word length."""
+    from pseudospace import kernels
+
+    letters = list(key)
+    i = 0
+    while i < len(letters):
+        if kernels.absorbed_at(tuple(letters), i):
+            del letters[i]
+            i = 0
+        else:
+            i += 1
+    return kernels.normal_form(tuple(letters))
+
+
 def brute_prec(u: Word, v: Word) -> bool:
     """Exhaustive check of the replacement order via every permutation of u
     and every segmentation into per-letter blocks."""

@@ -1,16 +1,13 @@
-"""The two kernel backends must agree exactly; the active one is whichever
-imported (compiled preferred, pure fallback)."""
+"""The word kernels, cross-checked against the restart-loop reference in
+``brute.py`` and against words whose reduct is known by construction."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudospace import _kernels_py, kernels
-
-try:
-    from pseudospace import _speedups
-except ImportError:
-    _speedups = None
+from brute import restart_reduce
+from pseudospace import BACKEND, kernels
 
 raw_words = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -20,20 +17,62 @@ raw_words = st.lists(
 ).map(tuple)
 
 
+def _random_word(rng, n, length):
+    word = []
+    for _ in range(length):
+        lo = rng.randint(0, n)
+        word.append((lo, rng.randint(lo, n)))
+    return tuple(word)
+
+
+def _reduced_word(rng, n, length):
+    """A reduced word of ``length`` letters without the full letter ``[0,n]``,
+    grown one letter at a time.  A letter is appended when nothing it reaches
+    on its left contains it and it contains no letter of the final segment
+    (the letters that commute with everything after them)."""
+    alphabet = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1) if (lo, hi) != (0, n)]
+    word: list = []
+    segment: list = []
+    while len(word) < length:
+        s = rng.choice(alphabet)
+        if any(s[0] <= t[0] and t[1] <= s[1] for t in segment):
+            continue
+        if kernels.absorbed_at(tuple(word) + (s,), len(word)):
+            continue
+        word.append(s)
+        segment = [t for t in segment if t[0] >= s[1] + 2 or s[0] >= t[1] + 2] + [s]
+    return tuple(word)
+
+
 def test_backend_identifies_itself():
-    assert kernels.BACKEND in ("pure", "compiled")
+    assert BACKEND == "pure"
 
 
-@given(raw_words)
-@settings(max_examples=500)
-def test_backends_agree(word):
-    if _speedups is None:
-        return
-    assert _kernels_py.is_reduced(word) == _speedups.is_reduced(word)
-    assert _kernels_py.normal_form(word) == _speedups.normal_form(word)
-    assert _kernels_py.reduce_word(word) == _speedups.reduce_word(word)
-    for i in range(len(word)):
-        assert _kernels_py.absorbed_at(word, i) == _speedups.absorbed_at(word, i)
+def test_reduce_matches_restart_loop():
+    rng = random.Random(13)
+    for _ in range(2000):
+        n = rng.choice([1, 2, 3, 4, 5, 8, 20])
+        word = _random_word(rng, n, rng.randint(0, 60))
+        assert kernels.reduce_word(word) == restart_reduce(word), word
+
+
+@pytest.mark.parametrize("n", [3, 20])
+@pytest.mark.parametrize("length", [200, 800])
+def test_reduce_near_reduced_long_words(n, length):
+    # each inserted letter is a subletter of the base letter just before it,
+    # so deleting the inserted letters is a cancellation order
+    rng = random.Random(length + n)
+    extra = length // 10
+    base = _reduced_word(rng, n, length - extra)
+    assert kernels.is_reduced(base)
+    positions = set(rng.sample(range(len(base)), extra))
+    word = []
+    for i, t in enumerate(base):
+        word.append(t)
+        if i in positions:
+            lo = rng.randint(t[0], t[1])
+            word.append((lo, rng.randint(lo, t[1])))
+    assert kernels.reduce_word(tuple(word)) == kernels.normal_form(base)
 
 
 @given(raw_words)
@@ -53,17 +92,3 @@ def test_normal_form_sorted(word):
     for a, b in zip(nf, nf[1:]):
         # no adjacent commuting inversion remains
         assert not (a[0] >= b[1] + 2)
-
-
-def test_long_random_agreement():
-    rng = random.Random(13)
-    for _ in range(2000):
-        n = rng.randint(1, 4)
-        length = rng.randint(0, 10)
-        word = []
-        for _ in range(length):
-            lo = rng.randint(0, n)
-            word.append((lo, rng.randint(lo, n)))
-        word = tuple(word)
-        assert _kernels_py.reduce_word(word) == kernels.reduce_word(word)
-        assert _kernels_py.normal_form(word) == kernels.normal_form(word)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pseudospace import space as SP
 from pseudospace.errors import UnknownSuiteError
 from pseudospace.oracle import (
     SUITE_NAMES,
@@ -26,6 +27,12 @@ def test_all_suites_pass_smoke():
     for name in SUITE_NAMES:
         report = run_suite(SuiteConfig(name, seed=3, cases=25))
         assert report.passed, (name, report.failures[:3])
+
+
+def test_space_axioms_runs_the_amalgam_law(monkeypatch):
+    monkeypatch.setattr(SP, "amalgam_isomorphic", lambda space, op1, op2: False)
+    report = run_suite(SuiteConfig("space-axioms", seed=0, cases=20))
+    assert sum(f["law"] == "amalgam" for f in report.failures) == report.cases_run
 
 
 def test_reports_are_deterministic():
