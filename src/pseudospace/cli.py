@@ -43,7 +43,9 @@ def cli() -> None:
 
 
 def _n_option(fn):
-    return click.option("--n", "n", type=int, required=True, help="ambient dimension N")(fn)
+    return click.option(
+        "--n", "n", type=click.IntRange(min=1), required=True, help="ambient dimension N"
+    )(fn)
 
 
 def _json_option(fn):
@@ -181,26 +183,46 @@ def strong(n: int, as_json: bool, split_len: int, steps: int, word: str) -> None
 # space commands
 
 
+_FILE = click.Path(exists=True, dir_okay=False, allow_dash=True)
+
+
 def _load_space(path: str) -> ColoredSpace:
-    data = json.loads(_read(path))
-    if "ops" in data:
+    data = _read_json(path)
+    if isinstance(data, dict) and "ops" in data:
         return ColoredSpace.from_script(data)
-    return ColoredSpace.from_json(data)
+    try:
+        return ColoredSpace.from_json(data)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed space file {path}: {exc!r}") from exc
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read_json(path: str):
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path} is not JSON: {exc}") from exc
+
+
+def _parse_ids(text: str) -> list[int]:
+    """A JSON list of vertex ids."""
+    try:
+        ids = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad vertex list {text!r}: {exc}") from exc
+    if not isinstance(ids, list) or not all(type(v) is int for v in ids):
+        raise ParseError(f"bad vertex list {text!r}: expected a list of integer ids")
+    return ids
 
 
 @cli.command()
-@click.argument("script", default="-")
+@click.argument("script", default="-", type=_FILE)
 @click.option("-o", "--output", default="-", help="output file ('-' = stdout)")
 def build(script: str, output: str) -> None:
     """Build a space from a JSON script and export it as JSON."""
-    space = ColoredSpace.from_script(json.loads(_read(script)))
+    space = ColoredSpace.from_script(_read_json(script))
     text = json.dumps(space.to_json())
     if output == "-":
         click.echo(text)
@@ -210,7 +232,7 @@ def build(script: str, output: str) -> None:
 
 
 @cli.command("export-dot")
-@click.argument("space_file", default="-")
+@click.argument("space_file", default="-", type=_FILE)
 def export_dot(space_file: str) -> None:
     """Render a built space in DOT format, one rank per level."""
     click.echo(_load_space(space_file).to_dot())
@@ -218,7 +240,7 @@ def export_dot(space_file: str) -> None:
 
 @cli.command("flags")
 @_json_option
-@click.argument("space_file", default="-")
+@click.argument("space_file", default="-", type=_FILE)
 def flags_cmd(as_json: bool, space_file: str) -> None:
     """List all flags of a space in deterministic order."""
     space = _load_space(space_file)
@@ -231,11 +253,7 @@ def flags_cmd(as_json: bool, space_file: str) -> None:
 def _parse_flag(space: ColoredSpace, text: str) -> FL.Flag:
     text = text.strip()
     if text.startswith("["):
-        try:
-            ids = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad flag {text!r}: {exc}") from exc
-        return FL.check_flag(space, FL.Flag(tuple(int(v) for v in ids)))
+        return FL.check_flag(space, FL.Flag(tuple(_parse_ids(text))))
     if text.isdigit():
         all_flags = FL.enumerate_flags(space)
         index = int(text)
@@ -248,13 +266,16 @@ def _parse_flag(space: ColoredSpace, text: str) -> FL.Flag:
 def _parse_region(space: ColoredSpace, text: str) -> set[int]:
     if text == "all":
         return set(space.vertices)
-    ids = json.loads(text)
-    return {int(v) for v in ids}
+    region = set(_parse_ids(text))
+    unknown = region - set(space.vertices)
+    if unknown:
+        raise ParseError(f"unknown vertex ids {sorted(unknown)}")
+    return region
 
 
 @cli.command()
 @_json_option
-@click.argument("space_file")
+@click.argument("space_file", type=_FILE)
 @click.argument("flag_a")
 @click.argument("flag_b")
 def word(as_json: bool, space_file: str, flag_a: str, flag_b: str) -> None:
@@ -267,7 +288,7 @@ def word(as_json: bool, space_file: str, flag_a: str, flag_b: str) -> None:
 
 @cli.command()
 @_json_option
-@click.argument("space_file")
+@click.argument("space_file", type=_FILE)
 @click.argument("flag")
 @click.option("--set", "region", default="all", help="vertex id list or 'all'")
 def basepoint(as_json: bool, space_file: str, flag: str, region: str) -> None:
@@ -280,7 +301,7 @@ def basepoint(as_json: bool, space_file: str, flag: str, region: str) -> None:
 
 @cli.command()
 @_json_option
-@click.argument("space_file")
+@click.argument("space_file", type=_FILE)
 @click.argument("flag_f")
 @click.argument("flag_g")
 @click.argument("flag_h")
@@ -298,7 +319,7 @@ def indep(as_json: bool, space_file: str, flag_f: str, flag_g: str, flag_h: str)
 
 @cli.command()
 @_json_option
-@click.argument("space_file")
+@click.argument("space_file", type=_FILE)
 @click.argument("flag")
 @click.option("--set", "region", default="all", help="vertex id list or 'all'")
 def canbase(as_json: bool, space_file: str, flag: str, region: str) -> None:
@@ -316,7 +337,7 @@ def canbase(as_json: bool, space_file: str, flag: str, region: str) -> None:
 
 @cli.command()
 @_json_option
-@click.argument("space_file")
+@click.argument("space_file", type=_FILE)
 @click.argument("flag")
 @click.argument("word")
 @click.option("-o", "--output", default="-", help="write the extended space here")
@@ -352,8 +373,10 @@ def ample(n: int, as_json: bool) -> None:
 @_json_option
 @click.option("--suite", required=True, type=click.Choice(OR.SUITE_NAMES))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--cases", default=1000, show_default=True)
-@click.option("--n", "n_max", default=3, show_default=True, help="max dimension")
+@click.option("--cases", default=1000, show_default=True, type=click.IntRange(min=1))
+@click.option(
+    "--n", "n_max", default=3, show_default=True, type=click.IntRange(min=1), help="max dimension"
+)
 @click.option("-o", "--output", default="-", help="write the JSON report here")
 def verify(
     as_json: bool, suite: str, seed: int, cases: int, n_max: int, output: str

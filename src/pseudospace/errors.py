@@ -50,10 +50,6 @@ class LevelNotInIntervalError(PseudospaceError):
     code = "level-not-in-t"
 
 
-class NotOverError(PseudospaceError):
-    code = "not-over"
-
-
 class PreconditionError(PseudospaceError):
     code = "precondition-violated"
 

@@ -20,7 +20,6 @@ being silently accepted.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -179,16 +178,22 @@ def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
         raise DifferenceMismatchError(
             f"flags differ at {sorted(diff)}, not at the levels of {s}"
         )
+    return _connecting_path(space, f, g, s) is None
+
+
+def _connecting_path(
+    space: ColoredSpace, f: Flag, g: Flag, s: Letter, reverse_ties: bool = False
+) -> list[int] | None:
+    """A shortest vertex path at the levels of ``s`` from the s-part of ``f``
+    to that of ``g`` between the anchors, or None when the step is global."""
     lo, hi = _anchors_for(space, f, s)
-    members = space.between(lo, hi)
-    levels = set(range(s.lo, s.hi + 1))
-    sources = set(g.levels_of(s))
-    targets = set(f.levels_of(s))
-    for x in sources:
-        dist = space.distances_from(x, levels=levels, within=members)
-        if any(y in dist for y in targets):
-            return False
-    return True
+    return space.shortest_path(
+        f.levels_of(s),
+        set(g.levels_of(s)),
+        space.between(lo, hi),
+        levels=range(s.lo, s.hi + 1),
+        reverse=reverse_ties,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +273,11 @@ def _refine_non_global(
         if (a, b) in stuck_pairs:
             continue
         s = _step_letter(space, a, b)
-        if is_global_step(space, a, b, s):
+        path = _connecting_path(space, a, b, s, reverse_ties)
+        if path is None:
             continue
         try:
-            mids = _subletter_bridge(space, a, b, s, reverse_ties)
+            mids = _subletter_bridge(space, a, s, path)
         except PreconditionError:
             stuck_pairs.add((a, b))
             continue
@@ -280,17 +286,10 @@ def _refine_non_global(
     return False
 
 
-def _subletter_bridge(
-    space: ColoredSpace, a: Flag, b: Flag, s: Letter, reverse_ties: bool
-) -> list[Flag]:
+def _subletter_bridge(space: ColoredSpace, a: Flag, s: Letter, path: list[int]) -> list[Flag]:
     """Intermediate flags realizing the step as proper-subletter moves,
     lifted from a vertex path between the two s-parts."""
     lo, hi = _anchors_for(space, a, s)
-    members = space.between(lo, hi)
-    levels = set(range(s.lo, s.hi + 1))
-    path = _vertex_path(
-        space, set(a.levels_of(s)), set(b.levels_of(s)), members, levels, reverse_ties
-    )
     mids: list[Flag] = []
     for u, v in zip(path, path[1:]):
         lower, upper = (u, v) if space.level(u) < space.level(v) else (v, u)
@@ -298,37 +297,6 @@ def _subletter_bridge(
         up = [upper] + _monotone_chain(space, upper, hi)
         mids.append(a.replace(s, down + up))
     return mids
-
-
-def _vertex_path(
-    space: ColoredSpace,
-    sources: set[int],
-    targets: set[int],
-    members: set[int],
-    levels: set[int],
-    reverse_ties: bool,
-) -> list[int]:
-    prev: dict[int, int | None] = {}
-    queue: deque[int] = deque()
-    order = sorted(sources, reverse=reverse_ties)
-    for v in order:
-        if v in members:
-            prev[v] = None
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        if v in targets:
-            path = []
-            w: int | None = v
-            while w is not None:
-                path.append(w)
-                w = prev[w]
-            return list(reversed(path))
-        for w in sorted(space.neighbors(v), reverse=reverse_ties):
-            if w in members and w not in prev and space.level(w) in levels:
-                prev[w] = v
-                queue.append(w)
-    raise PreconditionError("no connecting vertex path despite finite distance")
 
 
 def _absorption_pair(letters: Sequence[Letter]) -> tuple[int, int] | None:

@@ -96,16 +96,13 @@ def reduce_word(word: RawWord) -> RawWord:
 
 
 def normal_form(word: RawWord) -> RawWord:
-    """Bubble adjacent commuting inversions until increasing."""
-    letters = list(word)
-    n = len(letters)
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(n - 1):
-            a, b = letters[i], letters[i + 1]
-            # commuting pair out of order: b entirely below a
-            if a[0] >= b[1] + 2:
-                letters[i], letters[i + 1] = b, a
-                swapped = True
-    return tuple(letters)
+    """Insert each letter as far left as it commutes downwards: it moves past
+    the letters that lie entirely above it, so the result has no adjacent
+    commuting pair out of order."""
+    out: list = []
+    for x in word:
+        i = len(out)
+        while i and out[i - 1][0] >= x[1] + 2:
+            i -= 1
+        out.insert(i, x)
+    return tuple(out)

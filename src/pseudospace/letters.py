@@ -104,7 +104,7 @@ def all_letters(n: int) -> list[Letter]:
 
 def parse_letter(text: str) -> Letter:
     """Parse ``[a]`` or ``[a,b]``.  Strict: decimal digits, no whitespace."""
-    if not (text.startswith("[") and text.endswith("]")):
+    if not (isinstance(text, str) and text.startswith("[") and text.endswith("]")):
         raise ParseError(f"letter must be bracketed: {text!r}")
     body = text[1:-1]
     parts = body.split(",")

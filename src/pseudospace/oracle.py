@@ -22,7 +22,7 @@ from . import kernels
 from . import space as SP
 from . import words as W
 from .errors import SearchBoundExceededError, UnknownSuiteError
-from .letters import Letter, all_letters, commutes, index_set_to_letters
+from .letters import Letter, all_letters, commutes, index_set_to_letters, parse_letter
 from .space import BOTTOM, TOP, ColoredSpace
 from .words import Word
 
@@ -428,9 +428,7 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
     for op in script["ops"]:
         before_vertices = list(space.vertices)
         distances = _all_distances(space)
-        space.apply_alpha(
-            Letter(*_letter_key(op["letter"])), op["lo"], op["hi"]
-        )
+        space.apply_alpha(parse_letter(op["letter"]), op["lo"], op["hi"])
         for (x, y, t), d in distances.items():
             if space.distance(x, y, set(range(t[0], t[1] + 1))) != d:
                 _fail(report, "distance-stability", inputs, {"x": x, "y": y, "t": t})
@@ -449,7 +447,7 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
     if script["ops"]:
         base = ColoredSpace(script["n"])
         op1 = script["ops"][0]
-        base.apply_alpha(Letter(*_letter_key(op1["letter"])), op1["lo"], op1["hi"])
+        base.apply_alpha(parse_letter(op1["letter"]), op1["lo"], op1["hi"])
         pair = _applicable_ops(base)
         if len(pair) >= 2:
             o1, o2 = pair[0], pair[1]
@@ -457,13 +455,6 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
                 base, SP.BuildOp(o1[0], o1[1], o1[2], ()), SP.BuildOp(o2[0], o2[1], o2[2], ())
             ):
                 _fail(report, "amalgam", inputs, None)
-
-
-def _letter_key(text: str) -> tuple[int, int]:
-    from .letters import parse_letter
-
-    s = parse_letter(text)
-    return (s.lo, s.hi)
 
 
 def _all_distances(space: ColoredSpace) -> dict:
@@ -508,9 +499,12 @@ def _suite_flags_paths(config: SuiteConfig, report: SuiteReport) -> None:
         if len(all_flags) > 24:
             all_flags = all_flags[:24]
         inputs = {"script": script}
+        ends = None  # the path from the first flag to the last
         for f in all_flags:
             for g in all_flags:
                 path = FL.flag_path(space, f, g)
+                if f is all_flags[0] and g is all_flags[-1]:
+                    ends = path
                 if path.stuck:
                     _fail(report, "path-stuck-on-built-space", inputs,
                           {"f": str(f), "g": str(g)})
@@ -529,10 +523,8 @@ def _suite_flags_paths(config: SuiteConfig, report: SuiteReport) -> None:
                 _check_scaffold(report, space, path, inputs)
         # flags inside a path's vertex set occur in some permutation of it
         if len(all_flags) >= 2:
-            f, g = all_flags[0], all_flags[-1]
-            path = FL.flag_path(space, f, g)
-            _check_flags_in_path(report, space, path, inputs)
-            _check_wobbling(report, space, path, inputs)
+            _check_flags_in_path(report, space, ends, inputs)
+            _check_wobbling(report, space, ends, inputs)
         _check_nice_characterization(report, space, all_flags, rng, inputs)
 
 
@@ -602,16 +594,18 @@ def _check_wobbling(report: SuiteReport, space, path, inputs) -> None:
     if len(word) < 2:
         return
     f, g = path.flags[0], path.flags[-1]
+    candidates = [
+        (c, FL.flag_path(space, f, c).word, FL.flag_path(space, c, g).word)
+        for c in FL.enumerate_flags(space)
+    ]
     for i in range(1, len(word)):
         prefix = Word(word.letters[:i], word.n)
         suffix = Word(word.letters[i:], word.n)
         wob = W.wobbling(prefix, suffix)
         reference = path.flags[i]
-        for candidate in FL.enumerate_flags(space):
+        for candidate, u1, u2 in candidates:
             if candidate == reference:
                 continue
-            u1 = FL.flag_path(space, f, candidate).word
-            u2 = FL.flag_path(space, candidate, g).word
             if not (W.equivalent(u1, prefix) and W.equivalent(u2, suffix)):
                 continue
             diff = {
@@ -717,12 +711,9 @@ def _check_basepoint_chain(report, space, path, base, inputs) -> None:
         new_vertices = set(path.flags[i].vertices) - set(path.flags[i + 1].vertices)
         s = FL._step_letter(space, path.flags[i], path.flags[i + 1])
         lo, hi = FL._anchors_for(space, path.flags[i], s)
-        members = space.between(lo, hi)
-        for b in new_vertices:
-            dist = space.distances_from(b, within=members)
-            if any(t in dist for t in tail & members):
-                _fail(report, "basepoint-chain-global", inputs, {"step": i})
-                return
+        if space.shortest_path(new_vertices, tail, space.between(lo, hi)) is not None:
+            _fail(report, "basepoint-chain-global", inputs, {"step": i})
+            return
     union = set(region)
     for g in path.flags:
         union.update(g.vertices)

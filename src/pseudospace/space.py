@@ -12,19 +12,25 @@ previously built part stays wunderbar in every extension, so graph distances
 measured here are absolute.
 
 "Infinite distance" means plain unreachability in the finite graph.
+
+Every reachability question goes through one of three searches on
+``ColoredSpace``: ``_closure``, the vertices above or beneath an anchor,
+optionally inside a region (``upward_closure``, ``downward_closure``,
+``lies_over`` and ``between`` wrap it); ``distances_from``, BFS distances; and
+``shortest_path``, a deterministic shortest path between two vertex sets, or
+None when there is none.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Container, Iterable
 
 from .errors import (
     AnchorLevelMismatchError,
     AnchorsNotOverError,
     LevelNotInIntervalError,
-    NotOverError,
     ParseError,
     PreconditionError,
 )
@@ -129,38 +135,37 @@ class ColoredSpace:
 
     # -- order structure -----------------------------------------------------
 
-    def upward_closure(self, a: Anchor) -> set[int]:
-        """Vertices lying over the anchor (monotone ascending paths)."""
-        if a == BOTTOM:
-            return set(self._level)
-        if a == TOP:
-            return set()
+    def _closure(self, a: int, step: int, within: set[int] | None) -> set[int]:
+        """Vertices reached from ``a`` along edges that change the level by
+        ``step``, every vertex after ``a`` lying in ``within`` when given."""
         frontier = [a]
         seen: set[int] = set()
         while frontier:
             v = frontier.pop()
-            lv = self._level[v]
+            lw = self._level[v] + step
             for w in self._adj[v]:
-                if self._level[w] == lv + 1 and w not in seen:
+                if self._level[w] == lw and w not in seen and (within is None or w in within):
                     seen.add(w)
                     frontier.append(w)
         return seen
 
-    def downward_closure(self, a: Anchor) -> set[int]:
+    def upward_closure(self, a: Anchor, within: set[int] | None = None) -> set[int]:
+        """Vertices lying over the anchor (monotone ascending paths), through
+        ``within`` only when given."""
+        if a == BOTTOM:
+            return set(self._level if within is None else within)
         if a == TOP:
-            return set(self._level)
+            return set()
+        return self._closure(a, +1, within)
+
+    def downward_closure(self, a: Anchor, within: set[int] | None = None) -> set[int]:
+        """Vertices lying beneath the anchor, through ``within`` only when
+        given."""
+        if a == TOP:
+            return set(self._level if within is None else within)
         if a == BOTTOM:
             return set()
-        frontier = [a]
-        seen: set[int] = set()
-        while frontier:
-            v = frontier.pop()
-            lv = self._level[v]
-            for w in self._adj[v]:
-                if self._level[w] == lv - 1 and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen
+        return self._closure(a, -1, within)
 
     def lies_over(self, a: Anchor, b: Anchor) -> bool:
         """True iff ``b`` lies over ``a``; the imaginary anchors lie beneath
@@ -171,9 +176,10 @@ class ColoredSpace:
             return False
         return b in self.upward_closure(a)
 
-    def between(self, a: Anchor, b: Anchor) -> set[int]:
-        """Vertices strictly between the anchors."""
-        return self.upward_closure(a) & self.downward_closure(b)
+    def between(self, a: Anchor, b: Anchor, within: set[int] | None = None) -> set[int]:
+        """Vertices strictly between the anchors, joined to both by monotone
+        paths through ``within`` when given."""
+        return self.upward_closure(a, within) & self.downward_closure(b, within)
 
     # -- metric ----------------------------------------------------------------
 
@@ -192,18 +198,13 @@ class ColoredSpace:
         x: int,
         levels: set[int] | None = None,
         within: set[int] | None = None,
-        avoid: set[int] | None = None,
     ) -> dict[int, int]:
         """BFS distances from ``x`` restricted to levels / vertex set."""
 
         def ok(v: int) -> bool:
             if levels is not None and self._level[v] not in levels:
                 return False
-            if within is not None and v not in within:
-                return False
-            if avoid is not None and v in avoid:
-                return False
-            return True
+            return within is None or v in within
 
         if not ok(x):
             return {}
@@ -216,6 +217,42 @@ class ColoredSpace:
                     dist[w] = dist[v] + 1
                     queue.append(w)
         return dist
+
+    def shortest_path(
+        self,
+        sources: Iterable[int],
+        targets: Container[int],
+        within: Container[int],
+        levels: Container[int] | None = None,
+        reverse: bool = False,
+    ) -> list[int] | None:
+        """A shortest path from some source to some target through vertices
+        of ``within`` on ``levels``, else None.
+
+        Sources and neighbours are tried in ascending id order (descending
+        with ``reverse``), so the path returned is deterministic."""
+
+        def ok(v: int) -> bool:
+            return v in within and (levels is None or self._level[v] in levels)
+
+        prev: dict[int, int | None] = {}
+        queue: deque[int] = deque()
+        for v in sorted(sources, reverse=reverse):
+            if v not in prev and ok(v):
+                prev[v] = None
+                queue.append(v)
+        while queue:
+            v = queue.popleft()
+            if v in targets:
+                path = [v]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            for w in sorted(self._adj[v], reverse=reverse):
+                if w not in prev and ok(w):
+                    prev[w] = v
+                    queue.append(w)
+        return None
 
     # -- serialization -----------------------------------------------------------
 
@@ -240,13 +277,16 @@ class ColoredSpace:
         """Replay a build script ``{"n": N, "ops": [{letter, lo, hi}, ...]}``."""
         try:
             n = script["n"]
-            ops = script["ops"]
+            ops = list(script["ops"])
         except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed build script: {exc}") from exc
+            raise ParseError(f"malformed build script: {exc!r}") from exc
         space = cls(n)
-        for op in ops:
-            letter = parse_letter(op["letter"])
-            space.apply_alpha(letter, _anchor(op.get("lo", BOTTOM)), _anchor(op.get("hi", TOP)))
+        for i, op in enumerate(ops):
+            try:
+                letter, lo, hi = op["letter"], op.get("lo", BOTTOM), op.get("hi", TOP)
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"malformed build script op {i}: {exc!r}") from exc
+            space.apply_alpha(parse_letter(letter), _anchor(lo), _anchor(hi))
         return space
 
     @classmethod
@@ -289,48 +329,6 @@ def _anchor(raw) -> Anchor:
 
 
 # ---------------------------------------------------------------------------
-# between-subgraph views
-
-
-@dataclass
-class BetweenView:
-    """Induced subgraph on the vertices strictly between two anchors.
-
-    Levels renumbered view-locally: ``local_level = level - (lo_level + 1)``.
-    """
-
-    space: ColoredSpace
-    lo: Anchor
-    hi: Anchor
-    members: set[int] = field(default_factory=set)
-
-    @property
-    def level_offset(self) -> int:
-        return self.space.anchor_level(self.lo) + 1
-
-    def local_level(self, v: int) -> int:
-        return self.space.level(v) - self.level_offset
-
-    def connected(self, sources: set[int], targets: set[int], levels: set[int] | None = None) -> bool:
-        within = self.members
-        for x in sources:
-            if x not in within:
-                continue
-            if levels is not None and self.space.level(x) not in levels:
-                continue
-            dist = self.space.distances_from(x, levels=levels, within=within)
-            if any(y in dist for y in targets):
-                return True
-        return False
-
-
-def between_subgraph(space: ColoredSpace, a: Anchor, b: Anchor) -> BetweenView:
-    if not space.lies_over(a, b):
-        raise NotOverError(f"{b} does not lie over {a}")
-    return BetweenView(space, a, b, space.between(a, b))
-
-
-# ---------------------------------------------------------------------------
 # the defining axioms, checkable on finite spaces
 
 
@@ -347,6 +345,7 @@ def simply_connected_witness(space: ColoredSpace):
     """
     anchors_lo: list[Anchor] = [BOTTOM] + space.vertices
     anchors_hi: list[Anchor] = space.vertices + [TOP]
+    everything = set(space.vertices)
     for a in anchors_lo:
         for b in anchors_hi:
             if a == BOTTOM and b == TOP:
@@ -357,7 +356,7 @@ def simply_connected_witness(space: ColoredSpace):
             between = space.between(a, b)
             if len(between) < 2:
                 continue
-            avoid = {v for v in (a, b) if space.is_real(v)}
+            outside = everything - {a, b}
             for t_lo in range(max(la, 0), min(lb, space.n) + 1):
                 for t_hi in range(t_lo, min(lb, space.n) + 1):
                     levels = set(range(t_lo, t_hi + 1))
@@ -365,7 +364,7 @@ def simply_connected_witness(space: ColoredSpace):
                     if len(pts) < 2:
                         continue
                     for x in pts:
-                        outer = space.distances_from(x, levels=levels, avoid=avoid)
+                        outer = space.distances_from(x, levels=levels, within=outside)
                         inner = space.distances_from(x, levels=levels, within=between)
                         for y in pts:
                             if y <= x:
@@ -383,23 +382,14 @@ def is_simply_connected(space: ColoredSpace) -> bool:
 def is_complete(space: ColoredSpace, region: set[int] | None = None) -> bool:
     """Every vertex of the region extends to a full level-0..N path inside it."""
     region = set(space.vertices) if region is None else set(region)
-    return all(_chain_reaches(space, v, region, -1) and _chain_reaches(space, v, region, +1)
-               for v in region)
 
+    def reaches(v: int, closure, goal: int) -> bool:
+        return space.level(v) == goal or any(space.level(w) == goal for w in closure(v, region))
 
-def _chain_reaches(space: ColoredSpace, v: int, region: set[int], direction: int) -> bool:
-    goal = space.n if direction > 0 else 0
-    frontier = [v]
-    seen = {v}
-    while frontier:
-        w = frontier.pop()
-        if space.level(w) == goal:
-            return True
-        for x in space.neighbors(w):
-            if x in region and x not in seen and space.level(x) == space.level(w) + direction:
-                seen.add(x)
-                frontier.append(x)
-    return False
+    return all(
+        reaches(v, space.downward_closure, 0) and reaches(v, space.upward_closure, space.n)
+        for v in region
+    )
 
 
 def _interval_sets(n: int) -> list[set[int]]:
@@ -420,14 +410,10 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     anchors: list[Anchor] = [BOTTOM, TOP] + sorted(region)
     for a in anchors:
         for b in anchors:
-            if a == BOTTOM and b == TOP:
-                inner_between = _region_between(space, region, a, b)
-                ambient = region
-            else:
-                if not space.lies_over(a, b):
-                    continue
-                inner_between = _region_between(space, region, a, b)
-                ambient = space.between(a, b) & region
+            if not space.lies_over(a, b):
+                continue
+            inner_between = space.between(a, b, region)
+            ambient = space.between(a, b) & region
             if inner_between != ambient:
                 return ("between-sets", a, b, sorted(ambient - inner_between))
     for levels in _interval_sets(space.n):
@@ -446,30 +432,6 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
                 elif dm < INF and dd == INF:
                     return ("distance", tuple(sorted(levels)), x, y, dm, dd)
     return None
-
-
-def _region_between(space: ColoredSpace, region: set[int], a: Anchor, b: Anchor) -> set[int]:
-    """Vertices of the region between the anchors via paths inside the region."""
-    up = _directed_closure(space, region, a, +1)
-    down = _directed_closure(space, region, b, -1)
-    return up & down
-
-
-def _directed_closure(space: ColoredSpace, region: set[int], a: Anchor, direction: int) -> set[int]:
-    if a == BOTTOM:
-        return region if direction > 0 else set()
-    if a == TOP:
-        return region if direction < 0 else set()
-    frontier = [a]
-    seen: set[int] = set()
-    while frontier:
-        v = frontier.pop()
-        lv = space.level(v)
-        for w in space.neighbors(v):
-            if w in region and w not in seen and space.level(w) == lv + direction:
-                seen.add(w)
-                frontier.append(w)
-    return seen
 
 
 def is_nice(space: ColoredSpace, region: set[int]) -> bool:
@@ -494,16 +456,8 @@ def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anch
             pts = sorted(ambient & region)
             if len(pts) < 2:
                 continue
-            components: dict[int, int] = {}
-            label = 0
-            for v in pts:
-                if v in components:
-                    continue
-                for w in space.distances_from(v, within=ambient):
-                    if w in region:
-                        components[w] = label
-                label += 1
-            if len(set(components[v] for v in pts)) > 1:
+            reached = space.distances_from(pts[0], within=ambient)
+            if not all(v in reached for v in pts):
                 out.append((a, b))
     return out
 
@@ -541,7 +495,7 @@ def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) ->
         chain = _monotone_chain(space, lo_anchor, b) + [b] + _monotone_chain(space, b, hi_anchor)
         return region | set(chain)
     nearest = min(reachable, key=lambda v: (dist[v], v))
-    path = _shortest_path(space, nearest, b, ambient)
+    path = space.shortest_path([nearest], {b}, ambient)
     neighbor = path[-2]  # last vertex before b on the connecting path
     if neighbor in region:
         # ruled out by the anchor maximality: an adjacent region vertex
@@ -549,25 +503,6 @@ def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) ->
         raise PreconditionError("mis-leveled region passed to nice_hull")
     bigger = nice_hull(space, region, neighbor, _depth + 1)
     return nice_hull(space, bigger, b, _depth + 1)
-
-
-def _shortest_path(space: ColoredSpace, x: int, y: int, within: set[int]) -> list[int]:
-    prev: dict[int, int | None] = {x: None}
-    queue = deque([x])
-    while queue:
-        v = queue.popleft()
-        if v == y:
-            path = []
-            w: int | None = v
-            while w is not None:
-                path.append(w)
-                w = prev[w]
-            return list(reversed(path))
-        for w in sorted(space.neighbors(v)):
-            if w in within and w not in prev:
-                prev[w] = v
-                queue.append(w)
-    raise PreconditionError(f"no path from {x} to {y}")
 
 
 def _monotone_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> list[int]:

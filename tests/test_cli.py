@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from pseudospace.cli import cli
+from pseudospace.space import ColoredSpace
 
 SCRIPT = json.dumps(
     {
@@ -171,3 +174,38 @@ def test_exit_codes():
         text=True,
     )
     assert usage.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, status, code",
+    [
+        (["basepoint", "SPACE", "1", "--set", "[0,"], 1, "parse-error"),
+        (["word", "SPACE", '["a"]', "0"], 1, "parse-error"),
+        (["basepoint", "SPACE", "1", "--set", '{"a":1}'], 1, "parse-error"),
+        (["basepoint", "SPACE", "1", "--set", "[99]"], 1, "parse-error"),
+        (["flags", "DIR/missing.json"], 2, None),
+        (["flags", "DIR/not-json.json"], 1, "parse-error"),
+        (["build", "DIR/no-letter.json"], 1, "parse-error"),
+        (["build", "DIR/int-letter.json"], 1, "parse-error"),
+        (["flags", "DIR/empty.json"], 1, "parse-error"),
+        (["verify", "--suite", "ample", "--cases", "0"], 2, None),
+    ],
+)
+def test_bad_input_never_tracebacks(tmp_path, args, status, code):
+    (tmp_path / "space.json").write_text(
+        json.dumps(ColoredSpace.from_script(json.loads(SCRIPT)).to_json())
+    )
+    (tmp_path / "not-json.json").write_text("{nope")
+    (tmp_path / "no-letter.json").write_text(json.dumps({"n": 2, "ops": [{"lo": "bottom"}]}))
+    (tmp_path / "int-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": 5}]}))
+    (tmp_path / "empty.json").write_text("{}")
+    space = str(tmp_path / "space.json")
+    argv = [a.replace("SPACE", space).replace("DIR", str(tmp_path)) for a in args]
+    result = subprocess.run(
+        [sys.executable, "-m", "pseudospace.cli", *argv], capture_output=True, text=True
+    )
+    assert result.returncode in (1, 2)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == status, result.stderr
+    if status == 1:
+        assert json.loads(result.stderr)["error"] == code

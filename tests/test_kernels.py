@@ -6,8 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import restart_reduce
+from brute import bubble_normal_form, restart_reduce, swap_closure
 from pseudospace import BACKEND, kernels
+from pseudospace.letters import Letter
+from pseudospace.words import Word
 
 raw_words = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -82,6 +84,28 @@ def test_reduce_reaches_fixpoint(word):
     assert kernels.is_reduced(reduced)
     assert kernels.reduce_word(reduced) == reduced
     assert kernels.normal_form(reduced) == reduced
+
+
+def test_normal_form_matches_bubble_sort():
+    rng = random.Random(17)
+    for _ in range(3000):
+        n = rng.choice([1, 2, 3, 4, 5, 8, 20])
+        word = _random_word(rng, n, rng.randint(0, 30))
+        assert kernels.normal_form(word) == bubble_normal_form(word), word
+
+
+def _in_order(key) -> bool:
+    return not any(a[0] >= b[1] + 2 for a, b in zip(key, key[1:]))
+
+
+def test_normal_form_is_the_only_ordered_word_of_its_class():
+    rng = random.Random(19)
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        word = _random_word(rng, n, rng.randint(0, 5))
+        letters = tuple(Letter(lo, hi) for lo, hi in word)
+        cls = [tuple(s.key for s in w) for w in swap_closure(Word(letters, n))]
+        assert [key for key in cls if _in_order(key)] == [kernels.normal_form(word)], word
 
 
 @given(raw_words)

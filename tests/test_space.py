@@ -4,15 +4,16 @@ import random
 
 import pytest
 
+import brute
+import pseudospace.flags as FL
 import pseudospace.space as SP
 from pseudospace.errors import (
     AnchorLevelMismatchError,
     AnchorsNotOverError,
     LevelNotInIntervalError,
-    NotOverError,
     PreconditionError,
 )
-from pseudospace.letters import Letter
+from pseudospace.letters import Letter, index_set_to_letters, parse_letter
 from pseudospace.oracle import random_script
 from pseudospace.space import BOTTOM, INF, TOP, ColoredSpace
 
@@ -72,15 +73,14 @@ def test_distance(flag_space):
         sp.distance(a[0], a[2], {0, 2})
 
 
-def test_between_subgraph(flag_space):
+def test_between(flag_space):
     sp, a, b1 = flag_space
-    view = SP.between_subgraph(sp, a[0], a[2])
-    assert view.members == {a[1], b1}
-    assert view.local_level(a[1]) == 0
-    whole = SP.between_subgraph(sp, BOTTOM, TOP)
-    assert whole.members == set(sp.vertices)
-    with pytest.raises(NotOverError):
-        SP.between_subgraph(sp, a[2], a[0])
+    assert sp.between(a[0], a[2]) == {a[1], b1}
+    assert sp.between(BOTTOM, TOP) == set(sp.vertices)
+    assert sp.between(a[0], a[2], within={b1, a[0]}) == {b1}
+    assert sp.between(BOTTOM, a[2], within={a[1]}) == {a[1]}
+    assert sp.between(BOTTOM, TOP, within={a[1], b1}) == {a[1], b1}
+    assert sp.between(a[0], TOP, within={a[2]}) == set()
 
 
 def test_simply_connected_on_built_spaces():
@@ -131,18 +131,9 @@ def test_wunderbar_after_extension():
         sp = ColoredSpace(script["n"])
         for op in script["ops"]:
             prior = set(sp.vertices)
-            sp.apply_alpha(
-                Letter(*_key(op["letter"])), op["lo"], op["hi"]
-            )
+            sp.apply_alpha(parse_letter(op["letter"]), op["lo"], op["hi"])
             if prior:
                 assert SP.is_wunderbar(sp, prior)
-
-
-def _key(text):
-    from pseudospace.letters import parse_letter
-
-    s = parse_letter(text)
-    return (s.lo, s.hi)
 
 
 def test_open_pairs(flag_space):
@@ -244,6 +235,81 @@ def test_distance_stability_under_operations():
                         t = set(range(lo, hi + 1))
                         if sp.level(x) in t and sp.level(y) in t:
                             recorded.append((x, y, lo, hi, sp.distance(x, y, t)))
-            sp.apply_alpha(Letter(*_key(op["letter"])), op["lo"], op["hi"])
+            sp.apply_alpha(parse_letter(op["letter"]), op["lo"], op["hi"])
         for x, y, lo, hi, d in recorded:
             assert sp.distance(x, y, set(range(lo, hi + 1))) == d
+
+
+def _random_spaces(seed, count):
+    """Built spaces, then leveled graphs with random edges between adjacent
+    levels, which need not be simply connected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, ColoredSpace.from_script(random_script(rng, 3))
+    for _ in range(count):
+        sp = ColoredSpace(rng.randint(1, 3))
+        for level in range(sp.n + 1):
+            for _ in range(rng.randint(1, 4)):
+                sp._level[len(sp._level)] = level
+        sp._adj = {v: set() for v in sp._level}
+        for v, w in itertools.combinations(sp._level, 2):
+            if sp._level[w] == sp._level[v] + 1 and rng.random() < 0.6:
+                sp._adj[v].add(w)
+                sp._adj[w].add(v)
+        yield rng, sp
+
+
+def _random_region(rng, sp):
+    return {v for v in sp.vertices if rng.random() < 0.6}
+
+
+def test_region_searches_match_transitive_closure():
+    restricted = complete = incomplete = 0
+    for rng, sp in _random_spaces(41, 40):
+        anchors = [BOTTOM, TOP] + sp.vertices
+        for _ in range(4):
+            region = _random_region(rng, sp)
+            for _ in range(10):
+                a, b = rng.choice(anchors), rng.choice(anchors)
+                inner = sp.between(a, b, region)
+                assert inner == brute.brute_between(sp, a, b, region), (a, b, region)
+                restricted += inner != sp.between(a, b) & region
+            if SP.is_complete(sp, region):
+                complete += 1
+                assert brute.brute_is_complete(sp, region), region
+            else:
+                incomplete += 1
+                assert not brute.brute_is_complete(sp, region), region
+        a, b = rng.choice(anchors), rng.choice(anchors)
+        assert sp.between(a, b) == brute.brute_between(sp, a, b, sp.vertices)
+    assert restricted > 5 and min(complete, incomplete) > 10
+
+
+def test_open_pairs_match_component_labelling():
+    found = 0
+    for rng, sp in _random_spaces(42, 40):
+        for region in [set(sp.vertices), *(_random_region(rng, sp) for _ in range(3))]:
+            pairs = SP.open_pairs(sp, region)
+            assert pairs == brute.brute_open_pairs(sp, region), region
+            found += bool(pairs)
+    assert found > 10
+
+
+def _interval_steps(sp, flags):
+    """``(f, g, s)`` for the ordered pairs of flags that differ at exactly the
+    levels of one letter ``s``."""
+    for f in flags:
+        for g in flags:
+            letters = index_set_to_letters(frozenset(i for i in range(sp.n + 1) if f[i] != g[i]))
+            if len(letters) == 1:
+                yield f, g, letters[0]
+
+
+def test_is_global_step_matches_per_source_search():
+    seen = {True: 0, False: 0}
+    for _, sp in _random_spaces(43, 100):
+        for f, g, s in _interval_steps(sp, FL.enumerate_flags(sp)[:12]):
+            expected = brute.brute_is_global_step(sp, f, g, s)
+            assert FL.is_global_step(sp, f, g, s) == expected, (f, g, s)
+            seen[expected] += 1
+    assert min(seen.values()) > 100, seen
