@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -50,6 +51,24 @@ def _n_option(fn):
 
 def _json_option(fn):
     return click.option("--json", "as_json", is_flag=True, help="machine-readable output")(fn)
+
+
+def _check_output(ctx, param, value: str) -> str:
+    """Reject an output path whose directory is missing before any work."""
+    if value != "-" and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+        raise click.BadParameter(f"directory of {value!r} does not exist", ctx, param)
+    return value
+
+
+def _output_option(help_text: str):
+    return click.option(
+        "-o",
+        "--output",
+        default="-",
+        type=click.Path(dir_okay=False, allow_dash=True),
+        callback=_check_output,
+        help=help_text,
+    )
 
 
 def _emit(as_json: bool, payload: dict, text: str) -> None:
@@ -162,8 +181,12 @@ def rank(n: int, as_json: bool, word: str) -> None:
 @cli.command()
 @_n_option
 @_json_option
-@click.option("--split-len", default=W.SPLIT_LEN_DEFAULT, show_default=True)
-@click.option("--steps", default=W.SPLIT_STEPS_DEFAULT, show_default=True)
+@click.option(
+    "--split-len", default=W.SPLIT_LEN_DEFAULT, show_default=True, type=click.IntRange(min=0)
+)
+@click.option(
+    "--steps", default=W.SPLIT_STEPS_DEFAULT, show_default=True, type=click.IntRange(min=0)
+)
 @click.argument("word")
 def strong(n: int, as_json: bool, split_len: int, steps: int, word: str) -> None:
     """Bounded enumeration of strong reducts."""
@@ -219,7 +242,7 @@ def _parse_ids(text: str) -> list[int]:
 
 @cli.command()
 @click.argument("script", default="-", type=_FILE)
-@click.option("-o", "--output", default="-", help="output file ('-' = stdout)")
+@_output_option("output file ('-' = stdout)")
 def build(script: str, output: str) -> None:
     """Build a space from a JSON script and export it as JSON."""
     space = ColoredSpace.from_script(_read_json(script))
@@ -340,7 +363,7 @@ def canbase(as_json: bool, space_file: str, flag: str, region: str) -> None:
 @click.argument("space_file", type=_FILE)
 @click.argument("flag")
 @click.argument("word")
-@click.option("-o", "--output", default="-", help="write the extended space here")
+@_output_option("write the extended space here")
 def realize(as_json: bool, space_file: str, flag: str, word: str, output: str) -> None:
     """Extend the space with a flag connected to FLAG by exactly WORD."""
     space = _load_space(space_file)
@@ -377,7 +400,7 @@ def ample(n: int, as_json: bool) -> None:
 @click.option(
     "--n", "n_max", default=3, show_default=True, type=click.IntRange(min=1), help="max dimension"
 )
-@click.option("-o", "--output", default="-", help="write the JSON report here")
+@_output_option("write the JSON report here")
 def verify(
     as_json: bool, suite: str, seed: int, cases: int, n_max: int, output: str
 ) -> None:

@@ -190,7 +190,7 @@ def _connecting_path(
     return space.shortest_path(
         f.levels_of(s),
         set(g.levels_of(s)),
-        space.between(lo, hi),
+        space._between(lo, hi),
         levels=range(s.lo, s.hi + 1),
         reverse=reverse_ties,
     )

@@ -9,11 +9,14 @@ Two letters commute when they are separated by a gap of at least two levels,
 so no letter commutes with itself or with any of its subletters.  Index sets
 (subsets of ``[0, N]``) are plain frozensets.  Dimensions are capped at 62;
 the cap is a bound on input, and no code here depends on its exact value.
+The space index keeps vertex sets as bitmasks indexed by vertex id, not by
+level, so it does not depend on N either and the cap stays only a bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import DimensionError, ParseError
@@ -104,7 +107,16 @@ def all_letters(n: int) -> list[Letter]:
 
 def parse_letter(text: str) -> Letter:
     """Parse ``[a]`` or ``[a,b]``.  Strict: decimal digits, no whitespace."""
-    if not (isinstance(text, str) and text.startswith("[") and text.endswith("]")):
+    if not isinstance(text, str):
+        raise ParseError(f"letter must be a string: {text!r}")
+    return _parse_letter_text(text)
+
+
+@lru_cache(maxsize=4096)
+def _parse_letter_text(text: str) -> Letter:
+    """Scripts and exports repeat the few letters of one alphabet many
+    times; a ``Letter`` is frozen, so one instance per string serves all."""
+    if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"letter must be bracketed: {text!r}")
     body = text[1:-1]
     parts = body.split(",")

@@ -19,6 +19,19 @@ optionally inside a region (``upward_closure``, ``downward_closure``,
 ``lies_over`` and ``between`` wrap it); ``distances_from``, BFS distances; and
 ``shortest_path``, a deterministic shortest path between two vertex sets, or
 None when there is none.
+
+Vertex sets travel through these searches as Python-int bitmasks, bit ``v``
+standing for vertex ``v`` (ids are dense).  Each vertex's strict up-set and
+down-set are memoized as masks in ``_up`` and ``_down``, filled on demand from
+``_adj`` by one recursion over the level DAG (``up(v)`` is the union over the
+upper neighbours ``w`` of ``w`` and ``up(w)``), so a space whose graph is
+written directly needs no rebuild.  ``apply_alpha`` clears ``_up`` only when
+its lower anchor is a vertex and ``_down`` only when its upper anchor is one:
+a chain hung from ``BOTTOM`` is reached from below by no existing vertex, so
+no existing up-set changes, and likewise for ``TOP`` and down-sets.  It
+clears after the insert, because its own ``lies_over`` check reads the memo
+before.  Regions are masks inside the library and become ``set[int]`` only at
+the public API (``upward_closure``, ``downward_closure`` and ``between``).
 """
 
 from __future__ import annotations
@@ -60,6 +73,8 @@ class ColoredSpace:
         self.n = n
         self._level: dict[int, int] = {}
         self._adj: dict[int, set[int]] = {}
+        self._up: dict[int, int] = {}  # vertex -> mask of its strict up-set
+        self._down: dict[int, int] = {}  # vertex -> mask of its strict down-set
         self.build_log: list[BuildOp] = []
 
     # -- basic structure ---------------------------------------------------
@@ -96,13 +111,14 @@ class ColoredSpace:
 
     def apply_alpha(self, s: Letter, lo: Anchor = BOTTOM, hi: Anchor = TOP) -> list[int]:
         """Adjoin a fresh path at the levels of ``s`` between the anchors."""
+        lo_real, hi_real = self.is_real(lo), self.is_real(hi)
         if not s.valid_for(self.n):
             raise AnchorLevelMismatchError(f"letter {s} exceeds dimension {self.n}")
         if s.lo == 0:
             if lo != BOTTOM:
                 raise AnchorLevelMismatchError(f"letter {s} needs the bottom anchor")
         else:
-            if not (self.is_real(lo) and self._level.get(lo) == s.lo - 1):
+            if not (lo_real and self._level.get(lo) == s.lo - 1):
                 raise AnchorLevelMismatchError(
                     f"lo anchor for {s} must be a vertex at level {s.lo - 1}"
                 )
@@ -110,14 +126,14 @@ class ColoredSpace:
             if hi != TOP:
                 raise AnchorLevelMismatchError(f"letter {s} needs the top anchor")
         else:
-            if not (self.is_real(hi) and self._level.get(hi) == s.hi + 1):
+            if not (hi_real and self._level.get(hi) == s.hi + 1):
                 raise AnchorLevelMismatchError(
                     f"hi anchor for {s} must be a vertex at level {s.hi + 1}"
                 )
-        if self.is_real(lo) and self.is_real(hi) and not self.lies_over(lo, hi):
+        if lo_real and hi_real and not self.lies_over(lo, hi):
             raise AnchorsNotOverError(f"anchor {hi} does not lie over {lo}")
         created = []
-        prev = lo if self.is_real(lo) else None
+        prev = lo if lo_real else None
         for level in range(s.lo, s.hi + 1):
             v = len(self._level)
             self._level[v] = level
@@ -127,45 +143,64 @@ class ColoredSpace:
                 self._adj[prev].add(v)
             created.append(v)
             prev = v
-        if self.is_real(hi):
+        if hi_real:
             self._adj[prev].add(hi)
             self._adj[hi].add(prev)
+        if lo_real:
+            self._up.clear()
+        if hi_real:
+            self._down.clear()
         self.build_log.append(BuildOp(s, lo, hi, tuple(created)))
         return created
 
     # -- order structure -----------------------------------------------------
 
-    def _closure(self, a: int, step: int, within: set[int] | None) -> set[int]:
-        """Vertices reached from ``a`` along edges that change the level by
-        ``step``, every vertex after ``a`` lying in ``within`` when given."""
+    def _reach(self, v: int, step: int) -> int:
+        """Memoized mask of the vertices reached from vertex ``v`` along
+        edges that change the level by ``step``."""
+        memo = self._up if step > 0 else self._down
+        mask = memo.get(v)
+        if mask is None:
+            mask = 0
+            lw = self._level[v] + step
+            for w in self._adj[v]:
+                if self._level[w] == lw:
+                    mask |= 1 << w | self._reach(w, step)
+            memo[v] = mask
+        return mask
+
+    def _closure(self, a: Anchor, step: int, within: int | None = None) -> int:
+        """Mask of the vertices reached from ``a`` along edges that change the
+        level by ``step``, every vertex after ``a`` lying in the ``within``
+        mask when given.  ``BOTTOM`` reaches everything upwards and ``TOP``
+        everything downwards."""
+        if not self.is_real(a):
+            if (a == BOTTOM) != (step > 0):
+                return 0
+            return (1 << len(self._level)) - 1 if within is None else within
+        if within is None:
+            return self._reach(a, step)
         frontier = [a]
-        seen: set[int] = set()
+        seen = 0
         while frontier:
             v = frontier.pop()
             lw = self._level[v] + step
             for w in self._adj[v]:
-                if self._level[w] == lw and w not in seen and (within is None or w in within):
-                    seen.add(w)
+                bit = 1 << w
+                if self._level[w] == lw and not seen & bit and within & bit:
+                    seen |= bit
                     frontier.append(w)
         return seen
 
     def upward_closure(self, a: Anchor, within: set[int] | None = None) -> set[int]:
         """Vertices lying over the anchor (monotone ascending paths), through
         ``within`` only when given."""
-        if a == BOTTOM:
-            return set(self._level if within is None else within)
-        if a == TOP:
-            return set()
-        return self._closure(a, +1, within)
+        return set(_members(self._closure(a, +1, None if within is None else _mask_of(within))))
 
     def downward_closure(self, a: Anchor, within: set[int] | None = None) -> set[int]:
         """Vertices lying beneath the anchor, through ``within`` only when
         given."""
-        if a == TOP:
-            return set(self._level if within is None else within)
-        if a == BOTTOM:
-            return set()
-        return self._closure(a, -1, within)
+        return set(_members(self._closure(a, -1, None if within is None else _mask_of(within))))
 
     def lies_over(self, a: Anchor, b: Anchor) -> bool:
         """True iff ``b`` lies over ``a``; the imaginary anchors lie beneath
@@ -174,12 +209,17 @@ class ColoredSpace:
             return True
         if a == TOP or b == BOTTOM:
             return False
-        return b in self.upward_closure(a)
+        return self._reach(a, +1) >> b & 1 == 1
+
+    def _between(self, a: Anchor, b: Anchor, within: int | None = None) -> int:
+        """Mask of the vertices strictly between the anchors, joined to both
+        by monotone paths through the ``within`` mask when given."""
+        return self._closure(a, +1, within) & self._closure(b, -1, within)
 
     def between(self, a: Anchor, b: Anchor, within: set[int] | None = None) -> set[int]:
         """Vertices strictly between the anchors, joined to both by monotone
         paths through ``within`` when given."""
-        return self.upward_closure(a, within) & self.downward_closure(b, within)
+        return set(_members(self._between(a, b, None if within is None else _mask_of(within))))
 
     # -- metric ----------------------------------------------------------------
 
@@ -196,25 +236,27 @@ class ColoredSpace:
     def distances_from(
         self,
         x: int,
-        levels: set[int] | None = None,
-        within: set[int] | None = None,
+        levels: Container[int] | None = None,
+        within: int | None = None,
     ) -> dict[int, int]:
-        """BFS distances from ``x`` restricted to levels / vertex set."""
-
-        def ok(v: int) -> bool:
-            if levels is not None and self._level[v] not in levels:
-                return False
-            return within is None or v in within
-
-        if not ok(x):
+        """BFS distances from ``x`` restricted to levels / a vertex mask."""
+        level = self._level
+        if levels is not None and level[x] not in levels:
+            return {}
+        if within is not None and not within >> x & 1:
             return {}
         dist = {x: 0}
         queue = deque([x])
         while queue:
             v = queue.popleft()
+            d = dist[v] + 1
             for w in self._adj[v]:
-                if w not in dist and ok(w):
-                    dist[w] = dist[v] + 1
+                if (
+                    w not in dist
+                    and (levels is None or level[w] in levels)
+                    and (within is None or within >> w & 1)
+                ):
+                    dist[w] = d
                     queue.append(w)
         return dist
 
@@ -222,18 +264,20 @@ class ColoredSpace:
         self,
         sources: Iterable[int],
         targets: Container[int],
-        within: Container[int],
+        within: int,
         levels: Container[int] | None = None,
         reverse: bool = False,
     ) -> list[int] | None:
         """A shortest path from some source to some target through vertices
-        of ``within`` on ``levels``, else None.
+        of the ``within`` mask on ``levels``, else None.
 
         Sources and neighbours are tried in ascending id order (descending
         with ``reverse``), so the path returned is deterministic."""
 
+        level = self._level
+
         def ok(v: int) -> bool:
-            return v in within and (levels is None or self._level[v] in levels)
+            return within >> v & 1 and (levels is None or level[v] in levels)
 
         prev: dict[int, int | None] = {}
         queue: deque[int] = deque()
@@ -320,6 +364,24 @@ class ColoredSpace:
         return "\n".join(lines)
 
 
+def _mask_of(vertices: Iterable[int]) -> int:
+    """The bitmask of a set of vertex ids."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _members(mask: int) -> list[int]:
+    """The vertex ids of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _anchor(raw) -> Anchor:
     if raw in (BOTTOM, TOP):
         return raw
@@ -345,7 +407,7 @@ def simply_connected_witness(space: ColoredSpace):
     """
     anchors_lo: list[Anchor] = [BOTTOM] + space.vertices
     anchors_hi: list[Anchor] = space.vertices + [TOP]
-    everything = set(space.vertices)
+    everything = _mask_of(space.vertices)
     for a in anchors_lo:
         for b in anchors_hi:
             if a == BOTTOM and b == TOP:
@@ -353,14 +415,15 @@ def simply_connected_witness(space: ColoredSpace):
             if not space.lies_over(a, b):
                 continue
             la, lb = space.anchor_level(a), space.anchor_level(b)
-            between = space.between(a, b)
-            if len(between) < 2:
+            between = space._between(a, b)
+            if between.bit_count() < 2:
                 continue
-            outside = everything - {a, b}
+            inside = _members(between)
+            outside = everything & ~_mask_of(v for v in (a, b) if space.is_real(v))
             for t_lo in range(max(la, 0), min(lb, space.n) + 1):
                 for t_hi in range(t_lo, min(lb, space.n) + 1):
                     levels = set(range(t_lo, t_hi + 1))
-                    pts = sorted(v for v in between if space.level(v) in levels)
+                    pts = [v for v in inside if space.level(v) in levels]
                     if len(pts) < 2:
                         continue
                     for x in pts:
@@ -382,14 +445,14 @@ def is_simply_connected(space: ColoredSpace) -> bool:
 def is_complete(space: ColoredSpace, region: set[int] | None = None) -> bool:
     """Every vertex of the region extends to a full level-0..N path inside it."""
     region = set(space.vertices) if region is None else set(region)
+    inside = _mask_of(region)
+    bottom = _mask_of(v for v in region if space.level(v) == 0)
+    top = _mask_of(v for v in region if space.level(v) == space.n)
 
-    def reaches(v: int, closure, goal: int) -> bool:
-        return space.level(v) == goal or any(space.level(w) == goal for w in closure(v, region))
+    def reaches(v: int, step: int, goal: int) -> bool:
+        return bool((1 << v | space._closure(v, step, inside)) & goal)
 
-    return all(
-        reaches(v, space.downward_closure, 0) and reaches(v, space.upward_closure, space.n)
-        for v in region
-    )
+    return all(reaches(v, -1, bottom) and reaches(v, +1, top) for v in region)
 
 
 def _interval_sets(n: int) -> list[set[int]]:
@@ -406,21 +469,24 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     every level interval are realized inside the region (with equal length
     when ``exact``).
     """
-    region = set(region)
-    anchors: list[Anchor] = [BOTTOM, TOP] + sorted(region)
+    inside = _mask_of(region)
+    ids = _members(inside)
+    anchors: list[Anchor] = [BOTTOM, TOP] + ids
+    up_inside = {a: space._closure(a, +1, inside) for a in anchors}
+    down_inside = {b: space._closure(b, -1, inside) for b in anchors}
     for a in anchors:
         for b in anchors:
             if not space.lies_over(a, b):
                 continue
-            inner_between = space.between(a, b, region)
-            ambient = space.between(a, b) & region
+            inner_between = up_inside[a] & down_inside[b]
+            ambient = space._between(a, b) & inside
             if inner_between != ambient:
-                return ("between-sets", a, b, sorted(ambient - inner_between))
+                return ("between-sets", a, b, _members(ambient & ~inner_between))
     for levels in _interval_sets(space.n):
-        pts = sorted(v for v in region if space.level(v) in levels)
+        pts = [v for v in ids if space.level(v) in levels]
         for x in pts:
             ambient_d = space.distances_from(x, levels=levels)
-            region_d = space.distances_from(x, levels=levels, within=region)
+            region_d = space.distances_from(x, levels=levels, within=inside)
             for y in pts:
                 if y == x:
                     continue
@@ -445,15 +511,15 @@ def is_wunderbar(space: ColoredSpace, region: set[int]) -> bool:
 def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anchor]]:
     """Anchor pairs over the region with two region vertices between them at
     infinite distance inside the ambient between-subgraph."""
-    region = set(region)
-    anchors: list[Anchor] = [BOTTOM] + sorted(region) + [TOP]
+    inside = _mask_of(region)
+    anchors: list[Anchor] = [BOTTOM] + _members(inside) + [TOP]
     out = []
     for a in anchors:
         for b in anchors:
             if a == b or not space.lies_over(a, b):
                 continue
-            ambient = space.between(a, b)
-            pts = sorted(ambient & region)
+            ambient = space._between(a, b)
+            pts = _members(ambient & inside)
             if len(pts) < 2:
                 continue
             reached = space.distances_from(pts[0], within=ambient)
@@ -475,22 +541,24 @@ def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) ->
     if _depth > len(space.vertices) ** 2 + 10:
         raise PreconditionError("nice_hull failed to converge")
     lb = space.level(b)
+    inside = _mask_of(region)
+    ids = _members(inside)
+    below, above = space._closure(b, -1), space._closure(b, +1)
     lo_anchor: Anchor = BOTTOM
     for level in range(lb - 1, -1, -1):
-        cands = [v for v in sorted(region) if space.level(v) == level and space.lies_over(v, b)]
+        cands = [v for v in ids if space.level(v) == level and below >> v & 1]
         if cands:
             lo_anchor = cands[0]
             break
     hi_anchor: Anchor = TOP
     for level in range(lb + 1, space.n + 1):
-        cands = [v for v in sorted(region) if space.level(v) == level and space.lies_over(b, v)]
+        cands = [v for v in ids if space.level(v) == level and above >> v & 1]
         if cands:
             hi_anchor = cands[0]
             break
-    ambient = space.between(lo_anchor, hi_anchor)
-    targets = ambient & region
+    ambient = space._between(lo_anchor, hi_anchor)
     dist = space.distances_from(b, within=ambient)
-    reachable = sorted(v for v in targets if v in dist)
+    reachable = [v for v in _members(ambient & inside) if v in dist]
     if not reachable:
         chain = _monotone_chain(space, lo_anchor, b) + [b] + _monotone_chain(space, b, hi_anchor)
         return region | set(chain)
@@ -511,21 +579,21 @@ def _monotone_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> list[int]:
     la, lb = space.anchor_level(a), space.anchor_level(b)
     if lb - la < 2:
         return []
-    down = space.downward_closure(b)
+    down = space._closure(b, -1) | (1 << b if space.is_real(b) else 0)
     level = la + 1
     if space.is_real(a):
         frontier = [v for v in sorted(space.neighbors(a)) if space.level(v) == level]
     else:
         frontier = [v for v in space.vertices if space.level(v) == level]
     chain: list[int] = []
-    current = next((v for v in sorted(frontier) if v in down or v == b), None)
+    current = next((v for v in sorted(frontier) if down >> v & 1), None)
     while current is not None and current != b:
         chain.append(current)
         if space.level(current) == lb - 1:
             break
         nxt = None
         for w in sorted(space.neighbors(current)):
-            if space.level(w) == space.level(current) + 1 and (w in down or w == b):
+            if space.level(w) == space.level(current) + 1 and down >> w & 1:
                 nxt = w
                 break
         current = nxt

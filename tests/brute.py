@@ -120,6 +120,20 @@ def monotone_order(space, nodes) -> set[tuple]:
     return rel
 
 
+def dfs_closure(space, v, step) -> set[int]:
+    """Vertices reached from vertex ``v`` along edges that change the level
+    by ``step``: a plain DFS over the adjacency sets, with no memo."""
+    seen = set()
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for w in space.neighbors(x):
+            if space.level(w) == space.level(x) + step and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def brute_between(space, a, b, region) -> set[int]:
     """Vertices of ``region`` above ``a`` and beneath ``b`` along ascending
     paths through the region."""

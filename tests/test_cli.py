@@ -189,6 +189,12 @@ def test_exit_codes():
         (["build", "DIR/int-letter.json"], 1, "parse-error"),
         (["flags", "DIR/empty.json"], 1, "parse-error"),
         (["verify", "--suite", "ample", "--cases", "0"], 2, None),
+        (["build", "DIR/no-letter.json", "-o", "DIR/missing/x.json"], 2, None),
+        (["realize", "SPACE", "0", "[0]", "-o", "DIR/missing/x.json"], 2, None),
+        (["verify", "--suite", "ample", "--cases", "1", "-o", "DIR/missing/x.json"], 2, None),
+        (["strong", "--n", "2", "--steps", "-5", "[0,1].[0,1]"], 2, None),
+        (["strong", "--n", "2", "--split-len", "-1", "[0,1].[0,1]"], 2, None),
+        (["build", "DIR/list-letter.json"], 1, "parse-error"),
     ],
 )
 def test_bad_input_never_tracebacks(tmp_path, args, status, code):
@@ -198,6 +204,7 @@ def test_bad_input_never_tracebacks(tmp_path, args, status, code):
     (tmp_path / "not-json.json").write_text("{nope")
     (tmp_path / "no-letter.json").write_text(json.dumps({"n": 2, "ops": [{"lo": "bottom"}]}))
     (tmp_path / "int-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": 5}]}))
+    (tmp_path / "list-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": [0, 1]}]}))
     (tmp_path / "empty.json").write_text("{}")
     space = str(tmp_path / "space.json")
     argv = [a.replace("SPACE", space).replace("DIR", str(tmp_path)) for a in args]

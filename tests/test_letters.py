@@ -85,7 +85,7 @@ def test_no_letter_commutes_with_subletter():
 def test_parse_strictness():
     assert parse_letter("[3]") == Letter(3, 3)
     assert parse_letter("[0,2]") == Letter(0, 2)
-    for bad in ["[1, 2]", "(1,2)", "[2,1]", "[a]", "[]", "[1,2,3]", "1"]:
+    for bad in ["[1, 2]", "(1,2)", "[2,1]", "[a]", "[]", "[1,2,3]", "1", 5, [0, 1]]:
         with pytest.raises(ParseError):
             parse_letter(bad)
 

@@ -240,6 +240,31 @@ def test_distance_stability_under_operations():
             assert sp.distance(x, y, set(range(lo, hi + 1))) == d
 
 
+def test_closure_memo_follows_inserts():
+    """Every vertex's closures are memoized before each insert; after it, the
+    closures and ``lies_over`` must match a plain DFS, for inserts with every
+    combination of real and imaginary anchors."""
+    kinds = set()
+    for seed in range(250):
+        script = random_script(random.Random(seed), 4, max_ops=12)
+        sp = ColoredSpace(script["n"])
+        for op in script["ops"]:
+            for v in sp.vertices:
+                sp.upward_closure(v)
+                sp.downward_closure(v)
+            lo, hi = op["lo"], op["hi"]
+            kinds.add((sp.is_real(lo), sp.is_real(hi)))
+            sp.apply_alpha(parse_letter(op["letter"]), lo, hi)
+            for v in sp.vertices:
+                up = brute.dfs_closure(sp, v, +1)
+                assert [sp.lies_over(v, w) for w in sp.vertices] == [
+                    w in up for w in sp.vertices
+                ], (seed, v)
+                assert sp.upward_closure(v) == up, (seed, v)
+                assert sp.downward_closure(v) == brute.dfs_closure(sp, v, -1), (seed, v)
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def _random_spaces(seed, count):
     """Built spaces, then leveled graphs with random edges between adjacent
     levels, which need not be simply connected."""
