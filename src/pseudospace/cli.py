@@ -24,10 +24,15 @@ from .letters import format_index_set
 from .space import ColoredSpace
 from .words import Word, parse_word
 
+# Flag enumeration grows exponentially in N: at N = 16 a few cases of the
+# flag suites take seconds, while N = 50 runs for minutes.
+VERIFY_MAX_DIMENSION = 16
 
-def main() -> None:
+
+def main(argv: list[str] | None = None) -> None:
+    """Run ``psn`` on ``argv`` (default: the process arguments)."""
     try:
-        cli(standalone_mode=False)
+        cli(args=argv, standalone_mode=False)
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         sys.exit(2)
@@ -398,7 +403,12 @@ def ample(n: int, as_json: bool) -> None:
 @click.option("--seed", default=0, show_default=True)
 @click.option("--cases", default=1000, show_default=True, type=click.IntRange(min=1))
 @click.option(
-    "--n", "n_max", default=3, show_default=True, type=click.IntRange(min=1), help="max dimension"
+    "--n",
+    "n_max",
+    default=3,
+    show_default=True,
+    type=click.IntRange(1, VERIFY_MAX_DIMENSION),
+    help=f"max dimension, at most {VERIFY_MAX_DIMENSION}",
 )
 @_output_option("write the JSON report here")
 def verify(

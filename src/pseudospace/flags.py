@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import kernels
 from . import words as W
 from .errors import (
     DifferenceMismatchError,
@@ -35,7 +36,14 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .letters import IndexSet, Letter, commutes, index_set_to_letters, letter_lt
+from .letters import (
+    _LETTERS,
+    IndexSet,
+    Letter,
+    commutes,
+    index_set_to_letters,
+    letter_lt,
+)
 from .ordinals import CnfOrdinal
 from .space import (
     BOTTOM,
@@ -161,7 +169,7 @@ def enumerate_flags(space: ColoredSpace, within: set[int] | None = None) -> list
 def weak_word(space: ColoredSpace, f: Flag, g: Flag) -> Word:
     """The commuting word of maximal difference intervals between two flags."""
     diff = frozenset(i for i in range(space.n + 1) if f[i] != g[i])
-    return Word(tuple(index_set_to_letters(diff)), space.n)
+    return W._from_key(tuple(s.key for s in index_set_to_letters(diff)), space.n)
 
 
 def _anchors_for(space: ColoredSpace, f: Flag, s: Letter) -> tuple[Anchor, Anchor]:
@@ -223,8 +231,9 @@ def flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False)
             continue
         break
     _sort_to_normal_form(space, flags)
-    letters = tuple(_step_letter(space, a, b) for a, b in zip(flags, flags[1:]))
-    word = Word(letters, space.n)
+    word = W._from_key(
+        tuple(_step_key(space, a, b) for a, b in zip(flags, flags[1:])), space.n
+    )
     stuck = tuple(
         i
         for i, (a, b) in enumerate(zip(flags, flags[1:]))
@@ -233,9 +242,13 @@ def flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False)
     return FlagPath(tuple(flags), word, stuck)
 
 
+def _step_key(space: ColoredSpace, a: Flag, b: Flag) -> tuple[int, int]:
+    diff = [i for i in range(space.n + 1) if a[i] != b[i]]
+    return diff[0], diff[-1]
+
+
 def _step_letter(space: ColoredSpace, a: Flag, b: Flag) -> Letter:
-    diff = sorted(i for i in range(space.n + 1) if a[i] != b[i])
-    return Letter(diff[0], diff[-1])
+    return _LETTERS[_step_key(space, a, b)]
 
 
 def _drop_identities(flags: list[Flag]) -> bool:
@@ -365,18 +378,18 @@ def permute_path(space: ColoredSpace, path: FlagPath, target: Word) -> FlagPath:
     ):
         raise NotAPermutationError(f"{target} is not a permutation of {path.word}")
     flags = list(path.flags)
-    letters = list(path.word.letters)
-    for k, wanted in enumerate(target.letters):
+    keys = list(path.word.key)
+    for k, wanted in enumerate(target.key):
         p = k
-        while letters[p] != wanted:
+        while keys[p] != wanted:
             p += 1
         while p > k:
-            if not commutes(letters[p - 1], letters[p]):
+            if not kernels._commutes(keys[p - 1], keys[p]):
                 raise NotAPermutationError("blocked permutation")
             _swap_steps(space, flags, p - 1)
-            letters[p - 1], letters[p] = letters[p], letters[p - 1]
+            keys[p - 1], keys[p] = keys[p], keys[p - 1]
             p -= 1
-    return FlagPath(tuple(flags), Word(tuple(letters), space.n), path.stuck)
+    return FlagPath(tuple(flags), W._from_key(tuple(keys), space.n), path.stuck)
 
 
 # ---------------------------------------------------------------------------

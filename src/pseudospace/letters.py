@@ -11,6 +11,11 @@ so no letter commutes with itself or with any of its subletters.  Index sets
 the cap is a bound on input, and no code here depends on its exact value.
 The space index keeps vertex sets as bitmasks indexed by vertex id, not by
 level, so it does not depend on N either and the cap stays only a bound.
+
+A ``Letter`` is frozen, so one instance per interval serves every word:
+the letters the package builds itself (alphabets, subletters, the runs of an
+index set, the letters of computed words) come from one table, ``_LETTERS``,
+which creates and checks each letter once.
 """
 
 from __future__ import annotations
@@ -65,6 +70,20 @@ class Letter:
         return (self.lo, self.hi)
 
 
+class _Interned(dict):
+    """One ``Letter`` per ``(lo, hi)`` key, created, and so checked, on first
+    use.  Code that builds letters shares them from here instead of building
+    and checking a new one each time; a key that ``Letter`` rejects is never
+    stored."""
+
+    def __missing__(self, key: tuple[int, int]) -> Letter:
+        s = self[key] = Letter(*key)
+        return s
+
+
+_LETTERS = _Interned()
+
+
 def commutes(s: Letter, t: Letter) -> bool:
     """True iff the letters are at distance >= 2, i.e. their products commute."""
     return t.lo >= s.hi + 2 or s.lo >= t.hi + 2
@@ -93,7 +112,7 @@ def centralizer(letters: Iterable[Letter], n: int) -> IndexSet:
 
 def proper_subletters(s: Letter) -> list[Letter]:
     return [
-        Letter(lo, hi)
+        _LETTERS[lo, hi]
         for lo in range(s.lo, s.hi + 1)
         for hi in range(lo, s.hi + 1)
         if (lo, hi) != (s.lo, s.hi)
@@ -102,7 +121,7 @@ def proper_subletters(s: Letter) -> list[Letter]:
 
 def all_letters(n: int) -> list[Letter]:
     check_dimension(n)
-    return [Letter(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+    return [_LETTERS[lo, hi] for lo in range(n + 1) for hi in range(lo, n + 1)]
 
 
 def parse_letter(text: str) -> Letter:
@@ -166,8 +185,8 @@ def index_set_to_letters(s: IndexSet) -> list[Letter]:
         elif i == prev + 1:
             prev = i
         else:
-            out.append(Letter(run_lo, prev))
+            out.append(_LETTERS[run_lo, prev])
             run_lo = prev = i
     if run_lo is not None:
-        out.append(Letter(run_lo, prev))
+        out.append(_LETTERS[run_lo, prev])
     return out

@@ -11,6 +11,7 @@ re-runs standalone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -147,20 +148,19 @@ def _applicable_ops(space: ColoredSpace):
 def random_strategy_reduce(rng: random.Random, u: Word) -> Word:
     """Maximal cancellation with randomly chosen deletions and interleaved
     random commutations; independent of the deterministic reducer."""
-    letters = list(u.letters)
+    key = list(u.key)
     while True:
         # random commutations
         for _ in range(rng.randint(0, 4)):
-            if len(letters) < 2:
+            if len(key) < 2:
                 break
-            i = rng.randrange(len(letters) - 1)
-            if commutes(letters[i], letters[i + 1]):
-                letters[i], letters[i + 1] = letters[i + 1], letters[i]
-        key = tuple(s.key for s in letters)
-        candidates = [i for i in range(len(letters)) if kernels.absorbed_at(key, i)]
+            i = rng.randrange(len(key) - 1)
+            if kernels._commutes(key[i], key[i + 1]):
+                key[i], key[i + 1] = key[i + 1], key[i]
+        candidates = [i for i in range(len(key)) if kernels.absorbed_at(key, i)]
         if not candidates:
-            return W.normal_form(Word(tuple(letters), u.n))
-        del letters[rng.choice(candidates)]
+            return W.normal_form(W._from_key(tuple(key), u.n))
+        del key[rng.choice(candidates)]
 
 
 def _fail(report: SuiteReport, law: str, inputs, observed) -> None:
@@ -199,14 +199,14 @@ def _suite_words_confluence(config: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _random_permutation(rng: random.Random, u: Word) -> Word:
-    letters = list(u.letters)
-    for _ in range(3 * len(letters)):
-        if len(letters) < 2:
+    key = list(u.key)
+    for _ in range(3 * len(key)):
+        if len(key) < 2:
             break
-        i = rng.randrange(len(letters) - 1)
-        if commutes(letters[i], letters[i + 1]):
-            letters[i], letters[i + 1] = letters[i + 1], letters[i]
-    return Word(tuple(letters), u.n)
+        i = rng.randrange(len(key) - 1)
+        if kernels._commutes(key[i], key[i + 1]):
+            key[i], key[i + 1] = key[i + 1], key[i]
+    return W._from_key(tuple(key), u.n)
 
 
 def _enumerate_words(n: int, max_len: int):
@@ -599,8 +599,8 @@ def _check_wobbling(report: SuiteReport, space, path, inputs) -> None:
         for c in FL.enumerate_flags(space)
     ]
     for i in range(1, len(word)):
-        prefix = Word(word.letters[:i], word.n)
-        suffix = Word(word.letters[i:], word.n)
+        prefix = W._from_key(word.key[:i], word.n)
+        suffix = W._from_key(word.key[i:], word.n)
         wob = W.wobbling(prefix, suffix)
         reference = path.flags[i]
         for candidate, u1, u2 in candidates:
@@ -729,7 +729,7 @@ def _check_basepoint_support(report, space, path, base, inputs) -> None:
     region_flags = FL.enumerate_flags(space, within=region)
     for i in range(1, len(path.flags) - 1):
         mid = path.flags[i]
-        suffix = Word(word.letters[i:], word.n)
+        suffix = W._from_key(word.key[i:], word.n)
         for size in range(space.n + 2):
             for modulus in itertools.combinations(range(space.n + 1), size):
                 cls = FL.FlagClass(mid, frozenset(modulus))
@@ -746,29 +746,32 @@ def _check_transitivity(report, space, rng, n, inputs) -> None:
     flags = FL.enumerate_flags(space)
     if len(flags) > 8:
         flags = rng.sample(flags, 8)
-    cache: dict[tuple, Word] = {}
+    # flags are passed by index; at most 512 distinct triples occur in the
+    # 512 quadruples below, so each verdict is computed once
+    @functools.cache
+    def word(a: int, b: int) -> Word:
+        return FL.flag_path(space, flags[a], flags[b]).word
 
-    def word(a, b) -> Word:
-        k = (a.vertices, b.vertices)
-        if k not in cache:
-            cache[k] = FL.flag_path(space, a, b).word
-        return cache[k]
-
-    def ind(a, b, c) -> bool:
+    @functools.cache
+    def ind(a: int, b: int, c: int) -> bool:
         return W.equivalent(W.concat_reduce(word(a, b), word(b, c)), word(a, c))
 
-    for f, f0, h0, h in itertools.islice(itertools.product(flags, repeat=4), 512):
+    @functools.cache
+    def reduced_two_step(a: int, b: int, c: int) -> bool:
+        return W.is_reduced(word(a, b).concat(word(b, c)))
+
+    def observed(*quad: int) -> dict:
+        return {k: str(flags[i]) for k, i in zip(("f", "f0", "h0", "h"), quad)}
+
+    quadruples = itertools.product(range(len(flags)), repeat=4)
+    for f, f0, h0, h in itertools.islice(quadruples, 512):
         if ind(f, f0, h0) and ind(f, h0, h):
             if not ind(f, f0, h):
-                _fail(report, "transitivity-forward", inputs,
-                      {"f": str(f), "f0": str(f0), "h0": str(h0), "h": str(h)})
+                _fail(report, "transitivity-forward", inputs, observed(f, f0, h0, h))
         # converse along reduced two-step paths
-        if W.is_reduced(word(f0, h0).concat(word(h0, h))) and ind(f0, h0, h) and ind(
-            f, f0, h
-        ):
+        if reduced_two_step(f0, h0, h) and ind(f0, h0, h) and ind(f, f0, h):
             if not (ind(f, f0, h0) and ind(f, h0, h)):
-                _fail(report, "transitivity-converse", inputs,
-                      {"f": str(f), "f0": str(f0), "h0": str(h0), "h": str(h)})
+                _fail(report, "transitivity-converse", inputs, observed(f, f0, h0, h))
 
 
 def _check_counterexample(report: SuiteReport, config: SuiteConfig) -> None:

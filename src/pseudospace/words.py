@@ -14,12 +14,20 @@ bounded, sound enumeration of strong reducts is provided.
 The order ``prec`` (replace at least one letter by a product of proper
 subletters, up to commutation) is implemented exactly as a one-step relation;
 that relation is already transitive, so no closure is computed.
+
+There is one word representation: a ``Word`` holds its letters and, computed
+once, its key (the same letters as ``(lo, hi)`` pairs), which the kernels in
+``kernels.py`` work on and which equality and hashing use.  Validation
+happens at the boundary only: ``Word(...)`` and ``parse_word`` check the
+dimension and every letter, while results computed from words that are
+already valid are built by ``_from_key`` without any check, with letters
+shared by key.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -32,6 +40,7 @@ from .errors import (
     SearchBoundExceededError,
 )
 from .letters import (
+    _LETTERS,
     IndexSet,
     Letter,
     centralizer,
@@ -50,24 +59,32 @@ SPLIT_STEPS_DEFAULT = 50_000
 
 @dataclass(frozen=True)
 class Word:
-    """A finite sequence of letters in ambient dimension ``n``."""
+    """A finite sequence of letters in ambient dimension ``n``; ``key`` is
+    the same sequence as ``(lo, hi)`` pairs, which the kernels work on and
+    which equality and hashing use."""
 
     letters: tuple[Letter, ...]
     n: int
+    key: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         check_dimension(self.n)
         for s in self.letters:
             if not s.valid_for(self.n):
                 raise DimensionError(f"letter {s} exceeds dimension {self.n}")
+        object.__setattr__(self, "key", tuple(s.key for s in self.letters))
 
     @classmethod
     def one(cls, n: int) -> "Word":
         return cls((), n)
 
-    @property
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(s.key for s in self.letters)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self.n == other.n and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.key))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -85,7 +102,7 @@ class Word:
 
     def concat(self, other: "Word") -> "Word":
         _same_dimension(self, other)
-        return Word(self.letters + other.letters, self.n)
+        return _from_key(self.key + other.key, self.n)
 
 
 def _same_dimension(u: Word, v: Word) -> int:
@@ -95,7 +112,12 @@ def _same_dimension(u: Word, v: Word) -> int:
 
 
 def _from_key(key: tuple[tuple[int, int], ...], n: int) -> Word:
-    return Word(tuple(Letter(lo, hi) for lo, hi in key), n)
+    """The unchecked constructor: ``key`` must already be a tuple of valid
+    letter keys of dimension ``n``, as every result computed from checked
+    words is.  Skips all validation and shares letters by key."""
+    w = object.__new__(Word)
+    w.__dict__.update(letters=tuple(map(_LETTERS.__getitem__, key)), n=n, key=key)
+    return w
 
 
 def parse_word(text: str, n: int) -> Word:
@@ -132,7 +154,7 @@ def equivalent(u: Word, v: Word) -> bool:
 
 
 def inverse(u: Word) -> Word:
-    return Word(tuple(reversed(u.letters)), u.n)
+    return _from_key(u.key[::-1], u.n)
 
 
 def support(u: Word) -> IndexSet:
@@ -150,15 +172,15 @@ def concat_reduce(u: Word, v: Word) -> Word:
 def final_segment(u: Word) -> tuple[Word, Word]:
     """Split ``u ~ remainder . segment``; the segment letters commute with
     everything after their position (hence pairwise)."""
-    seg_idx = [
-        i
-        for i, s in enumerate(u.letters)
-        if all(commutes(s, t) for t in u.letters[i + 1 :])
-    ]
-    seg = set(seg_idx)
-    remainder = tuple(s for i, s in enumerate(u.letters) if i not in seg)
-    segment = tuple(u.letters[i] for i in seg_idx)
-    return Word(remainder, u.n), Word(segment, u.n)
+    key = u.key
+    remainder: list[tuple[int, int]] = []
+    segment: list[tuple[int, int]] = []
+    for i, s in enumerate(key):
+        if all(kernels._commutes(s, t) for t in key[i + 1 :]):
+            segment.append(s)
+        else:
+            remainder.append(s)
+    return _from_key(tuple(remainder), u.n), _from_key(tuple(segment), u.n)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +241,17 @@ def split_absorbed(u: Word, absorbed_into: IndexSet) -> tuple[Word, Word]:
     given index set and commutes past the rest of ``u1``, and no final-segment
     letter of ``u1`` is contained in it.  Unique up to commutation and only
     depends on the set."""
-    stay: list[Letter] = []
-    moved: list[Letter] = []
-    for s in reversed(u.letters):
-        if s.levels() <= absorbed_into and all(commutes(s, t) for t in stay):
+    stay: list[tuple[int, int]] = []
+    moved: list[tuple[int, int]] = []
+    for s in reversed(u.key):
+        lo, hi = s
+        if all(i in absorbed_into for i in range(lo, hi + 1)) and all(
+            kernels._commutes(s, t) for t in stay
+        ):
             moved.append(s)
         else:
             stay.append(s)
-    return Word(tuple(reversed(stay)), u.n), Word(tuple(reversed(moved)), u.n)
+    return _from_key(tuple(reversed(stay)), u.n), _from_key(tuple(reversed(moved)), u.n)
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +290,25 @@ def decompose_symmetric(u: Word, v: Word) -> FineDecomposition:
     commuting word ``w`` shared by both sides."""
     fine = decompose_fine(u, v)
     u_bar, v1_bar = fine.u_prime, fine.v1
-    w_letters: list[Letter] = []
-    u_letters: list[Letter] = []
-    witness_positions: list[int] = []
+    w_keys: list[tuple[int, int]] = []
+    u_keys: list[tuple[int, int]] = []
+    witness_positions: set[int] = set()
     for s in u_bar.letters:
         j = left_absorption_witness(v1_bar, s)
         if j is not None and v1_bar.letters[j] == s:
-            w_letters.append(s)
-            witness_positions.append(j)
+            w_keys.append(s.key)
+            witness_positions.add(j)
         else:
-            u_letters.append(s)
-    v1 = Word(
-        tuple(t for j, t in enumerate(v1_bar.letters) if j not in witness_positions),
-        v.n,
+            u_keys.append(s.key)
+    v1 = _from_key(
+        tuple(t for j, t in enumerate(v1_bar.key) if j not in witness_positions), v.n
     )
     return FineDecomposition(
         fine.u1,
-        Word(tuple(u_letters), u.n),
+        _from_key(tuple(u_keys), u.n),
         fine.v_prime,
         v1,
-        w=Word(tuple(w_letters), u.n),
+        w=_from_key(tuple(w_keys), u.n),
     )
 
 
@@ -380,7 +404,7 @@ def rd_closed_form(u: Word) -> CnfOrdinal:
 def _split_products(letter_key: tuple[int, int], max_len: int) -> tuple[tuple, ...]:
     """Normal forms of all reduced products of at most ``max_len`` proper
     subletters of the letter."""
-    subs = [s.key for s in proper_subletters(Letter(*letter_key))]
+    subs = [s.key for s in proper_subletters(_LETTERS[letter_key])]
     seen: set[tuple] = set()
     for length in range(max_len + 1):
         for combo in itertools.product(subs, repeat=length):
@@ -412,16 +436,12 @@ def _strong_successors(key: tuple, max_split_len: int) -> Iterator[tuple]:
     for i in range(n):
         for j in range(i + 1, n):
             if key[i] == key[j] and all(
-                _commutes_raw(key[i], key[k]) for k in range(i + 1, j)
+                kernels._commutes(key[i], key[k]) for k in range(i + 1, j)
             ):
                 for product in _split_products(key[i], max_split_len):
                     yield kernels.normal_form(
                         key[:i] + product + key[i + 1 : j] + key[j + 1 :]
                     )
-
-
-def _commutes_raw(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return b[0] >= a[1] + 2 or a[0] >= b[1] + 2
 
 
 def strong_reducts_bounded(
@@ -482,9 +502,8 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
         max_len = len(v) + 4
     target = normal_form(v)
     target_support = support(v)
-    alphabet = [
-        Letter(lo, hi) for lo in range(u.n + 1) for hi in range(lo, u.n + 1)
-    ]
+    n = u.n
+    alphabet = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
 
     def below_target(x: Word) -> bool:
         if not (support(x) <= target_support):
@@ -500,21 +519,21 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
     if not below_target(start):
         return DivisionResult(None, True, 0)
     if equivalent(start, target):
-        return DivisionResult(Word.one(u.n), True, 1)
-    frontier: list[tuple[Word, tuple[Letter, ...]]] = [(start, ())]
+        return DivisionResult(Word.one(n), True, 1)
+    frontier: list[tuple[Word, tuple[tuple[int, int], ...]]] = [(start, ())]
     visited = {start.key}
     explored = 0
     for depth in range(1, max_len + 1):
-        next_frontier: list[tuple[Word, tuple[Letter, ...]]] = []
+        next_frontier: list[tuple[Word, tuple[tuple[int, int], ...]]] = []
         for state, path in frontier:
             for t in alphabet:
-                candidate = reduce(state.concat(Word((t,), u.n)))
+                candidate = reduce(_from_key(state.key + (t,), n))
                 explored += 1
                 if candidate.key in visited or not below_target(candidate):
                     continue
                 new_path = path + (t,)
                 if equivalent(candidate, target):
-                    witness = reduce(Word(new_path, u.n))
+                    witness = reduce(_from_key(new_path, n))
                     return DivisionResult(witness, True, explored)
                 visited.add(candidate.key)
                 next_frontier.append((candidate, new_path))

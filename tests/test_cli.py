@@ -1,11 +1,15 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pseudospace.cli import cli
+from pseudospace.cli import cli, main
+from pseudospace.oracle import random_script
 from pseudospace.space import ColoredSpace
 
 SCRIPT = json.dumps(
@@ -216,3 +220,152 @@ def test_bad_input_never_tracebacks(tmp_path, args, status, code):
     assert result.returncode == status, result.stderr
     if status == 1:
         assert json.loads(result.stderr)["error"] == code
+
+
+def test_verify_dimension_is_bounded(runner):
+    # a cheap suite, so that a missing bound fails fast instead of running N = 17
+    too_big = runner.invoke(
+        cli, ["verify", "--suite", "words-confluence", "--cases", "1", "--n", "17"]
+    )
+    assert too_big.exit_code == 2
+    assert "16" in too_big.output
+    ok = runner.invoke(
+        cli, ["verify", "--suite", "words-confluence", "--cases", "1", "--n", "16"]
+    )
+    assert ok.exit_code == 0, ok.output
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit contract: 0, 1 with a JSON error code on stderr, or 2
+
+# command -> number of positional arguments after --n N, or after the space file
+WORD_COMMANDS = {"reduce": 1, "nf": 1, "product": 2, "inverse": 1, "stab": 1,
+                 "decompose": 2, "wobble": 2, "rank": 1, "strong": 1, "ample": 0}
+SPACE_COMMANDS = {"build": 0, "export-dot": 0, "flags": 0, "word": 2, "basepoint": 1,
+                  "indep": 3, "canbase": 1, "realize": 2}
+FRAGMENTS = ["--n", "--json", "--left", "--right", "--symmetric", "--split-len", "--steps",
+             "--set", "-o", "--suite", "--cases", "--seed", "--help", "FILE", "OUT", "-",
+             "all", "0", "1", "2", "17", "-1", "x", "", "1.5", "nope"]
+# valid values are listed twice to be drawn more often
+N_VALUES = ["1", "2", "3", "5", "1", "2", "3", "5", "62", "0", "63", "-1", "x"]
+FLAG_ARGS = ["0", "1", "2", "5", "-1", "x", "[0,1,2]", "[0,3,2]", "[2,1,0]", "[99]", "[]",
+             "[0,", '["0"]', "[0.5]", "[[0]]"]
+LETTERS = ["[0]", "[1]", "[2]", "[0,1]", "[1,2]", "[0,2]", "[0,3]", "[2,1]", "[a]", "[]",
+           "[-1]", "[0,1,2]", "[ 0]", "[9]"]
+word_texts = st.one_of(
+    st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4).map(".".join),
+    st.sampled_from(["1", ""]),
+    st.text(alphabet="[],.0123 -x1", max_size=8),
+)
+command_lines = st.one_of(
+    st.sampled_from(sorted(WORD_COMMANDS)).flatmap(
+        lambda c: st.builds(
+            lambda n, ws: [c, "--n", n, *ws],
+            st.sampled_from(N_VALUES),
+            st.lists(word_texts, min_size=WORD_COMMANDS[c], max_size=WORD_COMMANDS[c]),
+        )
+    ),
+    st.sampled_from(sorted(SPACE_COMMANDS)).flatmap(
+        lambda c: st.builds(
+            lambda args: [c, "FILE", *args],
+            st.lists(
+                st.one_of(st.sampled_from(FLAG_ARGS), word_texts),
+                min_size=SPACE_COMMANDS[c],
+                max_size=SPACE_COMMANDS[c],
+            ),
+        )
+    ),
+    st.builds(
+        lambda suite, n: ["verify", "--suite", suite, "--cases", "1", "--n", n],
+        st.sampled_from(["words-confluence", "ample", "no-such-suite"]),
+        st.sampled_from(N_VALUES + ["16", "17"]),
+    ),
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 70), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _tamper(document: dict, field: str | None, value) -> str:
+    """The document with one field replaced (none when ``field`` is None)."""
+    if field is not None:
+        document[field] = value
+    return json.dumps(document)
+
+
+scripts = st.integers(0, 10**6).map(lambda seed: random_script(random.Random(seed), 3, 6))
+space_files = st.one_of(
+    st.builds(_tamper, scripts, st.sampled_from([None, "n", "ops"]), json_values),
+    st.builds(
+        _tamper,
+        scripts.map(lambda script: ColoredSpace.from_script(script).to_json()),
+        st.sampled_from([None, "n", "vertices", "edges", "log"]),
+        json_values,
+    ),
+    st.builds(
+        lambda script, op, value: json.dumps(
+            {**script, "ops": [*script["ops"], {**script["ops"][-1], op: value}]}
+        ),
+        scripts.filter(lambda script: script["ops"]),
+        st.sampled_from(["letter", "lo", "hi"]),
+        st.one_of(json_values, st.sampled_from(LETTERS + ["bottom", "top"])),
+    ),
+    json_values.map(json.dumps),
+    st.text(alphabet='{}[]":,0123abn ', max_size=12),
+)
+
+
+def _run_main(argv):
+    status = 0
+    with CliRunner().isolation() as (_, err, _):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        stderr = err.getvalue().decode("utf-8", "replace")
+    return status, stderr
+
+
+def _check_contract(argv):
+    status, stderr = _run_main(argv)
+    assert status in (0, 1, 2), (argv, status)
+    assert "Traceback" not in stderr
+    if status == 1:
+        assert "error" in json.loads(stderr), (argv, stderr)
+
+
+def test_fuzz_argv_keeps_exit_contract(tmp_path):
+    (tmp_path / "space.json").write_text(SCRIPT)
+    paths = {"FILE": str(tmp_path / "space.json"), "OUT": str(tmp_path / "out.json")}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(command_lines, st.lists(st.one_of(st.sampled_from(FRAGMENTS), word_texts), max_size=1))
+    def check(line, extra):
+        _check_contract([paths.get(a, a) for a in line + extra])
+
+    check()
+
+
+def test_fuzz_files_keep_exit_contract(tmp_path):
+    path = tmp_path / "input.json"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        space_files,
+        st.sampled_from(sorted(SPACE_COMMANDS)).flatmap(
+            lambda c: st.lists(
+                st.sampled_from(["0", "1", "2", "[0]", "[1]", "[0,1]", "[1,2]"]),
+                min_size=SPACE_COMMANDS[c],
+                max_size=SPACE_COMMANDS[c],
+            ).map(lambda args: [c, args])
+        ),
+    )
+    def check(text, line):
+        command, args = line
+        path.write_text(text)
+        _check_contract([command, str(path), *args])
+
+    check()

@@ -4,6 +4,7 @@ import pytest
 
 from pseudospace.errors import DimensionError, ParseError
 from pseudospace.letters import (
+    _LETTERS,
     Letter,
     all_letters,
     centralizer,
@@ -112,3 +113,17 @@ def test_dimension_cap():
         all_letters(63)
     with pytest.raises(DimensionError):
         all_letters(0)
+
+
+def test_shared_letters_are_checked_on_creation():
+    for bad in [(2, 1), (-1, 0), (0.5, 1)]:
+        with pytest.raises(ParseError):
+            _LETTERS[bad]
+        assert bad not in _LETTERS
+    with pytest.raises(ParseError):
+        index_set_to_letters(frozenset({-1, 0}))
+    built = all_letters(4) + proper_subletters(Letter(1, 4))
+    built += index_set_to_letters(frozenset({0, 2, 3}))
+    for s in built:
+        assert s == Letter(s.lo, s.hi)
+        assert s is _LETTERS[s.key]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import pseudospace.flags as FL
 import pseudospace.words as W
 from brute import brute_prec, exhaustive_reducts, swap_closure
 from pseudospace.errors import (
@@ -12,7 +13,9 @@ from pseudospace.errors import (
     ParseError,
     SearchBoundExceededError,
 )
-from pseudospace.letters import all_letters, commutes
+from pseudospace.letters import Letter, all_letters, commutes
+from pseudospace.oracle import _random_permutation, random_reduced_word, random_script
+from pseudospace.space import ColoredSpace
 from pseudospace.words import Word, parse_word
 
 
@@ -225,3 +228,67 @@ def test_prec_implies_ord_drop():
             checked += 1
             assert W.ord_rank(u) < W.ord_rank(v)
     assert checked > 10
+
+
+def _assert_checked_equal(w):
+    # the checked constructor accepts the word and rebuilds an equal one
+    rebuilt = Word(w.letters, w.n)
+    assert rebuilt == w and w == rebuilt
+    assert hash(rebuilt) == hash(w)
+    assert w.key == tuple(s.key for s in w.letters)
+    assert type(w.key) is tuple and type(w.letters) is tuple
+
+
+def _word_corpus():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 5, 20):
+        alphabet = all_letters(n)
+        for _ in range(40):
+            u = Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 60))), n)
+            v = Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 60))), n)
+            levels = frozenset(rng.sample(range(n + 1), rng.randint(0, n + 1)))
+            yield u, v, levels
+
+
+def test_internal_results_rebuild_through_checked_word():
+    for u, v, levels in _word_corpus():
+        ru, rv = W.reduce(u), W.reduce(v)
+        results = [
+            ru,
+            W.normal_form(u),
+            u.concat(v),
+            W.concat_reduce(u, v),
+            W.inverse(u),
+            *W.final_segment(u),
+            *W.split_absorbed(u, levels),
+            *W.split_absorbed(ru, W.left_stabilizer(rv)),
+        ]
+        fine = W.decompose_fine(ru, rv)
+        sym = W.decompose_symmetric(ru, rv)
+        results += [fine.u1, fine.u_prime, fine.v_prime, fine.v1, fine.reduct()]
+        results += [sym.u1, sym.u_prime, sym.v_prime, sym.v1, sym.w, sym.reduct()]
+        for w in results:
+            assert w.n == u.n
+            _assert_checked_equal(w)
+
+
+def test_flag_path_words_rebuild_through_checked_word():
+    rng = random.Random(12)
+    spaces = [ColoredSpace.from_script(random_script(rng, 3)) for _ in range(20)]
+    for n in (1, 2, 3, 5):
+        space = ColoredSpace(n)
+        base = FL.Flag(tuple(space.apply_alpha(Letter(0, n))))
+        for _ in range(3):
+            FL.realize_type(space, base, random_reduced_word(rng, n, 4))
+        spaces.append(space)
+    checked = 0
+    for space in spaces:
+        flags = FL.enumerate_flags(space)
+        for f, g in itertools.islice(itertools.product(flags, repeat=2), 40):
+            _assert_checked_equal(FL.weak_word(space, f, g))
+            path = FL.flag_path(space, f, g)
+            _assert_checked_equal(path.word)
+            permuted = FL.permute_path(space, path, _random_permutation(rng, path.word))
+            _assert_checked_equal(permuted.word)
+            checked += 1
+    assert checked > 200
