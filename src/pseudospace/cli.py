@@ -3,8 +3,8 @@ verification suites.
 
 Every command is a thin adapter: parse arguments, call the module operation,
 format the result.  ``--json`` switches to machine output.  Exit status: 0 on
-success, 1 on a domain error (with its machine-readable code), 2 on usage
-errors.
+success, 1 on a domain error or a failed law (with its machine-readable
+code), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import flags as FL
 from . import oracle as OR
 from . import space as SP
 from . import words as W
-from .errors import ParseError, PseudospaceError
+from .errors import LawFailedError, ParseError, PseudospaceError
 from .letters import format_index_set
 from .space import ColoredSpace
 from .words import Word, parse_word
@@ -394,7 +394,7 @@ def ample(n: int, as_json: bool) -> None:
     )
     _emit(as_json, {"checks": checks, "pass": ok}, text)
     if not ok:
-        sys.exit(1)
+        raise LawFailedError(f"{sum(not c['pass'] for c in checks)} of {len(checks)} checks failed")
 
 
 @cli.command()
@@ -421,7 +421,7 @@ def verify(
             handle.write(json.dumps(report.to_json()) + "\n")
     _emit(as_json, report.to_json(), OR.report_to_text(report))
     if not report.passed:
-        sys.exit(1)
+        raise LawFailedError(f"{len(report.failures)} failures in suite {suite}")
 
 
 if __name__ == "__main__":

@@ -72,3 +72,9 @@ class FlagNotInSetError(PseudospaceError):
 
 class UnknownSuiteError(PseudospaceError):
     code = "unknown-suite"
+
+
+class LawFailedError(PseudospaceError):
+    """A checked law or identity does not hold; the report says which."""
+
+    code = "law-failed"

@@ -8,14 +8,20 @@ to commutation, and composing connecting words in the letter monoid decides
 independence: two flags are independent over a third iff the words compose
 without splitting.
 
-``flag_path`` computes the reduced path constructively: start from the weak
-difference word, repeatedly replace non-global steps by proper-subletter
-sub-paths (lifting a vertex-level shortest path between the anchors) and
-merge absorbed letters at the flag level.  Both transformations strictly
-decrease the word's ordinal rank, so the loop terminates.  On spaces not
-built by the standard operations a step may admit no proper-subletter
-replacement; such steps are reported on the path as ``stuck`` instead of
-being silently accepted.
+``flag_path`` computes the reduced path constructively on a list of flags
+with one ``(lo, hi)`` key per step, set where a step is made and updated
+where steps are rewritten.  Starting from the weak difference word it scans
+the steps: a non-global step is replaced by proper-subletter steps, lifted
+from a vertex-level shortest path between the anchors; once every step is
+global, the leftmost absorbed step (``kernels.absorber``) is swapped next to
+its absorber and merged into it.  Only the rewritten steps are split into
+intervals and rid of identities, the scan resumes where the path changed, and
+a pair of flags found global is not searched again.  Both rewrites strictly
+decrease the word's ordinal rank, so the loop terminates; the path ends in
+the order of ``kernels.normal_form``.  On spaces not built by the standard
+operations a step may admit no proper-subletter replacement; such steps are
+reported on the path as ``stuck`` instead of being silently accepted, and
+nothing is merged.  Public functions check the flags they are given once.
 """
 
 from __future__ import annotations
@@ -40,9 +46,7 @@ from .letters import (
     _LETTERS,
     IndexSet,
     Letter,
-    commutes,
     index_set_to_letters,
-    letter_lt,
 )
 from .ordinals import CnfOrdinal
 from .space import (
@@ -212,91 +216,102 @@ def flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False)
     """The reduced flag path from ``f`` to ``g`` with its normal-form word."""
     check_flag(space, f)
     check_flag(space, g)
-    flags: list[Flag] = [f]
-    for letter in weak_word(space, f, g).letters:
-        flags.append(flags[-1].replace(letter, g.levels_of(letter)))
+    return _flag_path(space, f, g, reverse_ties)
+
+
+def _flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False) -> FlagPath:
+    flags, keys = _interval_steps([f, g], 0, space.n)
+    global_pairs: set[tuple[Flag, Flag]] = set()
     stuck_pairs: set[tuple[Flag, Flag]] = set()
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            raise PreconditionError("flag path refinement failed to converge")
-        if _drop_identities(flags):
+    i = 0  # every step before i is global or stuck
+    for _ in range(10_000):
+        i, mids = _next_bridge(space, flags, keys, i, global_pairs, stuck_pairs, reverse_ties)
+        if mids is not None:
+            _rewrite(flags, keys, i, i + 1, mids, keys[i])
             continue
-        if _split_non_intervals(space, flags):
-            continue
-        if _refine_non_global(space, flags, stuck_pairs, reverse_ties):
-            continue
-        if _merge_absorbed(space, flags, stuck_pairs):
-            continue
-        break
-    _sort_to_normal_form(space, flags)
-    word = W._from_key(
-        tuple(_step_key(space, a, b) for a, b in zip(flags, flags[1:])), space.n
-    )
-    stuck = tuple(
-        i
-        for i, (a, b) in enumerate(zip(flags, flags[1:]))
-        if (a, b) in stuck_pairs
-    )
-    return FlagPath(tuple(flags), word, stuck)
+        if stuck_pairs:
+            break
+        absorbed = next(
+            ((k, j) for k in range(len(keys)) if (j := kernels.absorber(keys, k)) is not None),
+            None,
+        )
+        if absorbed is None:
+            break
+        # move the absorbed step k next to its absorber j, then merge the two
+        k, j = absorbed
+        if k < j:
+            for p in range(k, j - 1):
+                _swap_steps(flags, keys, p)
+            _rewrite(flags, keys, j - 1, j + 1, [], keys[j])
+        else:
+            for p in range(k - 1, j, -1):
+                _swap_steps(flags, keys, p)
+            _rewrite(flags, keys, j, j + 2, [], keys[j])
+        i = min(k, j)
+    else:
+        raise PreconditionError("flag path refinement failed to converge")
+    _reorder(flags, keys, kernels.normal_form(tuple(keys)))
+    stuck = tuple(k for k in range(len(keys)) if (flags[k], flags[k + 1]) in stuck_pairs)
+    return FlagPath(tuple(flags), W._from_key(tuple(keys), space.n), stuck)
 
 
-def _step_key(space: ColoredSpace, a: Flag, b: Flag) -> tuple[int, int]:
-    diff = [i for i in range(space.n + 1) if a[i] != b[i]]
-    return diff[0], diff[-1]
+def _next_bridge(
+    space: ColoredSpace, flags: list[Flag], keys: list, i: int,
+    global_pairs: set, stuck_pairs: set, reverse_ties: bool,
+) -> tuple[int, list[Flag] | None]:
+    """The first step from ``i`` on that is not global, with the flags that
+    bridge it by proper-subletter moves; ``len(keys), None`` when there is
+    none.  A step whose bridge does not exist is recorded as stuck."""
+    while i < len(keys):
+        pair = (flags[i], flags[i + 1])
+        if pair not in global_pairs and pair not in stuck_pairs:
+            s = _LETTERS[keys[i]]
+            path = _connecting_path(space, flags[i], flags[i + 1], s, reverse_ties)
+            if path is None:
+                global_pairs.add(pair)
+            else:
+                try:
+                    return i, _subletter_bridge(space, flags[i], s, path)
+                except PreconditionError:
+                    stuck_pairs.add(pair)
+        i += 1
+    return i, None
 
 
-def _step_letter(space: ColoredSpace, a: Flag, b: Flag) -> Letter:
-    return _LETTERS[_step_key(space, a, b)]
+def _interval_steps(chain: list[Flag], lo: int, hi: int) -> tuple[list[Flag], list]:
+    """The flags of ``chain``, whose members agree outside levels lo..hi,
+    with each step split into one step per maximal interval where its two
+    flags differ, lowest first, and identity steps dropped; with one key per
+    step."""
+    flags, keys = [chain[0]], []
+    for b in chain[1:]:
+        a = flags[-1]
+        j = lo
+        while j <= hi:
+            if a[j] == b[j]:
+                j += 1
+                continue
+            start = j
+            while j < hi and a[j + 1] != b[j + 1]:
+                j += 1
+            a = _put(a, b, start, j)
+            flags.append(a)
+            keys.append((start, j))
+            j += 2
+    return flags, keys
 
 
-def _drop_identities(flags: list[Flag]) -> bool:
-    for i in range(len(flags) - 1):
-        if flags[i] == flags[i + 1]:
-            del flags[i + 1]
-            return True
-    return False
+def _rewrite(flags: list[Flag], keys: list, i: int, j: int, mids: list[Flag], key) -> None:
+    """Replace steps i..j-1, which change only the levels of ``key``, by the
+    interval steps through ``mids``."""
+    new_flags, new_keys = _interval_steps([flags[i], *mids, flags[j]], *key)
+    flags[i : j + 1] = new_flags
+    keys[i:j] = new_keys
 
 
-def _split_non_intervals(space: ColoredSpace, flags: list[Flag]) -> bool:
-    for i in range(len(flags) - 1):
-        a, b = flags[i], flags[i + 1]
-        diff = frozenset(j for j in range(space.n + 1) if a[j] != b[j])
-        parts = index_set_to_letters(diff)
-        if len(parts) > 1:
-            mids = []
-            cur = a
-            for letter in parts[:-1]:
-                cur = cur.replace(letter, b.levels_of(letter))
-                mids.append(cur)
-            flags[i + 1 : i + 1] = mids
-            return True
-    return False
-
-
-def _refine_non_global(
-    space: ColoredSpace,
-    flags: list[Flag],
-    stuck_pairs: set[tuple[Flag, Flag]],
-    reverse_ties: bool,
-) -> bool:
-    for i in range(len(flags) - 1):
-        a, b = flags[i], flags[i + 1]
-        if (a, b) in stuck_pairs:
-            continue
-        s = _step_letter(space, a, b)
-        path = _connecting_path(space, a, b, s, reverse_ties)
-        if path is None:
-            continue
-        try:
-            mids = _subletter_bridge(space, a, s, path)
-        except PreconditionError:
-            stuck_pairs.add((a, b))
-            continue
-        flags[i + 1 : i + 1] = mids
-        return True
-    return False
+def _put(a: Flag, b: Flag, lo: int, hi: int) -> Flag:
+    """``a`` with the vertices of ``b`` at levels lo..hi."""
+    return Flag(a.vertices[:lo] + b.vertices[lo : hi + 1] + a.vertices[hi + 1 :])
 
 
 def _subletter_bridge(space: ColoredSpace, a: Flag, s: Letter, path: list[int]) -> list[Flag]:
@@ -312,63 +327,20 @@ def _subletter_bridge(space: ColoredSpace, a: Flag, s: Letter, path: list[int]) 
     return mids
 
 
-def _absorption_pair(letters: Sequence[Letter]) -> tuple[int, int] | None:
-    """(absorbed position, absorbing position) for the leftmost absorbed letter."""
-    for i, s in enumerate(letters):
-        for j in range(i + 1, len(letters)):
-            if letters[j].lo <= s.lo and s.hi <= letters[j].hi:
-                return (i, j)
-            if not commutes(s, letters[j]):
-                break
-        for j in range(i - 1, -1, -1):
-            if letters[j].lo <= s.lo and s.hi <= letters[j].hi:
-                return (i, j)
-            if not commutes(s, letters[j]):
-                break
-    return None
+def _swap_steps(flags: list[Flag], keys: list, k: int) -> None:
+    """Exchange the commuting steps k and k+1; the middle flag is determined."""
+    flags[k + 1] = _put(flags[k], flags[k + 2], *keys[k + 1])
+    keys[k], keys[k + 1] = keys[k + 1], keys[k]
 
 
-def _merge_absorbed(
-    space: ColoredSpace, flags: list[Flag], stuck_pairs: set[tuple[Flag, Flag]]
-) -> bool:
-    letters = [_step_letter(space, a, b) for a, b in zip(flags, flags[1:])]
-    if any((a, b) in stuck_pairs for a, b in zip(flags, flags[1:])):
-        return False
-    pair = _absorption_pair(letters)
-    if pair is None:
-        return False
-    i, j = pair
-    if i < j:
-        for k in range(i, j - 1):
-            _swap_steps(space, flags, k)
-        del flags[j]  # merge steps j-1, j into one raw step
-    else:
-        for k in range(i, j + 1, -1):
-            _swap_steps(space, flags, k - 1)
-        del flags[j + 1]
-    return True
-
-
-def _swap_steps(space: ColoredSpace, flags: list[Flag], k: int) -> None:
-    """Exchange two adjacent commuting steps; the middle flag is determined."""
-    a, mid, c = flags[k], flags[k + 1], flags[k + 2]
-    s = _step_letter(space, a, mid)
-    t = _step_letter(space, mid, c)
-    if not commutes(s, t):
-        raise NotAPermutationError(f"steps {s} and {t} do not commute")
-    flags[k + 1] = a.replace(t, c.levels_of(t))
-
-
-def _sort_to_normal_form(space: ColoredSpace, flags: list[Flag]) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(flags) - 2):
-            s = _step_letter(space, flags[k], flags[k + 1])
-            t = _step_letter(space, flags[k + 1], flags[k + 2])
-            if commutes(s, t) and letter_lt(t, s):
-                _swap_steps(space, flags, k)
-                changed = True
+def _reorder(flags: list[Flag], keys: list, target: Sequence) -> None:
+    """Permute the steps by swaps of adjacent commuting steps until their
+    keys read ``target``, a permutation of them."""
+    for k, wanted in enumerate(target):
+        for p in range(keys.index(wanted, k), k, -1):
+            if not kernels._commutes(keys[p - 1], keys[p]):
+                raise NotAPermutationError("blocked permutation")
+            _swap_steps(flags, keys, p - 1)
 
 
 def permute_path(space: ColoredSpace, path: FlagPath, target: Word) -> FlagPath:
@@ -377,18 +349,8 @@ def permute_path(space: ColoredSpace, path: FlagPath, target: Word) -> FlagPath:
         path.word, target
     ):
         raise NotAPermutationError(f"{target} is not a permutation of {path.word}")
-    flags = list(path.flags)
-    keys = list(path.word.key)
-    for k, wanted in enumerate(target.key):
-        p = k
-        while keys[p] != wanted:
-            p += 1
-        while p > k:
-            if not kernels._commutes(keys[p - 1], keys[p]):
-                raise NotAPermutationError("blocked permutation")
-            _swap_steps(space, flags, p - 1)
-            keys[p - 1], keys[p] = keys[p], keys[p - 1]
-            p -= 1
+    flags, keys = list(path.flags), list(path.word.key)
+    _reorder(flags, keys, target.key)
     return FlagPath(tuple(flags), W._from_key(tuple(keys), space.n), path.stuck)
 
 
@@ -402,12 +364,17 @@ _PREC_BOUND = 32  # connecting words at desk scale are far shorter
 def basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Word]:
     """The flag of the region reached by the smallest connecting word, with
     ties broken by the least vertex-id tuple."""
+    check_flag(space, f)
+    return _basepoint(space, f, region)
+
+
+def _basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Word]:
     if not is_nice(space, region):
         raise PreconditionError("basepoint requires a nice region")
     candidates = enumerate_flags(space, within=region)
     if not candidates:
         raise NoFlagError("region contains no flag")
-    paths = {g: flag_path(space, f, g).word for g in candidates}
+    paths = {g: _flag_path(space, f, g).word for g in candidates}
     best = candidates[0]
     for g in candidates[1:]:
         if W.prec(paths[g], paths[best], bound=_PREC_BOUND):
@@ -424,18 +391,22 @@ def basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Wor
 def indep(space: ColoredSpace, f: Flag, g: Flag, h: Flag) -> bool:
     """Independence of ``f`` from ``h`` over ``g``: the connecting words
     compose without splitting."""
-    u = flag_path(space, f, g).word
-    v = flag_path(space, g, h).word
-    w = flag_path(space, f, h).word
+    for x in (f, g, h):
+        check_flag(space, x)
+    u = _flag_path(space, f, g).word
+    v = _flag_path(space, g, h).word
+    w = _flag_path(space, f, h).word
     return W.equivalent(W.concat_reduce(u, v), w)
 
 
 def indep_over_set(space: ColoredSpace, f: Flag, g: Flag, region: set[int]) -> bool:
     """True iff ``g`` is a basepoint of ``f`` over the region."""
+    check_flag(space, f)
+    check_flag(space, g)
     if not set(g.vertices) <= set(region):
         raise FlagNotInSetError("flag lies outside the region")
-    base_word = basepoint(space, f, region)[1]
-    return W.equivalent(flag_path(space, f, g).word, base_word)
+    base_word = _basepoint(space, f, region)[1]
+    return W.equivalent(_flag_path(space, f, g).word, base_word)
 
 
 def canonical_base(space: ColoredSpace, f: Flag, region: set[int]) -> FlagClass:

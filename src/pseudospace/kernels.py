@@ -35,20 +35,26 @@ def _contains(a, b) -> bool:
     return a[0] <= b[0] and b[1] <= a[1]
 
 
-def absorbed_at(word: RawWord, i: int) -> bool:
-    """True iff the letter at ``i`` can be deleted by generalized cancellation."""
+def absorber(word: RawWord, i: int) -> int | None:
+    """The position of the nearest letter that absorbs the letter at ``i``,
+    looking right first, or None when that letter is not absorbed."""
     s = word[i]
     for j in range(i + 1, len(word)):
         if _contains(word[j], s):
-            return True
+            return j
         if not _commutes(s, word[j]):
             break
     for j in range(i - 1, -1, -1):
         if _contains(word[j], s):
-            return True
+            return j
         if not _commutes(s, word[j]):
             break
-    return False
+    return None
+
+
+def absorbed_at(word: RawWord, i: int) -> bool:
+    """True iff the letter at ``i`` can be deleted by generalized cancellation."""
+    return absorber(word, i) is not None
 
 
 def is_reduced(word: RawWord) -> bool:

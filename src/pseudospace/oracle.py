@@ -709,7 +709,7 @@ def _check_basepoint_chain(report, space, path, base, inputs) -> None:
         for g in path.flags[i + 1 :]:
             tail.update(g.vertices)
         new_vertices = set(path.flags[i].vertices) - set(path.flags[i + 1].vertices)
-        s = FL._step_letter(space, path.flags[i], path.flags[i + 1])
+        s = path.word.letters[i]
         lo, hi = FL._anchors_for(space, path.flags[i], s)
         if space.shortest_path(new_vertices, tail, space._between(lo, hi)) is not None:
             _fail(report, "basepoint-chain-global", inputs, {"step": i})

@@ -4,14 +4,18 @@ These deliberately avoid the library's own strategies: reducts come from the
 full closure under single generalized cancellations, equivalence from the
 full swap closure, and the replacement order from exhaustive segmentation of
 every permutation.  The space searches are checked against a transitive
-closure of the ascending edges and plain flood fills.  Only usable at tiny
-sizes.
+closure of the ascending edges and plain flood fills.  ``restart_flag_path``
+keeps the former restart-loop ``flag_path``; it shares only the weak word,
+the connecting-path search and its lifting with the library.  Only usable at
+tiny sizes.
 """
 
 import itertools
+import random
 
-from pseudospace.letters import all_letters, commutes, contains
-from pseudospace.space import BOTTOM, TOP
+from pseudospace.letters import Letter, all_letters, commutes, contains, index_set_to_letters
+from pseudospace.oracle import random_script
+from pseudospace.space import BOTTOM, TOP, ColoredSpace
 from pseudospace.words import Word
 
 
@@ -84,6 +88,21 @@ def restart_reduce(key: tuple) -> tuple:
         else:
             i += 1
     return kernels.normal_form(tuple(letters))
+
+
+def absorbing_positions(key: tuple, i: int) -> list[int]:
+    """Every position j != i whose letter contains the letter at ``i`` while
+    every letter strictly between them commutes with it, by a plain scan of
+    all pairs."""
+    s = Letter(*key[i])
+    out = []
+    for j, t in enumerate(key):
+        between = key[min(i, j) + 1 : max(i, j)]
+        if j != i and contains(Letter(*t), s) and all(
+            commutes(s, Letter(*x)) for x in between
+        ):
+            out.append(j)
+    return out
 
 
 def bubble_normal_form(key: tuple) -> tuple:
@@ -260,3 +279,162 @@ def brute_divisors(u: Word, v: Word, max_len: int) -> list[Word]:
             if kernels.reduce_word(u.concat(w).key) == target:
                 out.append(w)
     return out
+
+
+def random_spaces(seed, count):
+    """Built spaces, then leveled graphs with random edges between adjacent
+    levels, which need not be simply connected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, ColoredSpace.from_script(random_script(rng, 3))
+    for _ in range(count):
+        sp = ColoredSpace(rng.randint(1, 3))
+        for level in range(sp.n + 1):
+            for _ in range(rng.randint(1, 4)):
+                sp._level[len(sp._level)] = level
+        sp._adj = {v: set() for v in sp._level}
+        for v, w in itertools.combinations(sp._level, 2):
+            if sp._level[w] == sp._level[v] + 1 and rng.random() < 0.6:
+                sp._adj[v].add(w)
+                sp._adj[w].add(v)
+        yield rng, sp
+
+
+def restart_flag_path(space, f, g, reverse_ties=False, counts=None):
+    """Reference for ``flags.flag_path``: after every local rewrite it starts
+    over from the first step, recomputing each step's letter from a scan of
+    all levels, and sorts the final path by repeated bubble passes.  Adds the
+    number of merges to ``counts["merges"]`` when ``counts`` is given."""
+    from pseudospace import flags as FL
+    from pseudospace import words as W
+    from pseudospace.errors import PreconditionError
+
+    flags = [f]
+    for letter in FL.weak_word(space, f, g).letters:
+        flags.append(flags[-1].replace(letter, g.levels_of(letter)))
+    stuck_pairs = set()
+    for _ in range(10_000):
+        if _drop_identities(flags):
+            continue
+        if _split_non_intervals(space, flags):
+            continue
+        if _refine_non_global(space, flags, stuck_pairs, reverse_ties):
+            continue
+        if _merge_absorbed(space, flags, stuck_pairs):
+            if counts is not None:
+                counts["merges"] = counts.get("merges", 0) + 1
+            continue
+        break
+    else:
+        raise PreconditionError("flag path refinement failed to converge")
+    _sort_to_normal_form(space, flags)
+    steps = list(zip(flags, flags[1:]))
+    word = W._from_key(tuple(_step_letter(space, a, b).key for a, b in steps), space.n)
+    stuck = tuple(i for i, pair in enumerate(steps) if pair in stuck_pairs)
+    return FL.FlagPath(tuple(flags), word, stuck)
+
+
+def _step_letter(space, a, b):
+    diff = [i for i in range(space.n + 1) if a[i] != b[i]]
+    return Letter(diff[0], diff[-1])
+
+
+def _drop_identities(flags) -> bool:
+    for i in range(len(flags) - 1):
+        if flags[i] == flags[i + 1]:
+            del flags[i + 1]
+            return True
+    return False
+
+
+def _split_non_intervals(space, flags) -> bool:
+    for i in range(len(flags) - 1):
+        a, b = flags[i], flags[i + 1]
+        diff = frozenset(j for j in range(space.n + 1) if a[j] != b[j])
+        parts = index_set_to_letters(diff)
+        if len(parts) > 1:
+            mids = []
+            cur = a
+            for letter in parts[:-1]:
+                cur = cur.replace(letter, b.levels_of(letter))
+                mids.append(cur)
+            flags[i + 1 : i + 1] = mids
+            return True
+    return False
+
+
+def _refine_non_global(space, flags, stuck_pairs, reverse_ties) -> bool:
+    from pseudospace import flags as FL
+    from pseudospace.errors import PreconditionError
+
+    for i in range(len(flags) - 1):
+        a, b = flags[i], flags[i + 1]
+        if (a, b) in stuck_pairs:
+            continue
+        s = _step_letter(space, a, b)
+        path = FL._connecting_path(space, a, b, s, reverse_ties)
+        if path is None:
+            continue
+        try:
+            mids = FL._subletter_bridge(space, a, s, path)
+        except PreconditionError:
+            stuck_pairs.add((a, b))
+            continue
+        flags[i + 1 : i + 1] = mids
+        return True
+    return False
+
+
+def _absorption_pair(letters):
+    """(absorbed position, absorbing position) for the leftmost absorbed letter."""
+    for i, s in enumerate(letters):
+        for j in range(i + 1, len(letters)):
+            if contains(letters[j], s):
+                return (i, j)
+            if not commutes(s, letters[j]):
+                break
+        for j in range(i - 1, -1, -1):
+            if contains(letters[j], s):
+                return (i, j)
+            if not commutes(s, letters[j]):
+                break
+    return None
+
+
+def _merge_absorbed(space, flags, stuck_pairs) -> bool:
+    letters = [_step_letter(space, a, b) for a, b in zip(flags, flags[1:])]
+    if any((a, b) in stuck_pairs for a, b in zip(flags, flags[1:])):
+        return False
+    pair = _absorption_pair(letters)
+    if pair is None:
+        return False
+    i, j = pair
+    if i < j:
+        for k in range(i, j - 1):
+            _swap_steps(space, flags, k)
+        del flags[j]  # merge steps j-1, j into one raw step
+    else:
+        for k in range(i, j + 1, -1):
+            _swap_steps(space, flags, k - 1)
+        del flags[j + 1]
+    return True
+
+
+def _swap_steps(space, flags, k) -> None:
+    a, mid, c = flags[k], flags[k + 1], flags[k + 2]
+    s = _step_letter(space, a, mid)
+    t = _step_letter(space, mid, c)
+    assert commutes(s, t), (s, t)
+    flags[k + 1] = a.replace(t, c.levels_of(t))
+
+
+def _sort_to_normal_form(space, flags) -> None:
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(flags) - 2):
+            s = _step_letter(space, flags[k], flags[k + 1])
+            t = _step_letter(space, flags[k + 1], flags[k + 2])
+            if commutes(s, t) and t.hi + 2 <= s.lo:
+                _swap_steps(space, flags, k)
+                changed = True

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudospace import flags as FL
+from pseudospace import oracle as OR
 from pseudospace.cli import cli, main
 from pseudospace.oracle import random_script
 from pseudospace.space import ColoredSpace
@@ -220,6 +222,34 @@ def test_bad_input_never_tracebacks(tmp_path, args, status, code):
     assert result.returncode == status, result.stderr
     if status == 1:
         assert json.loads(result.stderr)["error"] == code
+
+
+def _failing_report(config):
+    report = OR.SuiteReport(config.suite, config.seed, 1)
+    report.failures.append({"law": "made-up-law", "inputs": {}, "observed": 0})
+    return report
+
+
+def _failing_checks(n):
+    return [{"check": "made-up identity", "pass": False, "witness": {}}]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, stub, shown",
+    [
+        (["verify", "--suite", "ample", "--cases", "1", "--json"], OR, "run_suite",
+         _failing_report, "made-up-law"),
+        (["ample", "--n", "2"], FL, "ample_report", _failing_checks, "FAIL made-up identity"),
+    ],
+)
+def test_failed_law_exits_with_code(monkeypatch, capsys, argv, module, name, stub, shown):
+    monkeypatch.setattr(module, name, stub)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert shown in out
+    assert json.loads(err)["error"] == "law-failed"
 
 
 def test_verify_dimension_is_bounded(runner):

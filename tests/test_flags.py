@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import brute
 import pseudospace.flags as FL
 import pseudospace.words as W
 from pseudospace.errors import (
@@ -8,10 +11,11 @@ from pseudospace.errors import (
     NoFlagError,
     NotAPermutationError,
     NotReducedError,
+    ParseError,
     PreconditionError,
 )
 from pseudospace.flags import Flag
-from pseudospace.letters import Letter
+from pseudospace.letters import Letter, all_letters
 from pseudospace.space import BOTTOM, ColoredSpace
 from pseudospace.words import parse_word
 
@@ -271,3 +275,85 @@ def test_swap_middle_flag_is_unique():
         and {i for i in range(4) if x[i] != G[i]} == {0}
     ]
     assert candidates == [mid]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sp, bad, ok: FL.flag_path(sp, bad, ok),
+        lambda sp, bad, ok: FL.flag_path(sp, ok, bad),
+        lambda sp, bad, ok: FL.indep(sp, bad, ok, ok),
+        lambda sp, bad, ok: FL.indep(sp, ok, bad, ok),
+        lambda sp, bad, ok: FL.indep(sp, ok, ok, bad),
+        lambda sp, bad, ok: FL.basepoint(sp, bad, set(ok.vertices)),
+        lambda sp, bad, ok: FL.indep_over_set(sp, bad, ok, set(ok.vertices)),
+        lambda sp, bad, ok: FL.indep_over_set(sp, ok, bad, set(sp.vertices)),
+        lambda sp, bad, ok: FL.canonical_base(sp, bad, set(ok.vertices)),
+    ],
+)
+def test_public_flag_functions_reject_bad_flags(alpha1_space, call):
+    sp, F, G = alpha1_space
+    a0, b1, a2 = G.vertices
+    other = sp.apply_alpha(Letter(0, 2))
+    bad_flags = [
+        Flag((a0, b1)),  # wrong length
+        Flag((a0, a2, b1)),  # vertices at the wrong levels
+        Flag((a0, other[1], a2)),  # a0 and other[1] are not adjacent
+    ]
+    for bad in bad_flags:
+        with pytest.raises(ParseError):
+            call(sp, bad, F)
+
+
+def test_stuck_step_is_reported_and_blocks_merging():
+    # Vertex 7 links the level-1 vertices 2 and 3 at level 2 but has no
+    # level-3 neighbour.  So the step [1,3] below is not global, while its
+    # only bridge would need a flag through 7: the step is stuck.
+    sp = ColoredSpace(3)
+    sp._level = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2, 8: 3, 9: 3}
+    sp._adj = {v: set() for v in sp._level}
+    for v, w in [(0, 2), (0, 3), (1, 3), (2, 4), (2, 7), (3, 5), (3, 6), (3, 7),
+                 (4, 9), (5, 8), (6, 8)]:
+        sp._adj[v].add(w)
+        sp._adj[w].add(v)
+    path = FL.flag_path(sp, Flag((0, 2, 4, 9)), Flag((1, 3, 6, 8)))
+    assert path.flags == (
+        Flag((0, 2, 4, 9)), Flag((0, 3, 5, 8)), Flag((1, 3, 5, 8)), Flag((1, 3, 6, 8))
+    )
+    assert str(path.word) == "[1,3].[0].[2]"
+    assert path.stuck == (0,)
+    assert not FL.is_global_step(sp, path.flags[0], path.flags[1], Letter(1, 3))
+    assert not path.reduced
+    # [2] is absorbed by [1,3] across [0]: with a stuck step nothing is merged
+    assert not W.is_reduced(path.word)
+
+
+def _realized_spaces(seed, count):
+    """Spaces grown by ``realize_type`` from one base flag."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        sp = ColoredSpace(n)
+        made = [Flag(tuple(sp.apply_alpha(Letter(0, n))))]
+        for _ in range(rng.randint(1, 5)):
+            letters = [rng.choice(all_letters(n)) for _ in range(rng.randint(1, 4))]
+            made.append(FL.realize_type(sp, rng.choice(made), W.reduce(W.Word(letters, n))))
+        yield sp
+
+
+def test_flag_path_matches_restart_reference():
+    counts = {"merges": 0}
+    stuck = 0
+    spaces = [sp for _, sp in brute.random_spaces(0, 30)] + list(_realized_spaces(1, 30))
+    for sp in spaces:
+        flags = FL.enumerate_flags(sp)[:16]
+        for f in flags:
+            for g in flags:
+                for reverse_ties in (False, True):
+                    want = brute.restart_flag_path(sp, f, g, reverse_ties, counts)
+                    got = FL.flag_path(sp, f, g, reverse_ties)
+                    assert got.flags == want.flags, (f, g, reverse_ties)
+                    assert got.word.key == want.word.key, (f, g, reverse_ties)
+                    assert got.stuck == want.stuck, (f, g, reverse_ties)
+                    stuck += len(got.stuck)
+    assert counts["merges"] > 0 and stuck > 0, (counts, stuck)

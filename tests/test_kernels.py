@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import bubble_normal_form, restart_reduce, swap_closure
+from brute import absorbing_positions, bubble_normal_form, restart_reduce, swap_closure
 from pseudospace import BACKEND, kernels
 from pseudospace.letters import Letter
 from pseudospace.words import Word
@@ -84,6 +84,24 @@ def test_reduce_reaches_fixpoint(word):
     assert kernels.is_reduced(reduced)
     assert kernels.reduce_word(reduced) == reduced
     assert kernels.normal_form(reduced) == reduced
+
+
+def test_absorber_matches_plain_scan():
+    rng = random.Random(19)
+    absorbed = 0
+    for _ in range(1500):
+        n = rng.choice([1, 2, 3, 5, 20])
+        word = _random_word(rng, n, rng.randint(0, 40))
+        for i in range(len(word)):
+            found = kernels.absorber(word, i)
+            positions = absorbing_positions(word, i)
+            assert (found is None) == (not kernels.absorbed_at(word, i)) == (not positions)
+            if found is None:
+                continue
+            absorbed += 1
+            right = [j for j in positions if j > i]
+            assert found == (min(right) if right else max(positions)), (word, i)
+    assert absorbed > 1000
 
 
 def test_normal_form_matches_bubble_sort():

@@ -265,32 +265,13 @@ def test_closure_memo_follows_inserts():
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def _random_spaces(seed, count):
-    """Built spaces, then leveled graphs with random edges between adjacent
-    levels, which need not be simply connected."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield rng, ColoredSpace.from_script(random_script(rng, 3))
-    for _ in range(count):
-        sp = ColoredSpace(rng.randint(1, 3))
-        for level in range(sp.n + 1):
-            for _ in range(rng.randint(1, 4)):
-                sp._level[len(sp._level)] = level
-        sp._adj = {v: set() for v in sp._level}
-        for v, w in itertools.combinations(sp._level, 2):
-            if sp._level[w] == sp._level[v] + 1 and rng.random() < 0.6:
-                sp._adj[v].add(w)
-                sp._adj[w].add(v)
-        yield rng, sp
-
-
 def _random_region(rng, sp):
     return {v for v in sp.vertices if rng.random() < 0.6}
 
 
 def test_region_searches_match_transitive_closure():
     restricted = complete = incomplete = 0
-    for rng, sp in _random_spaces(41, 40):
+    for rng, sp in brute.random_spaces(41, 40):
         anchors = [BOTTOM, TOP] + sp.vertices
         for _ in range(4):
             region = _random_region(rng, sp)
@@ -312,7 +293,7 @@ def test_region_searches_match_transitive_closure():
 
 def test_open_pairs_match_component_labelling():
     found = 0
-    for rng, sp in _random_spaces(42, 40):
+    for rng, sp in brute.random_spaces(42, 40):
         for region in [set(sp.vertices), *(_random_region(rng, sp) for _ in range(3))]:
             pairs = SP.open_pairs(sp, region)
             assert pairs == brute.brute_open_pairs(sp, region), region
@@ -332,7 +313,7 @@ def _interval_steps(sp, flags):
 
 def test_is_global_step_matches_per_source_search():
     seen = {True: 0, False: 0}
-    for _, sp in _random_spaces(43, 100):
+    for _, sp in brute.random_spaces(43, 100):
         for f, g, s in _interval_steps(sp, FL.enumerate_flags(sp)[:12]):
             expected = brute.brute_is_global_step(sp, f, g, s)
             assert FL.is_global_step(sp, f, g, s) == expected, (f, g, s)
