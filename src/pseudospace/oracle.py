@@ -425,13 +425,15 @@ def _suite_space_axioms(config: SuiteConfig, report: SuiteReport) -> None:
 def _check_one_space(report: SuiteReport, script: dict) -> None:
     space = ColoredSpace(script["n"])
     inputs = {"script": script}
+    distances = _all_distances(space)
     for op in script["ops"]:
         before_vertices = list(space.vertices)
-        distances = _all_distances(space)
         space.apply_alpha(parse_letter(op["letter"]), op["lo"], op["hi"])
+        after = _all_distances(space)
         for (x, y, t), d in distances.items():
-            if space.distance(x, y, set(range(t[0], t[1] + 1))) != d:
+            if after[(x, y, t)] != d:
                 _fail(report, "distance-stability", inputs, {"x": x, "y": y, "t": t})
+        distances = after
         if before_vertices and SP.nice_witness(space, set(before_vertices), exact=True):
             _fail(report, "prior-set-wunderbar", inputs,
                   SP.nice_witness(space, set(before_vertices), exact=True))
@@ -440,8 +442,9 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
         _fail(report, "simply-connected", inputs, repr(witness))
     if not SP.is_complete(space):
         _fail(report, "complete", inputs, None)
+    intervals = space._interval_masks()
     for level in range(space.n):
-        if not _is_forest(space, level):
+        if not _is_forest(space, intervals[(level, level + 1)]):
             _fail(report, "adjacent-level-forest", inputs, level)
     # amalgam on the first two ops applicable after the script's first op
     if script["ops"]:
@@ -458,33 +461,28 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
 
 
 def _all_distances(space: ColoredSpace) -> dict:
+    """``(x, y, (lo, hi)) -> distance`` for every pair ``x < y`` of vertices at
+    the levels of every interval."""
     out = {}
-    verts = space.vertices
-    for lo in range(space.n + 1):
-        for hi in range(lo, space.n + 1):
-            levels = set(range(lo, hi + 1))
-            pts = [v for v in verts if space.level(v) in levels]
-            for x in pts:
-                dist = space.distances_from(x, levels=levels)
-                for y in pts:
-                    if y > x:
-                        out[(x, y, (lo, hi))] = dist.get(y, SP.INF)
+    for t, levels in space._interval_masks().items():
+        pts = SP._members(levels)
+        for x in pts:
+            dist = space.distances_from(x, levels)
+            for y in pts:
+                if y > x:
+                    out[(x, y, t)] = dist.get(y, SP.INF)
     return out
 
 
-def _is_forest(space: ColoredSpace, level: int) -> bool:
-    levels = {level, level + 1}
-    pts = [v for v in space.vertices if space.level(v) in levels]
-    edges = sum(
-        1 for v in pts for w in space.neighbors(v) if w > v and space.level(w) in levels
-    )
+def _is_forest(space: ColoredSpace, levels: int) -> bool:
+    """Whether the subgraph induced on the ``levels`` mask has no cycle."""
+    pts = SP._members(levels)
+    edges = sum(1 for v in pts for w in space.neighbors(v) if w > v and levels >> w & 1)
     components = 0
-    seen: set[int] = set()
-    for v in pts:
-        if v in seen:
-            continue
+    rest = levels
+    while rest:
         components += 1
-        seen.update(space.distances_from(v, levels=levels))
+        rest &= ~space._component(SP._lowest(rest), levels)
     return edges == len(pts) - components
 
 
@@ -500,6 +498,7 @@ def _suite_flags_paths(config: SuiteConfig, report: SuiteReport) -> None:
             all_flags = all_flags[:24]
         inputs = {"script": script}
         ends = None  # the path from the first flag to the last
+        scaffolds: dict = {}
         for f in all_flags:
             for g in all_flags:
                 path = FL.flag_path(space, f, g)
@@ -520,7 +519,7 @@ def _suite_flags_paths(config: SuiteConfig, report: SuiteReport) -> None:
                 if not W.equivalent(alt.word, path.word):
                     _fail(report, "path-word-invariance", inputs,
                           {"f": str(f), "g": str(g), "w1": str(path.word), "w2": str(alt.word)})
-                _check_scaffold(report, space, path, inputs)
+                _check_scaffold(report, space, path, inputs, scaffolds)
         # flags inside a path's vertex set occur in some permutation of it
         if len(all_flags) >= 2:
             _check_flags_in_path(report, space, ends, inputs)
@@ -528,11 +527,19 @@ def _suite_flags_paths(config: SuiteConfig, report: SuiteReport) -> None:
         _check_nice_characterization(report, space, all_flags, rng, inputs)
 
 
-def _check_scaffold(report: SuiteReport, space, path, inputs) -> None:
+def _check_scaffold(report: SuiteReport, space, path, inputs, scaffolds: dict) -> None:
+    """The path's vertex set is nice, with the open pairs its final segment
+    gives.  ``scaffolds`` maps each vertex set already checked in ``space`` to
+    its open pairs, or to None when it is not nice: the paths f to g and g to f
+    share one."""
     if len(path.word) == 0:
         return
-    vertex_set = path.vertex_set()
-    if SP.nice_witness(space, vertex_set) is not None:
+    vertex_set = frozenset(path.vertex_set())
+    if vertex_set not in scaffolds:
+        nice = SP.nice_witness(space, vertex_set) is None
+        scaffolds[vertex_set] = SP.open_pairs(space, vertex_set) if nice else None
+    pairs = scaffolds[vertex_set]
+    if pairs is None:
         _fail(report, "scaffold-nice", inputs, sorted(vertex_set))
         return
     last = path.flags[-1]
@@ -543,11 +550,7 @@ def _check_scaffold(report: SuiteReport, space, path, inputs) -> None:
         hi = last[s.hi + 1] if s.hi < space.n else TOP
         expected_pairs.add((lo, hi))
     anchors = set(last.vertices) | {BOTTOM, TOP}
-    observed = {
-        (a, b)
-        for a, b in SP.open_pairs(space, vertex_set)
-        if a in anchors and b in anchors
-    }
+    observed = {(a, b) for a, b in pairs if a in anchors and b in anchors}
     if observed != expected_pairs:
         _fail(report, "scaffold-open-pairs", inputs,
               {"expected": sorted(map(str, expected_pairs)),

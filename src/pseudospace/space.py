@@ -13,12 +13,14 @@ measured here are absolute.
 
 "Infinite distance" means plain unreachability in the finite graph.
 
-Every reachability question goes through one of three searches on
+Every reachability question goes through one of four searches on
 ``ColoredSpace``: ``_closure``, the vertices above or beneath an anchor,
 optionally inside a region (``upward_closure``, ``downward_closure``,
-``lies_over`` and ``between`` wrap it); ``distances_from``, BFS distances; and
-``shortest_path``, a deterministic shortest path between two vertex sets, or
-None when there is none.
+``lies_over`` and ``between`` wrap it); ``_component``, the connected component
+of a vertex inside a region, for questions that ask only "connected or not";
+``distances_from``, BFS distances inside a region; and ``shortest_path``, a
+deterministic shortest path between two vertex sets, or None when there is
+none.
 
 Vertex sets travel through these searches as Python-int bitmasks, bit ``v``
 standing for vertex ``v`` (ids are dense).  Each vertex's strict up-set and
@@ -31,7 +33,10 @@ a chain hung from ``BOTTOM`` is reached from below by no existing vertex, so
 no existing up-set changes, and likewise for ``TOP`` and down-sets.  It
 clears after the insert, because its own ``lies_over`` check reads the memo
 before.  Regions are masks inside the library and become ``set[int]`` only at
-the public API (``upward_closure``, ``downward_closure`` and ``between``).
+the public API (``upward_closure``, ``downward_closure`` and ``between``).  A
+restriction to a level interval is a region too: the searches that need one
+build the masks of the level intervals once per call (``_interval_masks``)
+rather than keep an index, since tests write ``_level`` and ``_adj`` directly.
 """
 
 from __future__ import annotations
@@ -226,23 +231,48 @@ class ColoredSpace:
     def distance(self, x: int, y: int, t: Iterable[int]) -> float:
         """Shortest-path length inside the subgraph induced on levels ``t``."""
         tset = set(t)
+        if not tset:
+            raise LevelNotInIntervalError("empty level interval")
         if sorted(tset) != list(range(min(tset), max(tset) + 1)):
             raise LevelNotInIntervalError(f"levels {sorted(tset)} are not consecutive")
         if self._level[x] not in tset or self._level[y] not in tset:
             raise LevelNotInIntervalError("endpoint level outside the interval")
-        dist = self.distances_from(x, tset)
-        return dist.get(y, INF)
+        within = _mask_of(v for v, level in self._level.items() if level in tset)
+        return self.distances_from(x, within).get(y, INF)
 
-    def distances_from(
-        self,
-        x: int,
-        levels: Container[int] | None = None,
-        within: int | None = None,
-    ) -> dict[int, int]:
-        """BFS distances from ``x`` restricted to levels / a vertex mask."""
-        level = self._level
-        if levels is not None and level[x] not in levels:
-            return {}
+    def _interval_masks(self) -> dict[tuple[int, int], int]:
+        """Mask of the vertices at levels ``lo..hi`` for every level interval
+        ``(lo, hi)``, in the order ``lo`` ascending, then ``hi`` ascending."""
+        by_level = [0] * (self.n + 1)
+        for v, level in self._level.items():
+            by_level[level] |= 1 << v
+        out = {}
+        for lo in range(self.n + 1):
+            mask = 0
+            for hi in range(lo, self.n + 1):
+                mask |= by_level[hi]
+                out[(lo, hi)] = mask
+        return out
+
+    def _component(self, x: int, within: int, goal: int = 0) -> int:
+        """Mask of the component of ``x`` in the subgraph induced on the
+        ``within`` mask, 0 when ``x`` lies outside it.  With a ``goal`` mask
+        inside ``within``, the fill stops as soon as it holds all of ``goal``
+        and returns what it has reached."""
+        if not within >> x & 1:
+            return 0
+        rest = within ^ 1 << x  # the part of ``within`` not reached yet
+        frontier = [x]
+        while frontier and (not goal or goal & rest):
+            for w in self._adj[frontier.pop()]:
+                if rest >> w & 1:
+                    rest ^= 1 << w
+                    frontier.append(w)
+        return within & ~rest
+
+    def distances_from(self, x: int, within: int | None = None) -> dict[int, int]:
+        """BFS distances from ``x`` through the vertices of the ``within``
+        mask when given."""
         if within is not None and not within >> x & 1:
             return {}
         dist = {x: 0}
@@ -251,11 +281,7 @@ class ColoredSpace:
             v = queue.popleft()
             d = dist[v] + 1
             for w in self._adj[v]:
-                if (
-                    w not in dist
-                    and (levels is None or level[w] in levels)
-                    and (within is None or within >> w & 1)
-                ):
+                if w not in dist and (within is None or within >> w & 1):
                     dist[w] = d
                     queue.append(w)
         return dist
@@ -372,6 +398,11 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
+def _lowest(mask: int) -> int:
+    """The least vertex id of a non-empty bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _members(mask: int) -> list[int]:
     """The vertex ids of a bitmask, ascending."""
     out = []
@@ -408,6 +439,7 @@ def simply_connected_witness(space: ColoredSpace):
     anchors_lo: list[Anchor] = [BOTTOM] + space.vertices
     anchors_hi: list[Anchor] = space.vertices + [TOP]
     everything = _mask_of(space.vertices)
+    intervals = space._interval_masks()
     for a in anchors_lo:
         for b in anchors_hi:
             if a == BOTTOM and b == TOP:
@@ -418,17 +450,16 @@ def simply_connected_witness(space: ColoredSpace):
             between = space._between(a, b)
             if between.bit_count() < 2:
                 continue
-            inside = _members(between)
             outside = everything & ~_mask_of(v for v in (a, b) if space.is_real(v))
             for t_lo in range(max(la, 0), min(lb, space.n) + 1):
                 for t_hi in range(t_lo, min(lb, space.n) + 1):
-                    levels = set(range(t_lo, t_hi + 1))
-                    pts = [v for v in inside if space.level(v) in levels]
+                    levels = intervals[(t_lo, t_hi)]
+                    pts = _members(between & levels)
                     if len(pts) < 2:
                         continue
                     for x in pts:
-                        outer = space.distances_from(x, levels=levels, within=outside)
-                        inner = space.distances_from(x, levels=levels, within=between)
+                        outer = space.distances_from(x, outside & levels)
+                        inner = space.distances_from(x, between & levels)
                         for y in pts:
                             if y <= x:
                                 continue
@@ -455,10 +486,6 @@ def is_complete(space: ColoredSpace, region: set[int] | None = None) -> bool:
     return all(reaches(v, -1, bottom) and reaches(v, +1, top) for v in region)
 
 
-def _interval_sets(n: int) -> list[set[int]]:
-    return [set(range(lo, hi + 1)) for lo in range(n + 1) for hi in range(lo, n + 1)]
-
-
 def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     """Violation witness for niceness (or, with ``exact``, for the stronger
     distance-preserving property), else None.
@@ -468,35 +495,52 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     with the ambient between-set.  Condition 2: finite ambient distances at
     every level interval are realized inside the region (with equal length
     when ``exact``).
+
+    Pairs are scanned anchor ``a``, then ``b``, and level interval, then
+    ``x``, then ``y``, each ascending, and the first violation is returned.
+    Without ``exact``, condition 2 asks only that region points joined in the
+    ambient interval are joined inside the region.  So for each region
+    component one flood fill inside the region and one in the interval find
+    the least ``x`` whose ambient component holds region points outside its
+    region component, and one BFS measures the distance to the least such
+    ``y``.
     """
     inside = _mask_of(region)
     ids = _members(inside)
     anchors: list[Anchor] = [BOTTOM, TOP] + ids
-    up_inside = {a: space._closure(a, +1, inside) for a in anchors}
-    down_inside = {b: space._closure(b, -1, inside) for b in anchors}
-    for a in anchors:
-        for b in anchors:
-            if not space.lies_over(a, b):
-                continue
-            inner_between = up_inside[a] & down_inside[b]
-            ambient = space._between(a, b) & inside
-            if inner_between != ambient:
-                return ("between-sets", a, b, _members(ambient & ~inner_between))
-    for levels in _interval_sets(space.n):
-        pts = [v for v in ids if space.level(v) in levels]
-        for x in pts:
-            ambient_d = space.distances_from(x, levels=levels)
-            region_d = space.distances_from(x, levels=levels, within=inside)
-            for y in pts:
-                if y == x:
-                    continue
-                dm = ambient_d.get(y, INF)
-                dd = region_d.get(y, INF)
-                if exact:
+    # a pair with b not over a has empty between-sets, inside and ambient
+    up_inside = [space._closure(a, +1, inside) for a in anchors]
+    down_inside = [space._closure(b, -1, inside) for b in anchors]
+    up_ambient = [space._closure(a, +1) & inside for a in anchors]
+    down_ambient = [space._closure(b, -1) & inside for b in anchors]
+    for i, a in enumerate(anchors):
+        for j, b in enumerate(anchors):
+            ambient = up_ambient[i] & down_ambient[j]
+            missing = ambient & ~(up_inside[i] & down_inside[j])
+            if missing:
+                return ("between-sets", a, b, _members(missing))
+    for (lo, hi), levels in space._interval_masks().items():
+        pts = inside & levels
+        if exact:
+            members = _members(pts)
+            for x in members:
+                ambient_d = space.distances_from(x, levels)
+                region_d = space.distances_from(x, pts)
+                for y in members:
+                    dm, dd = ambient_d.get(y, INF), region_d.get(y, INF)
                     if dm != dd:
-                        return ("distance", tuple(sorted(levels)), x, y, dm, dd)
-                elif dm < INF and dd == INF:
-                    return ("distance", tuple(sorted(levels)), x, y, dm, dd)
+                        return ("distance", tuple(range(lo, hi + 1)), x, y, dm, dd)
+            continue
+        todo = pts
+        while todo:
+            x = _lowest(todo)
+            joined = space._component(x, pts)
+            apart = space._component(x, levels) & pts & ~joined
+            if apart:
+                y = _lowest(apart)
+                dm = space.distances_from(x, levels)[y]
+                return ("distance", tuple(range(lo, hi + 1)), x, y, dm, INF)
+            todo &= ~joined
     return None
 
 
@@ -513,17 +557,17 @@ def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anch
     infinite distance inside the ambient between-subgraph."""
     inside = _mask_of(region)
     anchors: list[Anchor] = [BOTTOM] + _members(inside) + [TOP]
+    # a pair with b not over a (a == b included) has an empty between-set
+    ups = [space._closure(a, +1) for a in anchors]
+    downs = [space._closure(b, -1) for b in anchors]
     out = []
-    for a in anchors:
-        for b in anchors:
-            if a == b or not space.lies_over(a, b):
+    for i, a in enumerate(anchors):
+        for j, b in enumerate(anchors):
+            ambient = ups[i] & downs[j]
+            pts = ambient & inside
+            if pts.bit_count() < 2:
                 continue
-            ambient = space._between(a, b)
-            pts = _members(ambient & inside)
-            if len(pts) < 2:
-                continue
-            reached = space.distances_from(pts[0], within=ambient)
-            if not all(v in reached for v in pts):
+            if pts & ~space._component(_lowest(pts), ambient, goal=pts):
                 out.append((a, b))
     return out
 

@@ -4,10 +4,10 @@ These deliberately avoid the library's own strategies: reducts come from the
 full closure under single generalized cancellations, equivalence from the
 full swap closure, and the replacement order from exhaustive segmentation of
 every permutation.  The space searches are checked against a transitive
-closure of the ascending edges and plain flood fills.  ``restart_flag_path``
-keeps the former restart-loop ``flag_path``; it shares only the weak word,
-the connecting-path search and its lifting with the library.  Only usable at
-tiny sizes.
+closure of the ascending edges, plain flood fills and one plain BFS per pair
+of points.  ``restart_flag_path`` keeps the former restart-loop
+``flag_path``; it shares only the weak word, the connecting-path search and
+its lifting with the library.  Only usable at tiny sizes.
 """
 
 import itertools
@@ -225,6 +225,95 @@ def brute_open_pairs(space, region) -> list[tuple]:
             if len({components[v] for v in pts}) > 1:
                 out.append((a, b))
     return out
+
+
+def bfs_distance(space, x, y, allowed) -> float:
+    """Length of a shortest path from ``x`` to ``y`` through ``allowed``, or
+    infinity: a plain BFS over the adjacency sets."""
+    if x not in allowed:
+        return float("inf")
+    dist = {x: 0}
+    queue = [x]
+    for v in queue:
+        if v == y:
+            return dist[v]
+        for w in space.neighbors(v):
+            if w in allowed and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return float("inf")
+
+
+def _anchor_sets(space, order, anchors, nodes):
+    """``(up, down)``: the vertices of ``nodes`` above resp. beneath each
+    anchor under ``order``."""
+    up = {a: {v for v in nodes if a == BOTTOM or (a, v) in order} for a in anchors}
+    down = {b: {v for v in nodes if b == TOP or (v, b) in order} for b in anchors}
+    return up, down
+
+
+def brute_nice_witness(space, region, exact=False):
+    """Reference for ``space.nice_witness``: between-sets from two transitive
+    closures (ambient and inside the region) and one BFS per pair of region
+    points at each level interval, scanned in the library's order."""
+    region = set(region)
+    anchors = [BOTTOM, TOP] + sorted(region)
+    order = monotone_order(space, space.vertices)
+    inner_order = monotone_order(space, region)
+    up, down = _anchor_sets(space, order, anchors, region)
+    up_in, down_in = _anchor_sets(space, inner_order, anchors, region)
+    for a in anchors:
+        for b in anchors:
+            missing = (up[a] & down[b]) - (up_in[a] & down_in[b])
+            if missing:
+                return ("between-sets", a, b, sorted(missing))
+    for lo in range(space.n + 1):
+        for hi in range(lo, space.n + 1):
+            allowed = {v for v in space.vertices if lo <= space.level(v) <= hi}
+            pts = sorted(allowed & region)
+            for x in pts:
+                for y in pts:
+                    if y == x:
+                        continue
+                    dm = bfs_distance(space, x, y, allowed)
+                    dd = bfs_distance(space, x, y, allowed & region)
+                    broken = dm != dd if exact else (dm < float("inf") and dd == float("inf"))
+                    if broken:
+                        return ("distance", tuple(range(lo, hi + 1)), x, y, dm, dd)
+    return None
+
+
+def brute_simply_connected_witness(space):
+    """Reference for ``space.simply_connected_witness``: between-sets from a
+    transitive closure and one BFS per pair of points, avoiding the anchors
+    and inside the between-set, scanned in the library's order."""
+    order = monotone_order(space, space.vertices)
+    vertices = space.vertices
+    for a in [BOTTOM] + vertices:
+        for b in vertices + [TOP]:
+            if a == BOTTOM and b == TOP:
+                continue
+            if a != BOTTOM and b != TOP and (a, b) not in order:
+                continue
+            between = {
+                v
+                for v in vertices
+                if (a == BOTTOM or (a, v) in order) and (b == TOP or (v, b) in order)
+            }
+            if len(between) < 2:
+                continue
+            outside = set(vertices) - {a, b}
+            la = -1 if a == BOTTOM else space.level(a)
+            lb = space.n + 1 if b == TOP else space.level(b)
+            for t_lo in range(max(la, 0), min(lb, space.n) + 1):
+                for t_hi in range(t_lo, min(lb, space.n) + 1):
+                    levels = {v for v in vertices if t_lo <= space.level(v) <= t_hi}
+                    pts = sorted(between & levels)
+                    for x, y in itertools.combinations(pts, 2):
+                        k = bfs_distance(space, x, y, outside & levels)
+                        if k < float("inf") and bfs_distance(space, x, y, between & levels) > k:
+                            return (a, b, (t_lo, t_hi), x, y, k)
+    return None
 
 
 def brute_is_global_step(space, f, g, s) -> bool:

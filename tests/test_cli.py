@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudospace
 from pseudospace import flags as FL
 from pseudospace import oracle as OR
 from pseudospace.cli import cli, main
@@ -164,21 +166,24 @@ def test_verify_command(runner):
     assert data["pass"] is True
 
 
-def test_exit_codes():
-    import subprocess, sys
-
-    bad = subprocess.run(
-        [sys.executable, "-m", "pseudospace.cli", "reduce", "--n", "2", "[0,5]"],
+def _psn(*argv):
+    """Run ``python -m pseudospace.cli`` in a child process that imports the
+    package from the same directory as this one."""
+    src = os.path.dirname(os.path.dirname(pseudospace.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "pseudospace.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_exit_codes():
+    bad = _psn("reduce", "--n", "2", "[0,5]")
     assert bad.returncode == 1
     assert json.loads(bad.stderr)["error"] == "dimension-mismatch"
-    usage = subprocess.run(
-        [sys.executable, "-m", "pseudospace.cli", "reduce", "--n", "2"],
-        capture_output=True,
-        text=True,
-    )
+    usage = _psn("reduce", "--n", "2")
     assert usage.returncode == 2
 
 
@@ -214,9 +219,7 @@ def test_bad_input_never_tracebacks(tmp_path, args, status, code):
     (tmp_path / "empty.json").write_text("{}")
     space = str(tmp_path / "space.json")
     argv = [a.replace("SPACE", space).replace("DIR", str(tmp_path)) for a in args]
-    result = subprocess.run(
-        [sys.executable, "-m", "pseudospace.cli", *argv], capture_output=True, text=True
-    )
+    result = _psn(*argv)
     assert result.returncode in (1, 2)
     assert "Traceback" not in result.stderr
     assert result.returncode == status, result.stderr

@@ -14,7 +14,7 @@ from pseudospace.errors import (
     PreconditionError,
 )
 from pseudospace.letters import Letter, index_set_to_letters, parse_letter
-from pseudospace.oracle import random_script
+from pseudospace.oracle import random_reduced_word, random_script
 from pseudospace.space import BOTTOM, INF, TOP, ColoredSpace
 
 
@@ -71,6 +71,8 @@ def test_distance(flag_space):
         sp.distance(a[0], a[1], {1})
     with pytest.raises(LevelNotInIntervalError):
         sp.distance(a[0], a[2], {0, 2})
+    with pytest.raises(LevelNotInIntervalError):
+        sp.distance(a[0], a[1], [])
 
 
 def test_between(flag_space):
@@ -298,6 +300,50 @@ def test_open_pairs_match_component_labelling():
             pairs = SP.open_pairs(sp, region)
             assert pairs == brute.brute_open_pairs(sp, region), region
             found += bool(pairs)
+    assert found > 10
+
+
+def _witness_spaces(seed):
+    """``brute.random_spaces``, then built spaces grown by ``realize_type``
+    from a random flag along a random reduced word."""
+    yield from brute.random_spaces(seed, 40)
+    rng = random.Random(seed)
+    for _ in range(40):
+        sp = ColoredSpace.from_script(random_script(rng, 3))
+        FL.realize_type(sp, rng.choice(FL.enumerate_flags(sp)), random_reduced_word(rng, sp.n, 4))
+        yield rng, sp
+
+
+def test_nice_witness_matches_per_pair_bfs(monkeypatch):
+    """Equal witnesses in both modes; without ``exact``, one BFS at most, for
+    the distance of a ``distance`` witness."""
+    bfs_runs = []
+    distances_from = ColoredSpace.distances_from
+
+    def counted(self, x, within=None):
+        bfs_runs.append(x)
+        return distances_from(self, x, within)
+
+    monkeypatch.setattr(ColoredSpace, "distances_from", counted)
+    kinds = {"nice": 0, "between-sets": 0, "distance": 0}
+    for rng, sp in _witness_spaces(44):
+        for region in [set(sp.vertices), *(_random_region(rng, sp) for _ in range(3))]:
+            for exact in (False, True):
+                bfs_runs.clear()
+                witness = SP.nice_witness(sp, region, exact)
+                if not exact:
+                    assert len(bfs_runs) == (witness is not None and witness[0] == "distance")
+                assert witness == brute.brute_nice_witness(sp, region, exact), (region, exact)
+                kinds["nice" if witness is None else witness[0]] += 1
+    assert min(kinds.values()) > 10, kinds
+
+
+def test_simply_connected_witness_matches_per_pair_bfs():
+    found = 0
+    for _, sp in _witness_spaces(45):
+        witness = SP.simply_connected_witness(sp)
+        assert witness == brute.brute_simply_connected_witness(sp), sp.to_json()
+        found += witness is not None
     assert found > 10
 
 
