@@ -17,12 +17,11 @@ import click
 
 from . import flags as FL
 from . import oracle as OR
-from . import space as SP
 from . import words as W
 from .errors import LawFailedError, ParseError, PseudospaceError
 from .letters import format_index_set
 from .space import ColoredSpace
-from .words import Word, parse_word
+from .words import parse_word
 
 # Flag enumeration grows exponentially in N: at N = 16 a few cases of the
 # flag suites take seconds, while N = 50 runs for minutes.

@@ -172,6 +172,8 @@ def enumerate_flags(space: ColoredSpace, within: set[int] | None = None) -> list
 
 def weak_word(space: ColoredSpace, f: Flag, g: Flag) -> Word:
     """The commuting word of maximal difference intervals between two flags."""
+    check_flag(space, f)
+    check_flag(space, g)
     diff = frozenset(i for i in range(space.n + 1) if f[i] != g[i])
     return W._from_key(tuple(s.key for s in index_set_to_letters(diff)), space.n)
 
@@ -185,6 +187,8 @@ def _anchors_for(space: ColoredSpace, f: Flag, s: Letter) -> tuple[Anchor, Ancho
 def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
     """True iff changing ``f`` to ``g`` at the levels of ``s`` is global: the
     two s-parts are disconnected inside the subgraph between the anchors."""
+    check_flag(space, f)
+    check_flag(space, g)
     diff = {i for i in range(space.n + 1) if f[i] != g[i]}
     if diff != set(range(s.lo, s.hi + 1)):
         raise DifferenceMismatchError(
@@ -197,14 +201,11 @@ def _connecting_path(
     space: ColoredSpace, f: Flag, g: Flag, s: Letter, reverse_ties: bool = False
 ) -> list[int] | None:
     """A shortest vertex path at the levels of ``s`` from the s-part of ``f``
-    to that of ``g`` between the anchors, or None when the step is global."""
+    to that of ``g`` between the anchors (all at the levels of ``s``, as
+    monotone paths change the level at each edge), or None when global."""
     lo, hi = _anchors_for(space, f, s)
     return space.shortest_path(
-        f.levels_of(s),
-        set(g.levels_of(s)),
-        space._between(lo, hi),
-        levels=range(s.lo, s.hi + 1),
-        reverse=reverse_ties,
+        f.levels_of(s), set(g.levels_of(s)), space._between(lo, hi), reverse_ties
     )
 
 

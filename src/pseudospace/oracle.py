@@ -40,6 +40,9 @@ SUITE_NAMES = [
     "ample",
 ]
 
+WORD_LEN_MAX = 8  # longest random word a word suite draws
+SPLIT_LEN_MAX = 3  # split length bound of the strong-reduct searches
+
 
 @dataclass
 class SuiteConfig:
@@ -47,11 +50,9 @@ class SuiteConfig:
     seed: int = 0
     cases: int = 1000
     n_max: int = 3
-    word_len_max: int = 8
-    split_len_max: int = 3
 
     def __post_init__(self):
-        if self.cases < 1 or self.n_max < 1 or self.word_len_max < 1 or self.split_len_max < 1:
+        if self.cases < 1 or self.n_max < 1:
             raise ValueError("all suite bounds must be >= 1")
 
 
@@ -175,7 +176,7 @@ def _suite_words_confluence(config: SuiteConfig, report: SuiteReport) -> None:
     rng = random.Random(config.seed)
     for _ in range(config.cases):
         n = random_dimension(rng, config.n_max)
-        u = random_word(rng, n, config.word_len_max)
+        u = random_word(rng, n, WORD_LEN_MAX)
         report.cases_run += 1
         r1 = random_strategy_reduce(rng, u)
         r2 = random_strategy_reduce(rng, u)
@@ -315,8 +316,8 @@ def _suite_words_decomposition(config: SuiteConfig, report: SuiteReport) -> None
     rng = random.Random(config.seed)
     for _ in range(config.cases):
         n = random_dimension(rng, config.n_max)
-        u = random_reduced_word(rng, n, config.word_len_max)
-        v = random_reduced_word(rng, n, config.word_len_max)
+        u = random_reduced_word(rng, n, WORD_LEN_MAX)
+        v = random_reduced_word(rng, n, WORD_LEN_MAX)
         report.cases_run += 1
         bad = check_fine_decomposition(u, v)
         if bad:
@@ -332,7 +333,7 @@ def _suite_words_strong(config: SuiteConfig, report: SuiteReport) -> None:
         v = random_reduced_word(rng, n, 3)
         report.cases_run += 1
         plain = W.concat_reduce(u, v)
-        result = W.strong_reducts_bounded(u.concat(v), config.split_len_max, 50_000)
+        result = W.strong_reducts_bounded(u.concat(v), SPLIT_LEN_MAX, 50_000)
         for x in sorted(result.words, key=str):
             if W.equivalent(x, plain):
                 continue
@@ -344,19 +345,19 @@ def _suite_words_strong(config: SuiteConfig, report: SuiteReport) -> None:
                 _fail(report, "splitting-penalty", {"n": n, "u": str(u), "v": str(v)},
                       {"reduct": str(x), "plain": str(plain)})
         # inverse cancellation
-        inv = W.strong_reducts_bounded(u.concat(W.inverse(u)), config.split_len_max, 50_000)
+        inv = W.strong_reducts_bounded(u.concat(W.inverse(u)), SPLIT_LEN_MAX, 50_000)
         if Word.one(n) not in inv.words and not inv.exhausted:
             _fail(report, "inverse-cancellation", {"n": n, "u": str(u)}, inv.as_strings())
         if Word.one(n) in W.strong_reducts_bounded(
-            u.concat(v), config.split_len_max, 50_000
+            u.concat(v), SPLIT_LEN_MAX, 50_000
         ).words:
             if not W.equivalent(v, W.inverse(u)):
                 _fail(report, "inverse-uniqueness", {"n": n, "u": str(u), "v": str(v)}, None)
         # triangle, widened by one splitting width
-        tri = W.strong_reducts_bounded(u.concat(v), config.split_len_max, 20_000)
+        tri = W.strong_reducts_bounded(u.concat(v), SPLIT_LEN_MAX, 20_000)
         for r in sorted(tri.words, key=str)[:3]:
             c = W.inverse(r)
-            back = W.strong_reducts_bounded(c.concat(u), config.split_len_max + 1, 50_000)
+            back = W.strong_reducts_bounded(c.concat(u), SPLIT_LEN_MAX + 1, 50_000)
             if W.normal_form(W.inverse(v)) not in {
                 W.normal_form(x) for x in back.words
             } and not back.exhausted:
@@ -434,9 +435,8 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
             if after[(x, y, t)] != d:
                 _fail(report, "distance-stability", inputs, {"x": x, "y": y, "t": t})
         distances = after
-        if before_vertices and SP.nice_witness(space, set(before_vertices), exact=True):
-            _fail(report, "prior-set-wunderbar", inputs,
-                  SP.nice_witness(space, set(before_vertices), exact=True))
+        if before_vertices and (prior := SP.nice_witness(space, set(before_vertices), exact=True)):
+            _fail(report, "prior-set-wunderbar", inputs, prior)
     witness = SP.simply_connected_witness(space)
     if witness is not None:
         _fail(report, "simply-connected", inputs, repr(witness))
@@ -864,7 +864,7 @@ def _suite_ranks(config: SuiteConfig, report: SuiteReport) -> None:
               {"u_rank": str(tr.u_rank), "ord": str(tr.ord_bound)})
     for _ in range(config.cases):
         n = random_dimension(rng, config.n_max)
-        u = random_reduced_word(rng, n, config.word_len_max)
+        u = random_reduced_word(rng, n, WORD_LEN_MAX)
         report.cases_run += 1
         sizes = [s.size for s in u.letters]
         if sizes == sorted(sizes, reverse=True):
@@ -872,7 +872,7 @@ def _suite_ranks(config: SuiteConfig, report: SuiteReport) -> None:
                 _fail(report, "monotone-rd-equals-ord", {"n": n, "u": str(u)},
                       {"rd": str(W.rd_closed_form(u)), "ord": str(W.ord_rank(u))})
         try:
-            v = random_reduced_word(rng, n, config.word_len_max)
+            v = random_reduced_word(rng, n, WORD_LEN_MAX)
             if W.prec(u, v) and not W.ord_rank(u) < W.ord_rank(v):
                 _fail(report, "prec-ord-strict", {"n": n, "u": str(u), "v": str(v)}, None)
         except SearchBoundExceededError:

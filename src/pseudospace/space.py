@@ -14,13 +14,14 @@ measured here are absolute.
 "Infinite distance" means plain unreachability in the finite graph.
 
 Every reachability question goes through one of four searches on
-``ColoredSpace``: ``_closure``, the vertices above or beneath an anchor,
-optionally inside a region (``upward_closure``, ``downward_closure``,
-``lies_over`` and ``between`` wrap it); ``_component``, the connected component
-of a vertex inside a region, for questions that ask only "connected or not";
-``distances_from``, BFS distances inside a region; and ``shortest_path``, a
-deterministic shortest path between two vertex sets, or None when there is
-none.
+``ColoredSpace``: ``_closure(a, step, within=None)``, the vertices above or
+beneath an anchor (``upward_closure``, ``downward_closure``, ``lies_over`` and
+``between`` wrap it); ``_component(x, within, goal=0)``, the component of a
+vertex inside a region, for "connected or not"; ``distances_from(x, within)``,
+BFS distances inside a region; and ``shortest_path(sources, targets, within,
+reverse=False)``, a deterministic shortest path inside a region, or None.
+Exact niceness and simple connectivity compare distances in one scan,
+``_shortcut``.
 
 Vertex sets travel through these searches as Python-int bitmasks, bit ``v``
 standing for vertex ``v`` (ids are dense).  Each vertex's strict up-set and
@@ -197,15 +198,13 @@ class ColoredSpace:
                     frontier.append(w)
         return seen
 
-    def upward_closure(self, a: Anchor, within: set[int] | None = None) -> set[int]:
-        """Vertices lying over the anchor (monotone ascending paths), through
-        ``within`` only when given."""
-        return set(_members(self._closure(a, +1, None if within is None else _mask_of(within))))
+    def upward_closure(self, a: Anchor) -> set[int]:
+        """Vertices lying over the anchor (monotone ascending paths)."""
+        return set(_members(self._closure(a, +1)))
 
-    def downward_closure(self, a: Anchor, within: set[int] | None = None) -> set[int]:
-        """Vertices lying beneath the anchor, through ``within`` only when
-        given."""
-        return set(_members(self._closure(a, -1, None if within is None else _mask_of(within))))
+    def downward_closure(self, a: Anchor) -> set[int]:
+        """Vertices lying beneath the anchor."""
+        return set(_members(self._closure(a, -1)))
 
     def lies_over(self, a: Anchor, b: Anchor) -> bool:
         """True iff ``b`` lies over ``a``; the imaginary anchors lie beneath
@@ -270,10 +269,10 @@ class ColoredSpace:
                     frontier.append(w)
         return within & ~rest
 
-    def distances_from(self, x: int, within: int | None = None) -> dict[int, int]:
+    def distances_from(self, x: int, within: int) -> dict[int, int]:
         """BFS distances from ``x`` through the vertices of the ``within``
-        mask when given."""
-        if within is not None and not within >> x & 1:
+        mask."""
+        if not within >> x & 1:
             return {}
         dist = {x: 0}
         queue = deque([x])
@@ -281,7 +280,7 @@ class ColoredSpace:
             v = queue.popleft()
             d = dist[v] + 1
             for w in self._adj[v]:
-                if w not in dist and (within is None or within >> w & 1):
+                if w not in dist and within >> w & 1:
                     dist[w] = d
                     queue.append(w)
         return dist
@@ -291,24 +290,17 @@ class ColoredSpace:
         sources: Iterable[int],
         targets: Container[int],
         within: int,
-        levels: Container[int] | None = None,
         reverse: bool = False,
     ) -> list[int] | None:
         """A shortest path from some source to some target through vertices
-        of the ``within`` mask on ``levels``, else None.
+        of the ``within`` mask, else None.
 
         Sources and neighbours are tried in ascending id order (descending
         with ``reverse``), so the path returned is deterministic."""
-
-        level = self._level
-
-        def ok(v: int) -> bool:
-            return within >> v & 1 and (levels is None or level[v] in levels)
-
         prev: dict[int, int | None] = {}
         queue: deque[int] = deque()
         for v in sorted(sources, reverse=reverse):
-            if v not in prev and ok(v):
+            if v not in prev and within >> v & 1:
                 prev[v] = None
                 queue.append(v)
         while queue:
@@ -319,7 +311,7 @@ class ColoredSpace:
                     path.append(prev[path[-1]])
                 return path[::-1]
             for w in sorted(self._adj[v], reverse=reverse):
-                if w not in prev and ok(w):
+                if w not in prev and within >> w & 1:
                     prev[w] = v
                     queue.append(w)
         return None
@@ -448,24 +440,35 @@ def simply_connected_witness(space: ColoredSpace):
                 continue
             la, lb = space.anchor_level(a), space.anchor_level(b)
             between = space._between(a, b)
-            if between.bit_count() < 2:
-                continue
             outside = everything & ~_mask_of(v for v in (a, b) if space.is_real(v))
-            for t_lo in range(max(la, 0), min(lb, space.n) + 1):
-                for t_hi in range(t_lo, min(lb, space.n) + 1):
-                    levels = intervals[(t_lo, t_hi)]
-                    pts = _members(between & levels)
-                    if len(pts) < 2:
-                        continue
-                    for x in pts:
-                        outer = space.distances_from(x, outside & levels)
-                        inner = space.distances_from(x, between & levels)
-                        for y in pts:
-                            if y <= x:
-                                continue
-                            k = outer.get(y, INF)
-                            if k < INF and inner.get(y, INF) > k:
-                                return (a, b, (t_lo, t_hi), x, y, k)
+            span = range(max(la, 0), min(lb, space.n) + 1)
+            found = _shortcut(space, between, outside, (
+                ((lo, hi), intervals[(lo, hi)]) for lo in span for hi in span if lo <= hi
+            ))
+            if found is not None:
+                return (a, b, *found[:4])  # k is the distance avoiding the anchors
+    return None
+
+
+def _shortcut(space: ColoredSpace, region: int, ambient: int, intervals):
+    """First ``(t, x, y, d_ambient, d_region)`` where region points ``x < y``
+    on the ``levels`` mask of ``(t, levels)`` in ``intervals`` are nearer
+    inside the ``ambient`` mask than inside the ``region`` mask, which lies
+    inside it; else None.  Intervals are scanned in order, then ``x`` and
+    ``y`` ascending; one with fewer than two region points, or where the two
+    masks agree, holds no shortcut."""
+    for t, levels in intervals:
+        pts = region & levels
+        if pts.bit_count() < 2 or pts == ambient & levels:
+            continue
+        members = _members(pts)
+        for i, x in enumerate(members[:-1]):
+            ambient_d = space.distances_from(x, ambient & levels)
+            region_d = space.distances_from(x, pts)
+            for y in members[i + 1 :]:
+                dm, dd = ambient_d.get(y, INF), region_d.get(y, INF)
+                if dd > dm:
+                    return t, x, y, dm, dd
     return None
 
 
@@ -519,18 +522,13 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
             missing = ambient & ~(up_inside[i] & down_inside[j])
             if missing:
                 return ("between-sets", a, b, _members(missing))
-    for (lo, hi), levels in space._interval_masks().items():
+    intervals = space._interval_masks()
+    if exact:
+        labelled = ((tuple(range(lo, hi + 1)), levels) for (lo, hi), levels in intervals.items())
+        found = _shortcut(space, inside, _mask_of(space._level), labelled)
+        return None if found is None else ("distance", *found)
+    for (lo, hi), levels in intervals.items():
         pts = inside & levels
-        if exact:
-            members = _members(pts)
-            for x in members:
-                ambient_d = space.distances_from(x, levels)
-                region_d = space.distances_from(x, pts)
-                for y in members:
-                    dm, dd = ambient_d.get(y, INF), region_d.get(y, INF)
-                    if dm != dd:
-                        return ("distance", tuple(range(lo, hi + 1)), x, y, dm, dd)
-            continue
         todo = pts
         while todo:
             x = _lowest(todo)

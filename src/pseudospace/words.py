@@ -43,7 +43,6 @@ from .letters import (
     _LETTERS,
     IndexSet,
     Letter,
-    centralizer,
     check_dimension,
     commutes,
     contains,

@@ -16,7 +16,7 @@ from pseudospace.errors import (
 )
 from pseudospace.flags import Flag
 from pseudospace.letters import Letter, all_letters
-from pseudospace.space import BOTTOM, ColoredSpace
+from pseudospace.space import BOTTOM, TOP, ColoredSpace
 from pseudospace.words import parse_word
 
 
@@ -44,10 +44,11 @@ def test_weak_word(alpha1_space):
 def test_weak_word_interval_decomposition():
     sp = ColoredSpace(3)
     a = sp.apply_alpha(Letter(0, 3))
-    b = sp.apply_alpha(Letter(0, 3))
+    b0 = sp.apply_alpha(Letter(0, 0), BOTTOM, a[1])[0]
+    b2, b3 = sp.apply_alpha(Letter(2, 3), a[1], TOP)
     F = Flag(tuple(a))
     # differ at levels {0,2,3}
-    G = Flag((b[0], a[1], b[2], b[3]))
+    G = Flag((b0, a[1], b2, b3))
     assert str(FL.weak_word(sp, F, G)) == "[0].[2,3]"
 
 
@@ -289,6 +290,10 @@ def test_swap_middle_flag_is_unique():
         lambda sp, bad, ok: FL.indep_over_set(sp, bad, ok, set(ok.vertices)),
         lambda sp, bad, ok: FL.indep_over_set(sp, ok, bad, set(sp.vertices)),
         lambda sp, bad, ok: FL.canonical_base(sp, bad, set(ok.vertices)),
+        lambda sp, bad, ok: FL.is_global_step(sp, bad, ok, Letter(1, 1)),
+        lambda sp, bad, ok: FL.is_global_step(sp, ok, bad, Letter(1, 1)),
+        lambda sp, bad, ok: FL.weak_word(sp, bad, ok),
+        lambda sp, bad, ok: FL.weak_word(sp, ok, bad),
     ],
 )
 def test_public_flag_functions_reject_bad_flags(alpha1_space, call):

@@ -190,6 +190,31 @@ def test_random_hulls_are_nice():
         assert SP.is_nice(sp, hull2)
 
 
+def test_nice_hull_of_each_flag_and_vertex_is_nice():
+    """On seeded built spaces, the hull of each flag's vertex set with each
+    vertex holds both and is nice by the per-pair reference; a region that
+    is not nice is refused."""
+    rng = random.Random(34)
+    hulls = refused = 0
+    for _ in range(60):
+        sp = ColoredSpace.from_script(random_script(rng, 3))
+        for f in FL.enumerate_flags(sp):
+            region = set(f.vertices)
+            for b in sp.vertices:
+                hull = SP.nice_hull(sp, region, b)
+                assert region | {b} <= hull, (sp.to_json(), f, b)
+                assert brute.brute_nice_witness(sp, hull) is None, (sp.to_json(), f, b)
+                hulls += 1
+        for _ in range(3):
+            region = _random_region(rng, sp)
+            outside = [b for b in sp.vertices if b not in region]
+            if outside and brute.brute_nice_witness(sp, region) is not None:
+                with pytest.raises(PreconditionError):
+                    SP.nice_hull(sp, region, outside[0])
+                refused += 1
+    assert hulls > 2000 and refused > 50, (hulls, refused)
+
+
 def test_amalgam_property():
     base = ColoredSpace(2)
     f = base.apply_alpha(Letter(0, 2))
