@@ -1,7 +1,7 @@
 """Word calculus and finite models for free N-dimensional pseudospaces."""
 
 from .kernels import BACKEND
-from .letters import Letter, centralizer, commutes, contains, letter_lt, parse_letter
+from .letters import Letter, commutes, contains, parse_letter
 from .ordinals import CnfOrdinal, cnf_add, cnf_cmp, parse_cnf
 from .space import BOTTOM, TOP, ColoredSpace
 from .words import Word, concat_reduce, normal_form, parse_word, reduce
@@ -14,13 +14,11 @@ __all__ = [
     "ColoredSpace",
     "Letter",
     "Word",
-    "centralizer",
     "cnf_add",
     "cnf_cmp",
     "commutes",
     "concat_reduce",
     "contains",
-    "letter_lt",
     "normal_form",
     "parse_cnf",
     "parse_letter",

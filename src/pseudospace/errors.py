@@ -46,10 +46,6 @@ class AnchorsNotOverError(PseudospaceError):
     code = "anchors-not-over"
 
 
-class LevelNotInIntervalError(PseudospaceError):
-    code = "level-not-in-t"
-
-
 class PreconditionError(PseudospaceError):
     code = "precondition-violated"
 

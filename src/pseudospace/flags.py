@@ -42,12 +42,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .letters import (
-    _LETTERS,
-    IndexSet,
-    Letter,
-    index_set_to_letters,
-)
+from .letters import _LETTERS, IndexSet, Letter
 from .ordinals import CnfOrdinal
 from .space import (
     BOTTOM,
@@ -131,10 +126,6 @@ class FlagPath:
     word: Word
     stuck: tuple[int, ...] = ()  # indices of steps with no global refinement
 
-    @property
-    def reduced(self) -> bool:
-        return not self.stuck and W.is_reduced(self.word)
-
     def vertex_set(self) -> set[int]:
         out: set[int] = set()
         for f in self.flags:
@@ -174,8 +165,7 @@ def weak_word(space: ColoredSpace, f: Flag, g: Flag) -> Word:
     """The commuting word of maximal difference intervals between two flags."""
     check_flag(space, f)
     check_flag(space, g)
-    diff = frozenset(i for i in range(space.n + 1) if f[i] != g[i])
-    return W._from_key(tuple(s.key for s in index_set_to_letters(diff)), space.n)
+    return W._from_key(tuple(_interval_steps([f, g], 0, space.n)[1]), space.n)
 
 
 def _anchors_for(space: ColoredSpace, f: Flag, s: Letter) -> tuple[Anchor, Anchor]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import DimensionError, ParseError
 
@@ -94,20 +93,6 @@ def contains(s: Letter, t: Letter, proper: bool = False) -> bool:
     if proper and s == t:
         return False
     return s.lo <= t.lo and t.hi <= s.hi
-
-
-def letter_lt(s: Letter, t: Letter) -> bool:
-    """Strict partial order: ``s`` lies entirely below ``t`` with a gap >= 2."""
-    return t.lo >= s.hi + 2
-
-
-def centralizer(letters: Iterable[Letter], n: int) -> IndexSet:
-    """Indices in ``[0, n]`` commuting with every letter of the collection."""
-    check_dimension(n)
-    out = set(range(n + 1))
-    for s in letters:
-        out = {i for i in out if i <= s.lo - 2 or i >= s.hi + 2}
-    return frozenset(out)
 
 
 def proper_subletters(s: Letter) -> list[Letter]:

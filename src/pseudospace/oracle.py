@@ -27,19 +27,6 @@ from .letters import Letter, all_letters, commutes, index_set_to_letters, parse_
 from .space import BOTTOM, TOP, ColoredSpace
 from .words import Word
 
-SUITE_NAMES = [
-    "words-confluence",
-    "words-absorption",
-    "words-decomposition",
-    "words-strong",
-    "words-order",
-    "space-axioms",
-    "flags-paths",
-    "flags-forking",
-    "ranks",
-    "ample",
-]
-
 WORD_LEN_MAX = 8  # longest random word a word suite draws
 SPLIT_LEN_MAX = 3  # split length bound of the strong-reduct searches
 
@@ -151,13 +138,7 @@ def random_strategy_reduce(rng: random.Random, u: Word) -> Word:
     random commutations; independent of the deterministic reducer."""
     key = list(u.key)
     while True:
-        # random commutations
-        for _ in range(rng.randint(0, 4)):
-            if len(key) < 2:
-                break
-            i = rng.randrange(len(key) - 1)
-            if kernels._commutes(key[i], key[i + 1]):
-                key[i], key[i + 1] = key[i + 1], key[i]
+        _random_swaps(rng, key, rng.randint(0, 4))
         candidates = [i for i in range(len(key)) if kernels.absorbed_at(key, i)]
         if not candidates:
             return W.normal_form(W._from_key(tuple(key), u.n))
@@ -191,7 +172,7 @@ def _suite_words_confluence(config: SuiteConfig, report: SuiteReport) -> None:
             _fail(report, "normal-form-idempotent", {"n": n, "u": str(u)}, str(nf))
         if not W.equivalent(u, nf):
             _fail(report, "normal-form-equivalent", {"n": n, "u": str(u)}, str(nf))
-        shuffled = _random_permutation(rng, u)
+        shuffled = W._from_key(tuple(_random_swaps(rng, list(u.key), 3 * len(u))), n)
         if W.normal_form(shuffled) != nf:
             _fail(report, "normal-form-class-invariant",
                   {"n": n, "u": str(u), "perm": str(shuffled)}, str(W.normal_form(shuffled)))
@@ -199,15 +180,15 @@ def _suite_words_confluence(config: SuiteConfig, report: SuiteReport) -> None:
             _fail(report, "parse-print-roundtrip", {"n": n, "u": str(u)}, None)
 
 
-def _random_permutation(rng: random.Random, u: Word) -> Word:
-    key = list(u.key)
-    for _ in range(3 * len(key)):
-        if len(key) < 2:
-            break
-        i = rng.randrange(len(key) - 1)
-        if kernels._commutes(key[i], key[i + 1]):
-            key[i], key[i + 1] = key[i + 1], key[i]
-    return W._from_key(tuple(key), u.n)
+def _random_swaps(rng: random.Random, key: list, rounds: int) -> list:
+    """Draw ``rounds`` random adjacent positions of ``key`` (none when it has
+    fewer than two letters) and swap each pair that commutes, in place."""
+    if len(key) >= 2:
+        for _ in range(rounds):
+            i = rng.randrange(len(key) - 1)
+            if kernels._commutes(key[i], key[i + 1]):
+                key[i], key[i + 1] = key[i + 1], key[i]
+    return key
 
 
 def _enumerate_words(n: int, max_len: int):
@@ -544,11 +525,7 @@ def _check_scaffold(report: SuiteReport, space, path, inputs, scaffolds: dict) -
         return
     last = path.flags[-1]
     _, segment = W.final_segment(path.word)
-    expected_pairs = set()
-    for s in segment.letters:
-        lo = last[s.lo - 1] if s.lo > 0 else BOTTOM
-        hi = last[s.hi + 1] if s.hi < space.n else TOP
-        expected_pairs.add((lo, hi))
+    expected_pairs = {FL._anchors_for(space, last, s) for s in segment.letters}
     anchors = set(last.vertices) | {BOTTOM, TOP}
     observed = {(a, b) for a, b in pairs if a in anchors and b in anchors}
     if observed != expected_pairs:
@@ -563,16 +540,7 @@ def _check_flags_in_path(report: SuiteReport, space, path, inputs) -> None:
     inside = FL.enumerate_flags(space, within=vertex_set)
     permutations = _word_class(path.word)
     for k in inside:
-        found = False
-        for perm in permutations:
-            try:
-                p2 = FL.permute_path(space, path, perm)
-            except Exception:
-                continue
-            if k in p2.flags:
-                found = True
-                break
-        if not found:
+        if not any(k in FL.permute_path(space, path, perm).flags for perm in permutations):
             _fail(report, "flags-in-path", inputs, {"flag": str(k), "word": str(path.word)})
 
 
@@ -899,6 +867,7 @@ _SUITES = {
     "ranks": _suite_ranks,
     "ample": _suite_ample,
 }
+SUITE_NAMES = list(_SUITES)
 
 
 def report_to_text(report: SuiteReport) -> str:

@@ -35,10 +35,6 @@ class CnfOrdinal:
         return cls(())
 
     @classmethod
-    def from_int(cls, k: int) -> "CnfOrdinal":
-        return cls(((0, k),)) if k else cls(())
-
-    @classmethod
     def omega_power(cls, exponent: int, coefficient: int = 1) -> "CnfOrdinal":
         if coefficient == 0:
             return cls(())

@@ -14,30 +14,35 @@ measured here are absolute.
 "Infinite distance" means plain unreachability in the finite graph.
 
 Every reachability question goes through one of four searches on
-``ColoredSpace``: ``_closure(a, step, within=None)``, the vertices above or
-beneath an anchor (``upward_closure``, ``downward_closure``, ``lies_over`` and
-``between`` wrap it); ``_component(x, within, goal=0)``, the component of a
-vertex inside a region, for "connected or not"; ``distances_from(x, within)``,
-BFS distances inside a region; and ``shortest_path(sources, targets, within,
-reverse=False)``, a deterministic shortest path inside a region, or None.
-Exact niceness and simple connectivity compare distances in one scan,
-``_shortcut``.
+``ColoredSpace``: ``_reach(v, step, within=None, memo=None)``, the vertices
+above or beneath a vertex, inside a region when one is given (``_closure``
+adds the imaginary anchors; ``upward_closure``, ``downward_closure``,
+``lies_over`` and ``between`` wrap it); ``_component(x, within, goal=0)``, the
+component of a vertex inside a region, for "connected or not";
+``distances_from(x, within)``, BFS distances inside a region; and
+``shortest_path(sources, targets, within, reverse=False)``, a deterministic
+shortest path inside a region, or None.  Exact niceness and simple
+connectivity compare distances in one scan, ``_shortcut``.
 
 Vertex sets travel through these searches as Python-int bitmasks, bit ``v``
-standing for vertex ``v`` (ids are dense).  Each vertex's strict up-set and
-down-set are memoized as masks in ``_up`` and ``_down``, filled on demand from
-``_adj`` by one recursion over the level DAG (``up(v)`` is the union over the
-upper neighbours ``w`` of ``w`` and ``up(w)``), so a space whose graph is
-written directly needs no rebuild.  ``apply_alpha`` clears ``_up`` only when
-its lower anchor is a vertex and ``_down`` only when its upper anchor is one:
-a chain hung from ``BOTTOM`` is reached from below by no existing vertex, so
-no existing up-set changes, and likewise for ``TOP`` and down-sets.  It
-clears after the insert, because its own ``lies_over`` check reads the memo
-before.  Regions are masks inside the library and become ``set[int]`` only at
-the public API (``upward_closure``, ``downward_closure`` and ``between``).  A
-restriction to a level interval is a region too: the searches that need one
-build the masks of the level intervals once per call (``_interval_masks``)
-rather than keep an index, since tests write ``_level`` and ``_adj`` directly.
+standing for vertex ``v`` (ids are dense).  ``_reach`` is one recursion over
+the level DAG: ``up(v)`` is the union over the upper neighbours ``w`` (inside
+the region, if any) of ``w`` and ``up(w)``.  Without a region each vertex's
+strict up-set and down-set are memoized as masks in ``_up`` and ``_down``,
+filled on demand from ``_adj``, so a space whose graph is written directly
+needs no rebuild.  With a region the memo lives for one call: a caller that
+asks about many vertices of one region (``nice_witness``, ``is_complete``)
+keeps one memo per direction for all of them.  ``apply_alpha`` clears
+``_up`` only when its lower anchor is a vertex and ``_down`` only when its
+upper anchor is one: a chain hung from ``BOTTOM`` is reached from below by no
+existing vertex, so no existing up-set changes, and likewise for ``TOP`` and
+down-sets.  It clears after the insert, because its own ``lies_over`` check
+reads the memo before.  Regions are masks inside the library and become
+``set[int]`` only at the public API (``upward_closure``, ``downward_closure``
+and ``between``).  A restriction to a level interval is a region too: the
+searches that need one build the masks of the level intervals once per call
+(``_interval_masks``) rather than keep an index, since tests write ``_level``
+and ``_adj`` directly.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from typing import Container, Iterable
 from .errors import (
     AnchorLevelMismatchError,
     AnchorsNotOverError,
-    LevelNotInIntervalError,
     ParseError,
     PreconditionError,
 )
@@ -161,42 +165,36 @@ class ColoredSpace:
 
     # -- order structure -----------------------------------------------------
 
-    def _reach(self, v: int, step: int) -> int:
-        """Memoized mask of the vertices reached from vertex ``v`` along
-        edges that change the level by ``step``."""
-        memo = self._up if step > 0 else self._down
+    def _reach(
+        self, v: int, step: int, within: int | None = None, memo: dict | None = None
+    ) -> int:
+        """Mask of the vertices reached from vertex ``v`` along edges that
+        change the level by ``step``, every vertex after ``v`` lying in the
+        ``within`` mask when given.  Memoized in ``_up`` or ``_down`` without
+        ``within``; with it, in ``memo``, which a caller asking about one
+        region keeps for each direction (a fresh dict when None)."""
+        if memo is None:
+            memo = {} if within is not None else self._up if step > 0 else self._down
         mask = memo.get(v)
         if mask is None:
             mask = 0
             lw = self._level[v] + step
             for w in self._adj[v]:
-                if self._level[w] == lw:
-                    mask |= 1 << w | self._reach(w, step)
+                if self._level[w] == lw and (within is None or within >> w & 1):
+                    mask |= 1 << w | self._reach(w, step, within, memo)
             memo[v] = mask
         return mask
 
-    def _closure(self, a: Anchor, step: int, within: int | None = None) -> int:
-        """Mask of the vertices reached from ``a`` along edges that change the
-        level by ``step``, every vertex after ``a`` lying in the ``within``
-        mask when given.  ``BOTTOM`` reaches everything upwards and ``TOP``
-        everything downwards."""
+    def _closure(
+        self, a: Anchor, step: int, within: int | None = None, memo: dict | None = None
+    ) -> int:
+        """``_reach`` from an anchor: ``BOTTOM`` reaches everything (inside
+        ``within``) upwards and ``TOP`` everything downwards."""
         if not self.is_real(a):
             if (a == BOTTOM) != (step > 0):
                 return 0
             return (1 << len(self._level)) - 1 if within is None else within
-        if within is None:
-            return self._reach(a, step)
-        frontier = [a]
-        seen = 0
-        while frontier:
-            v = frontier.pop()
-            lw = self._level[v] + step
-            for w in self._adj[v]:
-                bit = 1 << w
-                if self._level[w] == lw and not seen & bit and within & bit:
-                    seen |= bit
-                    frontier.append(w)
-        return seen
+        return self._reach(a, step, within, memo)
 
     def upward_closure(self, a: Anchor) -> set[int]:
         """Vertices lying over the anchor (monotone ascending paths)."""
@@ -226,18 +224,6 @@ class ColoredSpace:
         return set(_members(self._between(a, b, None if within is None else _mask_of(within))))
 
     # -- metric ----------------------------------------------------------------
-
-    def distance(self, x: int, y: int, t: Iterable[int]) -> float:
-        """Shortest-path length inside the subgraph induced on levels ``t``."""
-        tset = set(t)
-        if not tset:
-            raise LevelNotInIntervalError("empty level interval")
-        if sorted(tset) != list(range(min(tset), max(tset) + 1)):
-            raise LevelNotInIntervalError(f"levels {sorted(tset)} are not consecutive")
-        if self._level[x] not in tset or self._level[y] not in tset:
-            raise LevelNotInIntervalError("endpoint level outside the interval")
-        within = _mask_of(v for v, level in self._level.items() if level in tset)
-        return self.distances_from(x, within).get(y, INF)
 
     def _interval_masks(self) -> dict[tuple[int, int], int]:
         """Mask of the vertices at levels ``lo..hi`` for every level interval
@@ -353,8 +339,8 @@ class ColoredSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoredSpace":
-        """Rebuild from an export; the build log is replayed and must
-        reproduce the stated graph exactly."""
+        """Rebuild from an export; the replayed build log must reproduce the
+        ids each op created and the stated edges exactly."""
         space = cls(data["n"])
         for op in data["build_log"]:
             created = space.apply_alpha(
@@ -362,8 +348,9 @@ class ColoredSpace:
             )
             if created != list(op["created"]):
                 raise ParseError("build log replay produced different vertex ids")
-        stated_edges = {tuple(sorted(e)) for e in data.get("edges", [])}
-        if stated_edges and stated_edges != {tuple(e) for e in space.edges()}:
+        if "edges" not in data:
+            raise ParseError("export states no edges")
+        if {tuple(sorted(e)) for e in data["edges"]} != {tuple(e) for e in space.edges()}:
             raise ParseError("build log replay disagrees with the stated edges")
         return space
 
@@ -472,10 +459,6 @@ def _shortcut(space: ColoredSpace, region: int, ambient: int, intervals):
     return None
 
 
-def is_simply_connected(space: ColoredSpace) -> bool:
-    return simply_connected_witness(space) is None
-
-
 def is_complete(space: ColoredSpace, region: set[int] | None = None) -> bool:
     """Every vertex of the region extends to a full level-0..N path inside it."""
     region = set(space.vertices) if region is None else set(region)
@@ -483,8 +466,10 @@ def is_complete(space: ColoredSpace, region: set[int] | None = None) -> bool:
     bottom = _mask_of(v for v in region if space.level(v) == 0)
     top = _mask_of(v for v in region if space.level(v) == space.n)
 
+    memo = {+1: {}, -1: {}}  # one per direction for every vertex of the region
+
     def reaches(v: int, step: int, goal: int) -> bool:
-        return bool((1 << v | space._closure(v, step, inside)) & goal)
+        return bool((1 << v | space._reach(v, step, inside, memo[step])) & goal)
 
     return all(reaches(v, -1, bottom) and reaches(v, +1, top) for v in region)
 
@@ -512,8 +497,9 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     ids = _members(inside)
     anchors: list[Anchor] = [BOTTOM, TOP] + ids
     # a pair with b not over a has empty between-sets, inside and ambient
-    up_inside = [space._closure(a, +1, inside) for a in anchors]
-    down_inside = [space._closure(b, -1, inside) for b in anchors]
+    up_memo, down_memo = {}, {}
+    up_inside = [space._closure(a, +1, inside, up_memo) for a in anchors]
+    down_inside = [space._closure(b, -1, inside, down_memo) for b in anchors]
     up_ambient = [space._closure(a, +1) & inside for a in anchors]
     down_ambient = [space._closure(b, -1) & inside for b in anchors]
     for i, a in enumerate(anchors):
@@ -544,10 +530,6 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
 
 def is_nice(space: ColoredSpace, region: set[int]) -> bool:
     return nice_witness(space, region) is None
-
-
-def is_wunderbar(space: ColoredSpace, region: set[int]) -> bool:
-    return nice_witness(space, region, exact=True) is None
 
 
 def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anchor]]:

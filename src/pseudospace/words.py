@@ -187,8 +187,8 @@ def final_segment(u: Word) -> tuple[Word, Word]:
 
 
 def left_stabilizer(v: Word) -> IndexSet:
-    """Union over positions j of ``letter_j`` intersected with the
-    centralizer of the prefix before j."""
+    """Union over positions j of the levels of ``letter_j`` that commute
+    with every letter before j."""
     out: set[int] = set()
     cent = set(range(v.n + 1))
     for s in v.letters:
@@ -207,21 +207,13 @@ def absorbs_left(v: Word, u: Word) -> bool:
     return support(u) <= left_stabilizer(v)
 
 
-def left_absorption_witness(v: Word, s: Letter) -> int | None:
-    """Position in ``v`` of the (unique) letter absorbing ``s``, else None."""
-    for j, t in enumerate(v.letters):
-        if contains(t, s):
-            return j
-        if not commutes(s, t):
-            return None
-    return None
-
-
 def properly_absorbs_left(v: Word, u: Word) -> bool:
-    """Every letter of ``u`` is absorbed by a strictly larger letter of ``v``."""
-    for s in u.letters:
-        j = left_absorption_witness(v, s)
-        if j is None or v.letters[j] == s:
+    """Every letter ``s`` of ``u`` is absorbed by a strictly larger letter of
+    ``v``: in ``s.v`` the absorber of ``s``, at position ``j``, is the letter
+    ``j - 1`` of ``v``, and it is not ``s`` itself."""
+    for s in u.key:
+        j = kernels.absorber((s,) + v.key, 0)
+        if j is None or v.key[j - 1] == s:
             return False
     return True
 
@@ -292,13 +284,13 @@ def decompose_symmetric(u: Word, v: Word) -> FineDecomposition:
     w_keys: list[tuple[int, int]] = []
     u_keys: list[tuple[int, int]] = []
     witness_positions: set[int] = set()
-    for s in u_bar.letters:
-        j = left_absorption_witness(v1_bar, s)
-        if j is not None and v1_bar.letters[j] == s:
-            w_keys.append(s.key)
-            witness_positions.add(j)
+    for s in u_bar.key:
+        j = kernels.absorber((s,) + v1_bar.key, 0)  # position j - 1 of v1_bar
+        if j is not None and v1_bar.key[j - 1] == s:
+            w_keys.append(s)
+            witness_positions.add(j - 1)
         else:
-            u_keys.append(s.key)
+            u_keys.append(s)
     v1 = _from_key(
         tuple(t for j, t in enumerate(v1_bar.key) if j not in witness_positions), v.n
     )

@@ -105,6 +105,32 @@ def absorbing_positions(key: tuple, i: int) -> list[int]:
     return out
 
 
+def brute_properly_absorbs_left(v: Word, u: Word) -> bool:
+    """Reference for ``words.properly_absorbs_left``: every letter ``s`` of
+    ``u`` lies strictly inside some letter of ``v`` that it commutes past from
+    the left, i.e. ``s`` commutes with every letter of ``v`` before it."""
+    return all(
+        any(
+            contains(t, s, proper=True) and all(commutes(s, r) for r in v.letters[:j])
+            for j, t in enumerate(v.letters)
+        )
+        for s in u.letters
+    )
+
+
+def brute_properly_absorbs_right(v: Word, u: Word) -> bool:
+    """Reference for ``words.properly_absorbs_right``: the mirror scan, every
+    letter of ``u`` strictly inside a letter of ``v`` with everything after
+    that letter commuting with it."""
+    return all(
+        any(
+            contains(t, s, proper=True) and all(commutes(s, r) for r in v.letters[j + 1 :])
+            for j, t in enumerate(v.letters)
+        )
+        for s in u.letters
+    )
+
+
 def bubble_normal_form(key: tuple) -> tuple:
     """Reference for ``kernels.normal_form``: swap adjacent commuting pairs
     that are out of order, in repeated whole passes, until none is left."""

@@ -80,7 +80,7 @@ def test_flag_path_single_step(alpha1_space):
     sp, F, G = alpha1_space
     p = FL.flag_path(sp, F, G)
     assert str(p.word) == "[1]"
-    assert p.reduced
+    assert not p.stuck and W.is_reduced(p.word)
     assert p.flags == (F, G)
 
 
@@ -110,7 +110,7 @@ def test_flag_path_refines_weak_steps():
     p = FL.flag_path(sp, F, H)
     assert str(p.word) == "[0].[1]"
     assert p.flags[0] == F and p.flags[-1] == H
-    assert p.reduced
+    assert not p.stuck and W.is_reduced(p.word)
 
 
 def test_realize_type_round_trips(alpha1_space):
@@ -254,7 +254,7 @@ def test_flag_path_merges_absorbed_letters():
     G = Flag((8, 9, 4, 3))
     p = FL.flag_path(sp, F, G)
     assert str(p.word) == "[1,2].[0,1]"
-    assert p.reduced
+    assert not p.stuck and W.is_reduced(p.word)
     back = FL.flag_path(sp, G, F)
     assert str(back.word) == "[0,1].[1,2]"
     assert W.equivalent(back.word, W.inverse(p.word))
@@ -328,7 +328,6 @@ def test_stuck_step_is_reported_and_blocks_merging():
     assert str(path.word) == "[1,3].[0].[2]"
     assert path.stuck == (0,)
     assert not FL.is_global_step(sp, path.flags[0], path.flags[1], Letter(1, 3))
-    assert not path.reduced
     # [2] is absorbed by [1,3] across [0]: with a stuck step nothing is merged
     assert not W.is_reduced(path.word)
 

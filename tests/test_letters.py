@@ -7,12 +7,10 @@ from pseudospace.letters import (
     _LETTERS,
     Letter,
     all_letters,
-    centralizer,
     commutes,
     contains,
     format_index_set,
     index_set_to_letters,
-    letter_lt,
     parse_index_set,
     parse_letter,
     proper_subletters,
@@ -35,26 +33,12 @@ def test_contains_examples():
     assert contains(L("[1,3]"), L("[0,1]")) is False
 
 
-def test_letter_lt_examples():
-    assert letter_lt(L("[0]"), L("[2,3]")) is True
-    assert letter_lt(L("[2,3]"), L("[0]")) is False
-    # overlapping letters are incomparable
-    assert letter_lt(L("[0,1]"), L("[1,3]")) is False
-    assert letter_lt(L("[1,3]"), L("[0,1]")) is False
-
-
-def test_centralizer_examples():
-    assert centralizer([L("[1,2]")], 3) == frozenset()
-    assert centralizer([L("[0]")], 3) == frozenset({2, 3})
-    assert centralizer([], 3) == frozenset({0, 1, 2, 3})
-
-
 def test_commutes_symmetric_irreflexive():
     for s, t in itertools.product(all_letters(3), repeat=2):
         assert commutes(s, t) == commutes(t, s)
         if s == t:
             assert not commutes(s, t)
-        if letter_lt(s, t):
+        if t.lo >= s.hi + 2:  # s lies entirely below t
             assert commutes(s, t)
 
 
@@ -62,19 +46,6 @@ def test_containment_antisymmetric():
     for s, t in itertools.product(all_letters(3), repeat=2):
         if contains(s, t) and contains(t, s):
             assert s == t
-
-
-def test_lt_at_most_one_direction():
-    for s, t in itertools.product(all_letters(3), repeat=2):
-        assert not (letter_lt(s, t) and letter_lt(t, s))
-
-
-def test_centralizer_intersects_over_concatenation():
-    letters = all_letters(2)
-    for u in itertools.product(letters, repeat=2):
-        for v in itertools.product(letters, repeat=1):
-            both = centralizer(list(u) + list(v), 2)
-            assert both == centralizer(u, 2) & centralizer(v, 2)
 
 
 def test_no_letter_commutes_with_subletter():

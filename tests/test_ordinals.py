@@ -14,14 +14,14 @@ def test_cmp_examples():
 
 
 def test_add_examples():
-    assert cnf_add(w(1) + CnfOrdinal.from_int(1), w(2)) == w(2)
+    assert cnf_add(w(1) + parse_cnf("1"), w(2)) == w(2)
     assert cnf_add(w(2), w(1)) == parse_cnf("w^2+w")
     assert cnf_add(CnfOrdinal.zero(), w(3, 2)) == w(3, 2)
 
 
 def test_add_merges_equal_lead():
     assert cnf_add(w(1, 2), w(1)) == w(1, 3)
-    assert cnf_add(w(2) + w(1, 2), w(1) + CnfOrdinal.from_int(4)) == parse_cnf("w^2+w*3+4")
+    assert cnf_add(w(2) + w(1, 2), w(1) + parse_cnf("4")) == parse_cnf("w^2+w*3+4")
 
 
 def test_format_canonical():

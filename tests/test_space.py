@@ -10,7 +10,7 @@ import pseudospace.space as SP
 from pseudospace.errors import (
     AnchorLevelMismatchError,
     AnchorsNotOverError,
-    LevelNotInIntervalError,
+    ParseError,
     PreconditionError,
 )
 from pseudospace.letters import Letter, index_set_to_letters, parse_letter
@@ -62,17 +62,17 @@ def test_lies_over(flag_space):
     assert not sp.lies_over(c[0], a[2])
 
 
+def _distance(sp, x, y, lo, hi):
+    """Distance from ``x`` to ``y`` inside the subgraph on levels lo..hi."""
+    return sp.distances_from(x, sp._interval_masks()[(lo, hi)]).get(y, INF)
+
+
 def test_distance(flag_space):
     sp, a, b1 = flag_space
-    assert sp.distance(a[0], a[1], {0, 1}) == 1
-    assert sp.distance(a[1], b1, {1}) == INF
-    assert sp.distance(a[1], b1, {0, 1}) == 2
-    with pytest.raises(LevelNotInIntervalError):
-        sp.distance(a[0], a[1], {1})
-    with pytest.raises(LevelNotInIntervalError):
-        sp.distance(a[0], a[2], {0, 2})
-    with pytest.raises(LevelNotInIntervalError):
-        sp.distance(a[0], a[1], [])
+    assert _distance(sp, a[0], a[1], 0, 1) == 1
+    assert _distance(sp, a[1], b1, 1, 1) == INF
+    assert _distance(sp, a[1], b1, 0, 1) == 2
+    assert _distance(sp, a[0], a[1], 1, 1) == INF  # a[0] lies outside the interval
 
 
 def test_between(flag_space):
@@ -89,11 +89,11 @@ def test_simply_connected_on_built_spaces():
     rng = random.Random(31)
     for _ in range(40):
         sp = ColoredSpace.from_script(random_script(rng, 3))
-        assert SP.is_simply_connected(sp)
+        assert SP.simply_connected_witness(sp) is None
 
 
 def test_simply_connected_empty():
-    assert SP.is_simply_connected(ColoredSpace(2))
+    assert SP.simply_connected_witness(ColoredSpace(2)) is None
 
 
 def test_four_cycle_is_rejected():
@@ -123,7 +123,7 @@ def test_nice_examples(flag_space):
 def test_nice_iff_wunderbar_on_built(flag_space):
     sp, a, b1 = flag_space
     for region in [set(a), set(a) | {b1}, {a[1], b1}, set(sp.vertices)]:
-        assert SP.is_nice(sp, region) == SP.is_wunderbar(sp, region)
+        assert SP.is_nice(sp, region) == (SP.nice_witness(sp, region, exact=True) is None)
 
 
 def test_wunderbar_after_extension():
@@ -135,7 +135,7 @@ def test_wunderbar_after_extension():
             prior = set(sp.vertices)
             sp.apply_alpha(parse_letter(op["letter"]), op["lo"], op["hi"])
             if prior:
-                assert SP.is_wunderbar(sp, prior)
+                assert SP.nice_witness(sp, prior, exact=True) is None
 
 
 def test_open_pairs(flag_space):
@@ -239,6 +239,18 @@ def test_script_and_export_roundtrip():
     assert "v3@1" in dot and "v0 -- v1" in dot
 
 
+def test_export_must_state_its_edges():
+    data = ColoredSpace.from_script(random_script(random.Random(36), 3)).to_json()
+    assert data["edges"]
+    for edges in ([], data["edges"][:-1]):
+        with pytest.raises(ParseError):
+            ColoredSpace.from_json({**data, "edges": edges})
+    with pytest.raises(ParseError):
+        ColoredSpace.from_json({k: v for k, v in data.items() if k != "edges"})
+    empty = ColoredSpace(2).to_json()
+    assert empty["edges"] == [] and ColoredSpace.from_json(empty).to_json() == empty
+
+
 def test_build_log_replays_identically():
     rng = random.Random(34)
     for _ in range(20):
@@ -259,12 +271,11 @@ def test_distance_stability_under_operations():
             for (x, y) in itertools.combinations(sp.vertices, 2):
                 for lo in range(sp.n + 1):
                     for hi in range(lo, sp.n + 1):
-                        t = set(range(lo, hi + 1))
-                        if sp.level(x) in t and sp.level(y) in t:
-                            recorded.append((x, y, lo, hi, sp.distance(x, y, t)))
+                        if lo <= sp.level(x) <= hi and lo <= sp.level(y) <= hi:
+                            recorded.append((x, y, lo, hi, _distance(sp, x, y, lo, hi)))
             sp.apply_alpha(parse_letter(op["letter"]), op["lo"], op["hi"])
         for x, y, lo, hi, d in recorded:
-            assert sp.distance(x, y, set(range(lo, hi + 1))) == d
+            assert _distance(sp, x, y, lo, hi) == d
 
 
 def test_closure_memo_follows_inserts():

@@ -5,7 +5,13 @@ import pytest
 
 import pseudospace.flags as FL
 import pseudospace.words as W
-from brute import brute_prec, exhaustive_reducts, swap_closure
+from brute import (
+    brute_prec,
+    brute_properly_absorbs_left,
+    brute_properly_absorbs_right,
+    exhaustive_reducts,
+    swap_closure,
+)
 from pseudospace.errors import (
     DimensionError,
     NotMonotoneError,
@@ -14,7 +20,7 @@ from pseudospace.errors import (
     SearchBoundExceededError,
 )
 from pseudospace.letters import Letter, all_letters, commutes
-from pseudospace.oracle import _random_permutation, random_reduced_word, random_script
+from pseudospace.oracle import _random_swaps, random_reduced_word, random_script
 from pseudospace.space import ColoredSpace
 from pseudospace.words import Word, parse_word
 
@@ -131,6 +137,28 @@ def test_absorption_examples():
     assert W.absorbs_left(pw("[0,1]"), pw("[0]"))
     assert not W.absorbs_left(pw("[1,2].[0,3]"), pw("[0]"))
     assert W.absorbs_left(pw("[1,2].[0,3]"), pw("1"))
+
+
+def test_proper_absorption_matches_plain_scan():
+    """Both sides on every pair of words of length <= 3 with N <= 2."""
+    held = {"left": 0, "right": 0}
+    pairs = 0
+    for n in (1, 2):
+        words = [
+            Word(letters, n)
+            for length in range(4)
+            for letters in itertools.product(all_letters(n), repeat=length)
+        ]
+        for v, u in itertools.product(words, repeat=2):
+            left = W.properly_absorbs_left(v, u)
+            right = W.properly_absorbs_right(v, u)
+            assert left == brute_properly_absorbs_left(v, u), (str(v), str(u))
+            assert right == brute_properly_absorbs_right(v, u), (str(v), str(u))
+            held["left"] += left and len(u) > 0
+            held["right"] += right and len(u) > 0
+            pairs += 1
+    assert pairs == 40**2 + 259**2
+    assert min(held.values()) > 1000, held
 
 
 def test_split_absorbed_examples():
@@ -288,7 +316,9 @@ def test_flag_path_words_rebuild_through_checked_word():
             _assert_checked_equal(FL.weak_word(space, f, g))
             path = FL.flag_path(space, f, g)
             _assert_checked_equal(path.word)
-            permuted = FL.permute_path(space, path, _random_permutation(rng, path.word))
+            swapped = _random_swaps(rng, list(path.word.key), 3 * len(path.word))
+            target = Word(tuple(Letter(*k) for k in swapped), space.n)
+            permuted = FL.permute_path(space, path, target)
             _assert_checked_equal(permuted.word)
             checked += 1
     assert checked > 200
