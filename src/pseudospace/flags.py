@@ -443,7 +443,8 @@ def type_rank(u: Word) -> TypeRank:
 
 def ample_report(n: int) -> list[dict]:
     """The canonical-base identities behind the ampleness chain, as word
-    computations on the right stabilizers."""
+    computations on the right stabilizers.  Each entry names its word in
+    dotted syntax (``word``, with its dimension ``n``) next to the label."""
     out = []
     for i in range(1, n):
         u = Word((Letter(0, i), Letter(i + 1, n)), n)
@@ -458,6 +459,8 @@ def _ample_check(label: str, u: Word, expected: frozenset) -> dict:
     actual = W.right_stabilizer(u)
     return {
         "check": label,
+        "n": u.n,
+        "word": str(u),
         "pass": actual == expected,
         "witness": {"expected": sorted(expected), "actual": sorted(actual)},
     }

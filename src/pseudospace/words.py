@@ -13,7 +13,11 @@ bounded, sound enumeration of strong reducts is provided.
 
 The order ``prec`` (replace at least one letter by a product of proper
 subletters, up to commutation) is implemented exactly as a one-step relation;
-that relation is already transitive, so no closure is computed.
+that relation is already transitive, so no closure is computed.  It is one
+search on keys, memoized in a dict per call: it walks the letters of ``v``
+while a bitmask holds the positions of ``u`` not yet placed, and a position
+may be placed next when no unplaced earlier position holds a letter that does
+not commute with it.
 
 There is one word representation: a ``Word`` holds its letters and, computed
 once, its key (the same letters as ``(lo, hi)`` pairs), which the kernels in
@@ -44,8 +48,6 @@ from .letters import (
     IndexSet,
     Letter,
     check_dimension,
-    commutes,
-    contains,
     parse_letter,
     proper_subletters,
 )
@@ -306,6 +308,10 @@ def decompose_symmetric(u: Word, v: Word) -> FineDecomposition:
 # ---------------------------------------------------------------------------
 # the subletter-replacement order
 
+# search states of ``prec``: no letter of v replaced yet, some letter
+# replaced, and the current letter being replaced by a block of subletters
+_KEPT, _REPLACED, _BLOCK = 0, 1, 2
+
 
 def prec(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
     """One parallel replacement step: some permutation of ``u`` is obtained
@@ -316,44 +322,47 @@ def prec(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
         raise SearchBoundExceededError(
             f"prec instance of combined length {len(u) + len(v)} exceeds bound {bound}"
         )
-    src = u.letters
-    m = len(src)
-    commuting = [[commutes(a, b) for b in src] for a in src]
+    src, dst = u.key, v.key
+    m, last = len(src), len(dst)
+    # blocked[p]: the earlier positions of u whose letters do not commute
+    # with letter p; p can come next iff none of them remains
+    blocked = [
+        sum(1 << q for q in range(p) if not kernels._commutes(src[p], src[q]))
+        for p in range(m)
+    ]
+    # same[i], sub[i]: the positions of u holding letter i of v, and holding
+    # a proper subletter of it
+    same = [sum(1 << p for p in range(m) if src[p] == t) for t in dst]
+    sub = [
+        sum(1 << p for p in range(m) if kernels._contains(t, src[p]) and src[p] != t)
+        for t in dst
+    ]
+    memo: dict[tuple[int, int, int], bool] = {}
 
-    def available(mask: int) -> list[int]:
-        # positions whose letter commutes with every remaining earlier letter
-        out = []
-        for p in range(m):
-            if not mask & (1 << p):
-                continue
-            if all(commuting[p][q] for q in range(p) if mask & (1 << q)):
-                out.append(p)
-        return out
+    def search(i: int, mask: int, state: int) -> bool:
+        # the letters of v before i are matched, and mask holds the
+        # positions of u still to place
+        key = (i, mask, state)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        if i == last:
+            found = mask == 0 and state == _REPLACED
+        else:
+            block = state == _BLOCK
+            found = block and search(i + 1, mask, _REPLACED)
+            free = mask & (sub[i] if block else same[i])
+            while free and not found:
+                bit = free & -free
+                free ^= bit
+                if not blocked[bit.bit_length() - 1] & mask:
+                    found = search(i if block else i + 1, mask ^ bit, state)
+            if not (found or block):
+                found = search(i, mask, _BLOCK)
+        memo[key] = found
+        return found
 
-    @lru_cache(maxsize=None)
-    def match(i: int, mask: int, replaced: bool) -> bool:
-        if i == len(v.letters):
-            return mask == 0 and replaced
-        t = v.letters[i]
-        avail = available(mask)
-        # keep the letter as is
-        for p in avail:
-            if src[p] == t and match(i + 1, mask & ~(1 << p), replaced):
-                return True
-        # replace it by a (possibly empty) product of proper subletters
-        return block(i, mask)
-
-    @lru_cache(maxsize=None)
-    def block(i: int, mask: int) -> bool:
-        if match(i + 1, mask, True):
-            return True
-        t = v.letters[i]
-        for p in available(mask):
-            if contains(t, src[p], proper=True) and block(i, mask & ~(1 << p)):
-                return True
-        return False
-
-    return match(0, (1 << m) - 1, False)
+    return search(0, (1 << m) - 1, _KEPT)
 
 
 def preceq(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
@@ -493,13 +502,14 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
         max_len = len(v) + 4
     target = normal_form(v)
     target_support = support(v)
+    target_rank = ord_rank(target)
     n = u.n
     alphabet = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
 
     def below_target(x: Word) -> bool:
         if not (support(x) <= target_support):
             return False
-        if ord_rank(x) > ord_rank(target):
+        if ord_rank(x) > target_rank:
             return False
         try:
             return preceq(x, target)

@@ -34,6 +34,15 @@ def swap_closure(word: Word) -> set[tuple]:
     return seen
 
 
+def all_words(n: int, max_len: int) -> list[Word]:
+    """Every word of dimension ``n`` with at most ``max_len`` letters."""
+    return [
+        Word(letters, n)
+        for length in range(max_len + 1)
+        for letters in itertools.product(all_letters(n), repeat=length)
+    ]
+
+
 def single_cancellations(letters: tuple) -> set[tuple]:
     """Results of deleting one absorbed letter, for every witness."""
     out = set()

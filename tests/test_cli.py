@@ -15,6 +15,7 @@ from pseudospace import oracle as OR
 from pseudospace.cli import cli, main
 from pseudospace.oracle import random_script
 from pseudospace.space import ColoredSpace
+from pseudospace.words import parse_word, right_stabilizer
 
 SCRIPT = json.dumps(
     {
@@ -158,6 +159,11 @@ def test_ample(runner):
         "PASS sr([0,2].[3]) = [0,1]u[3,3]",
         "PASS sr([0,2].[1,3]) = [1,3]",
     ]
+    checks = json.loads(run(runner, "ample", "--n", "3", "--json"))["checks"]
+    assert [c["word"] for c in checks] == ["[0,1].[2,3]", "[0,2].[3]", "[0,2].[1,3]"]
+    for c in checks:
+        u = parse_word(c["word"], c["n"])
+        assert sorted(right_stabilizer(u)) == c["witness"]["expected"]
 
 
 def test_verify_command(runner):

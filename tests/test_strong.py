@@ -3,7 +3,7 @@ import random
 import pytest
 
 import pseudospace.words as W
-from brute import brute_divisors
+from brute import all_words, brute_divisors
 from pseudospace.errors import NotReducedError
 from pseudospace.letters import all_letters
 from pseudospace.words import Word, parse_word
@@ -88,15 +88,25 @@ def test_divides_rejects_non_reduced():
 
 
 def test_divides_matches_brute_force():
-    rng = random.Random(24)
-    alphabet = all_letters(2)
-    for _ in range(60):
-        u = W.reduce(Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 2))), 2))
-        v = W.reduce(Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 3))), 2))
-        res = W.divides_left_bounded(u, v, 2)
-        brute = brute_divisors(u, v, 2)
-        if res.witness is not None:
-            assert any(W.equivalent(res.witness, w) for w in brute)
-            assert W.equivalent(W.concat_reduce(u, res.witness), v)
-        elif res.conclusive:
-            assert brute == []
+    """Every pair of reduced words: N = 1 with u, v and max_len up to 3,
+    N = 2 with u up to 2, v up to 3 and max_len 2, and N = 3 with u, v and
+    max_len up to 2.  A witness must divide, and a conclusive negative must
+    have no divisor within max_len; both outcomes must occur."""
+    outcomes = {"witness": 0, "none": 0, "inconclusive": 0}
+    for n, u_len, v_len, max_len in ((1, 3, 3, 3), (2, 2, 3, 2), (3, 2, 2, 2)):
+        us = [u for u in all_words(n, u_len) if W.is_reduced(u)]
+        vs = [v for v in all_words(n, v_len) if W.is_reduced(v)]
+        for u in us:
+            for v in vs:
+                res = W.divides_left_bounded(u, v, max_len)
+                brute = brute_divisors(u, v, max_len)
+                if res.witness is not None:
+                    assert any(W.equivalent(res.witness, w) for w in brute), (str(u), str(v))
+                    assert W.equivalent(W.concat_reduce(u, res.witness), v)
+                    outcomes["witness"] += 1
+                elif res.conclusive:
+                    assert brute == [], (str(u), str(v))
+                    outcomes["none"] += 1
+                else:
+                    outcomes["inconclusive"] += 1
+    assert outcomes["witness"] > 0 and outcomes["none"] > 0, outcomes

@@ -6,6 +6,7 @@ import pytest
 import pseudospace.flags as FL
 import pseudospace.words as W
 from brute import (
+    all_words,
     brute_prec,
     brute_properly_absorbs_left,
     brute_properly_absorbs_right,
@@ -144,11 +145,7 @@ def test_proper_absorption_matches_plain_scan():
     held = {"left": 0, "right": 0}
     pairs = 0
     for n in (1, 2):
-        words = [
-            Word(letters, n)
-            for length in range(4)
-            for letters in itertools.product(all_letters(n), repeat=length)
-        ]
+        words = all_words(n, 3)
         for v, u in itertools.product(words, repeat=2):
             left = W.properly_absorbs_left(v, u)
             right = W.properly_absorbs_right(v, u)
@@ -203,12 +200,24 @@ def test_prec_examples():
 
 
 def test_prec_matches_brute_force():
-    rng = random.Random(9)
-    alphabet = all_letters(2)
-    for _ in range(400):
-        u = W.reduce(Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 3))), 2))
-        v = Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 3))), 2)
-        assert W.prec(u, v) == brute_prec(u, v)
+    """Every pair of words, reduced or not: N <= 2 up to length 3 and N = 3
+    up to length 2.  Treating u as a multiset, without commutation, fails
+    2,572 of these pairs."""
+    pairs = holds = tangled = 0
+    for n, max_len in ((1, 3), (2, 3), (3, 2)):
+        words = all_words(n, max_len)
+        for u in words:
+            # the pairs whose u has an adjacent pair of letters that do not commute
+            tangled += len(words) * any(
+                not commutes(a, b) for a, b in zip(u.letters, u.letters[1:])
+            )
+            for v in words:
+                result = W.prec(u, v)
+                assert result == brute_prec(u, v), (str(u), str(v))
+                pairs += 1
+                holds += result
+    assert (pairs, holds, pairs - holds) == (81_002, 26_440, 54_562)
+    assert tangled == 75_662
 
 
 def test_prec_bound():
