@@ -9,7 +9,9 @@ reducts.  All operations return normal-form output.
 
 Strong reduction additionally allows splitting a repeated letter ``s.s`` into
 a product of proper subletters of ``s``; it is not confluent, so only a
-bounded, sound enumeration of strong reducts is provided.
+bounded, sound enumeration of strong reducts is provided.  A letter whose
+candidate products outnumber the step budget is not split, and the result
+then says the enumeration is incomplete.
 
 The order ``prec`` (replace at least one letter by a product of proper
 subletters, up to commutation) is implemented exactly as a one-step relation;
@@ -18,6 +20,13 @@ search on keys, memoized in a dict per call: it walks the letters of ``v``
 while a bitmask holds the positions of ``u`` not yet placed, and a position
 may be placed next when no unplaced earlier position holds a letter that does
 not commute with it.
+
+Stabilizers, ``split_absorbed``, fine decomposition and left division work on
+keys and level bitmasks; a letter commutes with another iff its levels miss
+the other's levels widened by one on each side.  Left division searches over
+reducts, which are normal forms like its target, so equivalence to the target
+is key equality, and reduction keeps a word's support, so letters outside the
+target's support never enter the search.
 
 There is one word representation: a ``Word`` holds its letters and, computed
 once, its key (the same letters as ``(lo, hi)`` pairs), which the kernels in
@@ -132,6 +141,34 @@ def parse_word(text: str, n: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
+# level masks
+
+
+def _levels(s: tuple[int, int]) -> int:
+    """The levels of a letter key as a bitmask."""
+    lo, hi = s
+    return ((1 << (hi - lo + 1)) - 1) << lo
+
+
+def _widened(s: tuple[int, int]) -> int:
+    """The levels of a letter key, widened by one on each side: a letter
+    commutes with ``s`` iff its levels miss this mask."""
+    own = _levels(s)
+    return own | own << 1 | own >> 1
+
+
+def _index_set(mask: int) -> IndexSet:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _support(key: tuple) -> int:
+    out = 0
+    for s in key:
+        out |= _levels(s)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reduction / normal form / equivalence
 
 
@@ -159,10 +196,7 @@ def inverse(u: Word) -> Word:
 
 
 def support(u: Word) -> IndexSet:
-    out: set[int] = set()
-    for s in u.letters:
-        out.update(range(s.lo, s.hi + 1))
-    return frozenset(out)
+    return _index_set(_support(u.key))
 
 
 def concat_reduce(u: Word, v: Word) -> Word:
@@ -188,25 +222,31 @@ def final_segment(u: Word) -> tuple[Word, Word]:
 # stabilizers and absorption
 
 
+def _left_stabilizer(key: tuple) -> int:
+    """``left_stabilizer`` on a key, as a level mask; ``cent`` holds the
+    levels that commute with every letter passed so far."""
+    out = 0
+    cent = -1
+    for s in key:
+        out |= cent & _levels(s)
+        cent &= ~_widened(s)
+    return out
+
+
 def left_stabilizer(v: Word) -> IndexSet:
     """Union over positions j of the levels of ``letter_j`` that commute
     with every letter before j."""
-    out: set[int] = set()
-    cent = set(range(v.n + 1))
-    for s in v.letters:
-        out.update(cent & set(range(s.lo, s.hi + 1)))
-        cent = {i for i in cent if i <= s.lo - 2 or i >= s.hi + 2}
-    return frozenset(out)
+    return _index_set(_left_stabilizer(v.key))
 
 
 def right_stabilizer(v: Word) -> IndexSet:
-    return left_stabilizer(inverse(v))
+    return _index_set(_left_stabilizer(v.key[::-1]))
 
 
 def absorbs_left(v: Word, u: Word) -> bool:
     """True iff ``v`` absorbs ``u`` on the left, i.e. support(u) inside sL(v)."""
     _same_dimension(u, v)
-    return support(u) <= left_stabilizer(v)
+    return not _support(u.key) & ~_left_stabilizer(v.key)
 
 
 def properly_absorbs_left(v: Word, u: Word) -> bool:
@@ -229,22 +269,31 @@ def wobbling(u: Word, v: Word) -> IndexSet:
     return right_stabilizer(u) & left_stabilizer(v)
 
 
+def _split_absorbed(key: tuple, absorbed: int) -> tuple[tuple, tuple]:
+    """``split_absorbed`` on a key and a level mask; ``kept`` is the widened
+    mask of the letters that stay, so a letter commutes past all of them iff
+    its levels miss it."""
+    stay: list[tuple[int, int]] = []
+    moved: list[tuple[int, int]] = []
+    kept = 0
+    for s in reversed(key):
+        own = _levels(s)
+        if not own & ~absorbed and not own & kept:
+            moved.append(s)
+        else:
+            stay.append(s)
+            kept |= _widened(s)
+    return tuple(reversed(stay)), tuple(reversed(moved))
+
+
 def split_absorbed(u: Word, absorbed_into: IndexSet) -> tuple[Word, Word]:
     """Split ``u ~ u1.u2`` where every letter of ``u2`` is contained in the
     given index set and commutes past the rest of ``u1``, and no final-segment
     letter of ``u1`` is contained in it.  Unique up to commutation and only
     depends on the set."""
-    stay: list[tuple[int, int]] = []
-    moved: list[tuple[int, int]] = []
-    for s in reversed(u.key):
-        lo, hi = s
-        if all(i in absorbed_into for i in range(lo, hi + 1)) and all(
-            kernels._commutes(s, t) for t in stay
-        ):
-            moved.append(s)
-        else:
-            stay.append(s)
-    return _from_key(tuple(reversed(stay)), u.n), _from_key(tuple(reversed(moved)), u.n)
+    mask = sum(1 << i for i in absorbed_into if i >= 0)
+    stay, moved = _split_absorbed(u.key, mask)
+    return _from_key(stay, u.n), _from_key(moved, u.n)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +319,17 @@ class FineDecomposition:
 
 def decompose_fine(u: Word, v: Word) -> FineDecomposition:
     """Fine decomposition of a product of reduced words."""
-    _same_dimension(u, v)
-    if not is_reduced(u) or not is_reduced(v):
+    n = _same_dimension(u, v)
+    if not kernels.is_reduced(u.key) or not kernels.is_reduced(v.key):
         raise NotReducedError("decompose_fine requires reduced inputs")
-    u1, u_prime = split_absorbed(u, left_stabilizer(v))
-    v1_rev, v_prime_rev = split_absorbed(inverse(v), right_stabilizer(u1))
-    return FineDecomposition(u1, u_prime, inverse(v_prime_rev), inverse(v1_rev))
+    u1, u_prime = _split_absorbed(u.key, _left_stabilizer(v.key))
+    v1_rev, v_prime_rev = _split_absorbed(v.key[::-1], _left_stabilizer(u1[::-1]))
+    return FineDecomposition(
+        _from_key(u1, n),
+        _from_key(u_prime, n),
+        _from_key(v_prime_rev[::-1], n),
+        _from_key(v1_rev[::-1], n),
+    )
 
 
 def decompose_symmetric(u: Word, v: Word) -> FineDecomposition:
@@ -322,7 +376,11 @@ def prec(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
         raise SearchBoundExceededError(
             f"prec instance of combined length {len(u) + len(v)} exceeds bound {bound}"
         )
-    src, dst = u.key, v.key
+    return _prec(u.key, v.key)
+
+
+def _prec(src: tuple, dst: tuple) -> bool:
+    """``prec`` on keys, without the dimension and bound checks."""
     m, last = len(src), len(dst)
     # blocked[p]: the earlier positions of u whose letters do not commute
     # with letter p; p can come next iff none of them remains
@@ -426,7 +484,17 @@ class StrongReductionResult:
         return sorted(str(w) for w in self.words)
 
 
-def _strong_successors(key: tuple, max_split_len: int) -> Iterator[tuple]:
+def _split_candidates(letter_key: tuple[int, int], max_len: int) -> int:
+    """How many products ``_split_products`` tries for the letter: the sum
+    over lengths k up to ``max_len`` of S^k, for its S proper subletters."""
+    size = letter_key[1] - letter_key[0] + 1
+    subs = size * (size + 1) // 2 - 1
+    return sum(subs**k for k in range(max_len + 1))
+
+
+def _strong_successors(key: tuple, max_split_len: int, max_steps: int) -> Iterator[tuple | None]:
+    """Successor normal forms; ``None`` stands for a splitting left out
+    because its letter has more candidate products than the step budget."""
     n = len(key)
     # generalized cancellations
     for i in range(n):
@@ -438,6 +506,9 @@ def _strong_successors(key: tuple, max_split_len: int) -> Iterator[tuple]:
             if key[i] == key[j] and all(
                 kernels._commutes(key[i], key[k]) for k in range(i + 1, j)
             ):
+                if _split_candidates(key[i], max_split_len) > max_steps:
+                    yield None
+                    continue
                 for product in _split_products(key[i], max_split_len):
                     yield kernels.normal_form(
                         key[:i] + product + key[i + 1 : j] + key[j + 1 :]
@@ -450,7 +521,9 @@ def strong_reducts_bounded(
     max_steps: int = SPLIT_STEPS_DEFAULT,
 ) -> StrongReductionResult:
     """All reduced words reachable by commutation, cancellation and bounded
-    splitting.  Sound always; complete only when not ``exhausted``."""
+    splitting.  Sound always; complete only when not ``exhausted``.  A letter
+    with more candidate products than ``max_steps`` is not split, and the
+    result is then ``exhausted``."""
     start = kernels.normal_form(u.key)
     seen = {start}
     stack = [start]
@@ -462,7 +535,10 @@ def strong_reducts_bounded(
         if kernels.is_reduced(key):
             reducts.add(key)
             continue
-        for succ in _strong_successors(key, max_split_len):
+        for succ in _strong_successors(key, max_split_len, max_steps):
+            if succ is None:
+                exhausted = True
+                continue
             steps += 1
             if steps > max_steps:
                 exhausted = True
@@ -494,49 +570,67 @@ class DivisionResult:
 def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> DivisionResult:
     """Search for reduced ``w`` with ``concat_reduce(u, w) ~ v`` by BFS over
     right multiplication by single letters, pruning states that are not below
-    ``v`` in the replacement order."""
-    _same_dimension(u, v)
-    if not is_reduced(u) or not is_reduced(v):
+    ``v`` in the replacement order.
+
+    States are reducts, hence normal forms, and so is the target, so
+    equivalence to it is key equality.  Reduction keeps a word's support, and
+    every state lies inside the target's, so a letter outside it is counted
+    as explored but never multiplied in.  Ranks are compared as letter counts
+    by size, largest size first, which orders them as ``ord_rank`` does."""
+    n = _same_dimension(u, v)
+    if not kernels.is_reduced(u.key) or not kernels.is_reduced(v.key):
         raise NotReducedError("divides_left_bounded requires reduced inputs")
     if max_len is None:
         max_len = len(v) + 4
-    target = normal_form(v)
-    target_support = support(v)
-    target_rank = ord_rank(target)
-    n = u.n
-    alphabet = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+    target = kernels.normal_form(v.key)
+    inside = _support(target)
+    alphabet = [
+        ((lo, hi), not _levels((lo, hi)) & ~inside)
+        for lo in range(n + 1)
+        for hi in range(lo, n + 1)
+    ]
 
-    def below_target(x: Word) -> bool:
-        if not (support(x) <= target_support):
-            return False
-        if ord_rank(x) > target_rank:
-            return False
-        try:
-            return preceq(x, target)
-        except SearchBoundExceededError:
-            return True  # cannot prune soundly, keep exploring
+    def rank(key: tuple) -> list[int]:
+        counts = [0] * (n + 1)
+        for lo, hi in key:
+            counts[n - hi + lo] += 1
+        return counts
 
-    start = reduce(u)
-    if not below_target(start):
-        return DivisionResult(None, True, 0)
-    if equivalent(start, target):
+    target_rank = rank(target)
+    bounded = PREC_DEFAULT_BOUND - len(target)
+
+    def below_target(x: tuple) -> bool:
+        # x lies inside the target's support
+        if rank(x) > target_rank:
+            return False
+        # beyond the bound ``prec`` cannot prune soundly: keep exploring
+        return len(x) > bounded or _prec(x, target)
+
+    start = kernels.reduce_word(u.key)
+    if start == target:
         return DivisionResult(Word.one(n), True, 1)
-    frontier: list[tuple[Word, tuple[tuple[int, int], ...]]] = [(start, ())]
-    visited = {start.key}
+    if _support(start) & ~inside or not below_target(start):
+        return DivisionResult(None, True, 0)
+    frontier: list[tuple[tuple, tuple]] = [(start, ())]
+    visited = {start}
     explored = 0
     for depth in range(1, max_len + 1):
-        next_frontier: list[tuple[Word, tuple[tuple[int, int], ...]]] = []
+        next_frontier: list[tuple[tuple, tuple]] = []
         for state, path in frontier:
-            for t in alphabet:
-                candidate = reduce(_from_key(state.key + (t,), n))
+            for t, fits in alphabet:
                 explored += 1
-                if candidate.key in visited or not below_target(candidate):
+                if not fits:
+                    continue
+                candidate = kernels.reduce_word(state + (t,))
+                if candidate in visited:
                     continue
                 new_path = path + (t,)
-                if equivalent(candidate, target):
-                    witness = reduce(_from_key(new_path, n))
+                if candidate == target:
+                    witness = _from_key(kernels.reduce_word(new_path), n)
                     return DivisionResult(witness, True, explored)
-                visited.add(candidate.key)
+                if not below_target(candidate):
+                    continue
+                visited.add(candidate)
                 next_frontier.append((candidate, new_path))
         frontier = next_frontier
         if not frontier:

@@ -1,17 +1,22 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's own strategies: reducts come from the
-full closure under single generalized cancellations, equivalence from the
-full swap closure, and the replacement order from exhaustive segmentation of
-every permutation.  The space searches are checked against a transitive
-closure of the ascending edges, plain flood fills and one plain BFS per pair
-of points.  ``restart_flag_path`` keeps the former restart-loop
-``flag_path``; it shares only the weak word, the connecting-path search and
-its lifting with the library.  Only usable at tiny sizes.
+full closure under single generalized cancellations or a restart loop,
+normal forms from bubble passes, equivalence from the full swap closure, and
+the replacement order from exhaustive segmentation of every permutation.  The
+word references name no kernel (``tests/test_imports.py`` checks this), so a
+fault in a kernel cannot pass a cross-check by breaking its reference too.
+Stabilizers and ``split_absorbed`` are the plain level-set loops.  The space
+searches are checked against a transitive closure of the ascending edges,
+plain flood fills and one plain BFS per pair of points.
+``restart_flag_path`` keeps the former restart-loop ``flag_path``; it shares
+only the weak word, the connecting-path search and its lifting with the
+library.  Only usable at tiny sizes.
 """
 
 import itertools
 import random
+from functools import lru_cache
 
 from pseudospace.letters import Letter, all_letters, commutes, contains, index_set_to_letters
 from pseudospace.oracle import random_script
@@ -65,8 +70,6 @@ def single_cancellations(letters: tuple) -> set[tuple]:
 def exhaustive_reducts(word: Word) -> set[tuple]:
     """Normal forms (as key tuples) of all cancellation-irreducible words
     reachable from the input by any order of generalized cancellations."""
-    from pseudospace import kernels
-
     results = set()
     frontier = [word.letters]
     seen = {word.letters}
@@ -74,7 +77,7 @@ def exhaustive_reducts(word: Word) -> set[tuple]:
         cur = frontier.pop()
         nexts = single_cancellations(cur)
         if not nexts:
-            results.add(kernels.normal_form(tuple(s.key for s in cur)))
+            results.add(bubble_normal_form(tuple(s.key for s in cur)))
         for nxt in nexts:
             if nxt not in seen:
                 seen.add(nxt)
@@ -82,21 +85,16 @@ def exhaustive_reducts(word: Word) -> set[tuple]:
     return results
 
 
+@lru_cache(maxsize=None)
 def restart_reduce(key: tuple) -> tuple:
     """Reference for ``kernels.reduce_word`` on raw words: delete the leftmost
     absorbed letter and rescan from the start until none is left, then take
-    the normal form.  Cubic in the word length."""
-    from pseudospace import kernels
-
+    the normal form by bubble passes.  Cubic in the word length; memoized,
+    since the sweeps ask for the same products many times."""
     letters = list(key)
-    i = 0
-    while i < len(letters):
-        if kernels.absorbed_at(tuple(letters), i):
-            del letters[i]
-            i = 0
-        else:
-            i += 1
-    return kernels.normal_form(tuple(letters))
+    while (pair := _absorption_pair(letters)) is not None:
+        del letters[pair[0]]
+    return bubble_normal_form(tuple(letters))
 
 
 def absorbing_positions(key: tuple, i: int) -> list[int]:
@@ -392,17 +390,54 @@ def _segmentable(perm, targets, pos, i, replaced) -> bool:
 
 def brute_divisors(u: Word, v: Word, max_len: int) -> list[Word]:
     """All words w of bounded length with reduce(u.w) equivalent to v."""
-    from pseudospace import kernels
-
-    target = kernels.normal_form(kernels.reduce_word(v.key))
+    target = restart_reduce(v.key)
     out = []
     alphabet = all_letters(u.n)
     for length in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
-            w = Word(combo, u.n)
-            if kernels.reduce_word(u.concat(w).key) == target:
-                out.append(w)
+            if restart_reduce(u.key + tuple(s.key for s in combo)) == target:
+                out.append(Word(combo, u.n))
     return out
+
+
+def brute_left_stabilizer(v: Word) -> frozenset:
+    """Reference for ``words.left_stabilizer`` on level sets: the levels of
+    each letter that are still central, where a letter removes its levels
+    and the two next to them from the central set."""
+    out: set[int] = set()
+    cent = set(range(v.n + 1))
+    for s in v.letters:
+        out.update(cent & set(range(s.lo, s.hi + 1)))
+        cent = {i for i in cent if i <= s.lo - 2 or i >= s.hi + 2}
+    return frozenset(out)
+
+
+def brute_split_absorbed(u: Word, absorbed_into) -> tuple[tuple, tuple]:
+    """Reference for ``words.split_absorbed``, as keys: from the right, a
+    letter moves when all its levels lie in the set and it commutes with
+    every letter that stays."""
+    stay: list[Letter] = []
+    moved: list[Letter] = []
+    for s in reversed(u.letters):
+        if all(i in absorbed_into for i in range(s.lo, s.hi + 1)) and all(
+            commutes(s, t) for t in stay
+        ):
+            moved.append(s)
+        else:
+            stay.append(s)
+    return tuple(s.key for s in reversed(stay)), tuple(s.key for s in reversed(moved))
+
+
+def brute_decompose_fine(u: Word, v: Word) -> tuple:
+    """Reference for ``words.decompose_fine``: the keys of u1, u', v', v1 from
+    the two helpers above, with the right stabilizer of u1 as the left one
+    of u1 reversed."""
+    u1, u_prime = brute_split_absorbed(u, brute_left_stabilizer(v))
+    u1_reversed = Word(tuple(Letter(*s) for s in reversed(u1)), u.n)
+    v1_rev, v_prime_rev = brute_split_absorbed(
+        Word(v.letters[::-1], v.n), brute_left_stabilizer(u1_reversed)
+    )
+    return u1, u_prime, v_prime_rev[::-1], v1_rev[::-1]
 
 
 def random_spaces(seed, count):
@@ -509,19 +544,19 @@ def _refine_non_global(space, flags, stuck_pairs, reverse_ties) -> bool:
     return False
 
 
-def _absorption_pair(letters):
-    """(absorbed position, absorbing position) for the leftmost absorbed letter."""
-    for i, s in enumerate(letters):
-        for j in range(i + 1, len(letters)):
-            if contains(letters[j], s):
-                return (i, j)
-            if not commutes(s, letters[j]):
-                break
-        for j in range(i - 1, -1, -1):
-            if contains(letters[j], s):
-                return (i, j)
-            if not commutes(s, letters[j]):
-                break
+def _absorption_pair(key):
+    """(absorbed position, absorbing position) for the leftmost absorbed
+    letter of a raw word, scanning right of it first, then left."""
+    for i, (lo, hi) in enumerate(key):
+        for step in (1, -1):
+            j = i + step
+            while 0 <= j < len(key):
+                a, b = key[j]
+                if a <= lo and hi <= b:
+                    return (i, j)
+                if a <= hi + 1 and lo <= b + 1:  # the letters do not commute
+                    break
+                j += step
     return None
 
 
@@ -529,7 +564,7 @@ def _merge_absorbed(space, flags, stuck_pairs) -> bool:
     letters = [_step_letter(space, a, b) for a, b in zip(flags, flags[1:])]
     if any((a, b) in stuck_pairs for a, b in zip(flags, flags[1:])):
         return False
-    pair = _absorption_pair(letters)
+    pair = _absorption_pair([s.key for s in letters])
     if pair is None:
         return False
     i, j = pair

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -172,7 +173,7 @@ def test_verify_command(runner):
     assert data["pass"] is True
 
 
-def _psn(*argv):
+def _psn(*argv, timeout=None):
     """Run ``python -m pseudospace.cli`` in a child process that imports the
     package from the same directory as this one."""
     src = os.path.dirname(os.path.dirname(pseudospace.__file__))
@@ -182,7 +183,25 @@ def _psn(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "3", "--split-len", "9", "[0,3].[0,3]"],
+        ["--n", "16", "[0,16].[0,16]"],
+    ],
+)
+def test_strong_keeps_its_step_budget(args):
+    """Splitting a letter would try more products than ``--steps`` allows,
+    so it is left out and the enumeration reports itself incomplete."""
+    start = time.perf_counter()
+    result = _psn("strong", "--json", *args, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["exhausted"] is True
 
 
 def test_exit_codes():

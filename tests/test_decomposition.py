@@ -4,6 +4,7 @@ import random
 import pytest
 
 import pseudospace.words as W
+from brute import all_words, brute_decompose_fine
 from pseudospace.errors import NotReducedError
 from pseudospace.letters import all_letters
 from pseudospace.oracle import check_fine_decomposition
@@ -101,3 +102,21 @@ def test_product_agrees_with_decomposition():
         s = W.decompose_symmetric(u, v)
         prod = W.concat_reduce(u, v)
         assert prod == d.reduct() == s.reduct()
+
+
+def test_fine_matches_plain_loops():
+    """Every reduced pair at N = 2 with length <= 3 and at N = 3 with length
+    <= 2, against the decomposition built from the plain stabilizer and
+    split loops."""
+    pairs = split = 0
+    for n, max_len in ((2, 3), (3, 2)):
+        reduced = [u for u in all_words(n, max_len) if W.is_reduced(u)]
+        for u in reduced:
+            for v in reduced:
+                d = W.decompose_fine(u, v)
+                got = (d.u1.key, d.u_prime.key, d.v_prime.key, d.v1.key)
+                assert got == brute_decompose_fine(u, v), (str(u), str(v))
+                pairs += 1
+                split += len(d.u_prime) > 0 and len(d.v_prime) > 0
+    assert pairs == 4450
+    assert split > 100, split

@@ -1,15 +1,28 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and the
+word references in ``tests/brute.py`` share no code with the kernels.
 
 An AST scan stands in for a linter: a name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in the module.
 ``__init__.py`` is skipped, since its imports are re-exports, and so are
-``from __future__`` imports.
+``from __future__`` imports.  A second scan follows the word references
+through the functions of ``brute.py`` they call and requires that none of
+them names ``kernels``: a fault in a kernel must not pass a cross-check by
+breaking the reference too.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pseudospace"
+BRUTE = Path(__file__).resolve().parent / "brute.py"
+WORD_REFERENCES = (
+    "restart_reduce",
+    "exhaustive_reducts",
+    "brute_divisors",
+    "bubble_normal_form",
+    "swap_closure",
+    "brute_prec",
+)
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -34,3 +47,42 @@ def test_package_has_no_unused_imports():
     assert len(modules) > 5
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _names_reached(source: str, roots) -> set[str]:
+    """Every name read, attribute taken or import bound in the module-level
+    functions ``roots`` and, transitively, in the functions of the same
+    module that they name."""
+    tree = ast.parse(source)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo, done, names = list(roots), set(), set()
+    while todo:
+        name = todo.pop()
+        if name in done:
+            continue
+        done.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.asname or node.name).split("."))
+        todo += [n for n in names & functions.keys() if n not in done]
+    return names
+
+
+def test_scan_follows_calls_to_a_kernel():
+    source = (
+        "def f():\n    return g()\n"
+        "def g():\n    from pseudospace import kernels\n    return kernels.normal_form(())\n"
+        "def h():\n    return 1\n"
+    )
+    assert "kernels" in _names_reached(source, ["f"])
+    assert "kernels" not in _names_reached(source, ["h"])
+
+
+def test_word_references_name_no_kernel():
+    names = _names_reached(BRUTE.read_text(), WORD_REFERENCES)
+    assert "_absorption_pair" in names
+    assert "kernels" not in names

@@ -41,6 +41,21 @@ def test_budget_exhaustion_is_reported():
     assert truncated.words <= full.words
 
 
+def test_split_beyond_the_budget_is_left_out():
+    """A letter whose candidate products outnumber the step budget is not
+    split: [0,3] has 9 proper subletters, so 1 + 9 + 81 + 729 = 820 products
+    at split length 3.  The cancellation still runs and the result says the
+    enumeration is incomplete."""
+    u = parse_word("[0,3].[0,3]", 3)
+    assert W._split_candidates((0, 3), 3) == 820
+    assert W._split_candidates((0, 7), 3) == 44_136
+    capped = W.strong_reducts_bounded(u, 3, 819)
+    assert capped.exhausted and capped.as_strings() == ["[0,3]"]
+    assert capped.steps == 2
+    full = W.strong_reducts_bounded(u, 3, 820)
+    assert not full.exhausted and capped.words < full.words
+
+
 def test_soundness_every_reduct_is_reduced():
     rng = random.Random(21)
     alphabet = all_letters(3)
@@ -91,8 +106,11 @@ def test_divides_matches_brute_force():
     """Every pair of reduced words: N = 1 with u, v and max_len up to 3,
     N = 2 with u up to 2, v up to 3 and max_len 2, and N = 3 with u, v and
     max_len up to 2.  A witness must divide, and a conclusive negative must
-    have no divisor within max_len; both outcomes must occur."""
+    have no divisor within max_len; both outcomes must occur.  The total of
+    ``explored`` pins what the search counts: one step per letter tried on
+    each state, inside the target's support or not."""
     outcomes = {"witness": 0, "none": 0, "inconclusive": 0}
+    explored = 0
     for n, u_len, v_len, max_len in ((1, 3, 3, 3), (2, 2, 3, 2), (3, 2, 2, 2)):
         us = [u for u in all_words(n, u_len) if W.is_reduced(u)]
         vs = [v for v in all_words(n, v_len) if W.is_reduced(v)]
@@ -100,6 +118,7 @@ def test_divides_matches_brute_force():
             for v in vs:
                 res = W.divides_left_bounded(u, v, max_len)
                 brute = brute_divisors(u, v, max_len)
+                explored += res.explored
                 if res.witness is not None:
                     assert any(W.equivalent(res.witness, w) for w in brute), (str(u), str(v))
                     assert W.equivalent(W.concat_reduce(u, res.witness), v)
@@ -110,3 +129,5 @@ def test_divides_matches_brute_force():
                 else:
                     outcomes["inconclusive"] += 1
     assert outcomes["witness"] > 0 and outcomes["none"] > 0, outcomes
+    assert sum(outcomes.values()) == 3482
+    assert explored == 24_143

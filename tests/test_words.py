@@ -7,9 +7,11 @@ import pseudospace.flags as FL
 import pseudospace.words as W
 from brute import (
     all_words,
+    brute_left_stabilizer,
     brute_prec,
     brute_properly_absorbs_left,
     brute_properly_absorbs_right,
+    brute_split_absorbed,
     exhaustive_reducts,
     swap_closure,
 )
@@ -134,6 +136,18 @@ def test_stabilizer_examples():
     assert W.right_stabilizer(pw("[0,1].[2,3]")) == {0, 2, 3}
 
 
+def test_stabilizers_match_level_sets():
+    """Both stabilizers against the level-set loop on every word of length
+    <= 3 with N <= 3; the right one is the left one of the reversed word."""
+    checked = 0
+    for n in (1, 2, 3):
+        for v in all_words(n, 3):
+            assert W.left_stabilizer(v) == brute_left_stabilizer(v), str(v)
+            assert W.right_stabilizer(v) == brute_left_stabilizer(W.inverse(v)), str(v)
+            checked += 1
+    assert checked == 1410
+
+
 def test_absorption_examples():
     assert W.absorbs_left(pw("[0,1]"), pw("[0]"))
     assert not W.absorbs_left(pw("[1,2].[0,3]"), pw("[0]"))
@@ -166,6 +180,23 @@ def test_split_absorbed_examples():
     u = pw("[0,1].[1,3]")
     u1, u2 = W.split_absorbed(u, frozenset())
     assert (u1, str(u2)) == (u, "1")
+
+
+def test_split_absorbed_matches_plain_loop():
+    """Every word of length <= 3 with N <= 2 against every set of levels."""
+    checked = moved = 0
+    for n in (1, 2):
+        sets = [
+            frozenset(c) for k in range(n + 2) for c in itertools.combinations(range(n + 1), k)
+        ]
+        for u in all_words(n, 3):
+            for levels in sets:
+                u1, u2 = W.split_absorbed(u, levels)
+                assert (u1.key, u2.key) == brute_split_absorbed(u, levels), (str(u), levels)
+                checked += 1
+                moved += len(u2) > 0
+    assert checked == 40 * 4 + 259 * 8
+    assert moved > 500, moved
 
 
 def test_split_absorbed_laws():
