@@ -15,8 +15,12 @@ the steps: a non-global step is replaced by proper-subletter steps, lifted
 from a vertex-level shortest path between the anchors; once every step is
 global, the leftmost absorbed step (``kernels.absorber``) is swapped next to
 its absorber and merged into it.  Only the rewritten steps are split into
-intervals and rid of identities, the scan resumes where the path changed, and
-a pair of flags found global is not searched again.  Both rewrites strictly
+intervals and rid of identities, and the scan resumes where the path changed.
+Whether a step is global is a lookup: the space keeps, per pair of anchors,
+the components of their between-set, and a step whose old s-part's
+component misses the new s-part is global without a search; otherwise the
+shortest path is searched inside that component.  The lifts of a bridge take
+their monotone chains from the space's memo too.  Both rewrites strictly
 decrease the word's ordinal rank, so the loop terminates; the path ends in
 the order of ``kernels.normal_form``.  On spaces not built by the standard
 operations a step may admit no proper-subletter replacement; such steps are
@@ -192,11 +196,19 @@ def _connecting_path(
 ) -> list[int] | None:
     """A shortest vertex path at the levels of ``s`` from the s-part of ``f``
     to that of ``g`` between the anchors (all at the levels of ``s``, as
-    monotone paths change the level at each edge), or None when global."""
+    monotone paths change the level at each edge), or None when global.
+
+    Both s-parts lie between the anchors, and ``f``'s in one component of
+    that between-set, which the space keeps per anchor pair.  The step is
+    global when that component misses ``g``'s s-part; otherwise the search
+    runs inside it, where it visits what it would visit in the whole
+    between-set."""
     lo, hi = _anchors_for(space, f, s)
-    return space.shortest_path(
-        f.levels_of(s), set(g.levels_of(s)), space._between(lo, hi), reverse_ties
-    )
+    part = space._between_part(lo, hi, f[s.lo])
+    targets = g.levels_of(s)
+    if not any(part >> v & 1 for v in targets):
+        return None
+    return space.shortest_path(f.levels_of(s), set(targets), part, reverse_ties)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +224,10 @@ def flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False)
 
 def _flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False) -> FlagPath:
     flags, keys = _interval_steps([f, g], 0, space.n)
-    global_pairs: set[tuple[Flag, Flag]] = set()
     stuck_pairs: set[tuple[Flag, Flag]] = set()
     i = 0  # every step before i is global or stuck
     for _ in range(10_000):
-        i, mids = _next_bridge(space, flags, keys, i, global_pairs, stuck_pairs, reverse_ties)
+        i, mids = _next_bridge(space, flags, keys, i, stuck_pairs, reverse_ties)
         if mids is not None:
             _rewrite(flags, keys, i, i + 1, mids, keys[i])
             continue
@@ -248,19 +259,17 @@ def _flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False
 
 def _next_bridge(
     space: ColoredSpace, flags: list[Flag], keys: list, i: int,
-    global_pairs: set, stuck_pairs: set, reverse_ties: bool,
+    stuck_pairs: set, reverse_ties: bool,
 ) -> tuple[int, list[Flag] | None]:
     """The first step from ``i`` on that is not global, with the flags that
     bridge it by proper-subletter moves; ``len(keys), None`` when there is
     none.  A step whose bridge does not exist is recorded as stuck."""
     while i < len(keys):
         pair = (flags[i], flags[i + 1])
-        if pair not in global_pairs and pair not in stuck_pairs:
+        if pair not in stuck_pairs:
             s = _LETTERS[keys[i]]
             path = _connecting_path(space, flags[i], flags[i + 1], s, reverse_ties)
-            if path is None:
-                global_pairs.add(pair)
-            else:
+            if path is not None:
                 try:
                     return i, _subletter_bridge(space, flags[i], s, path)
                 except PreconditionError:
@@ -312,9 +321,8 @@ def _subletter_bridge(space: ColoredSpace, a: Flag, s: Letter, path: list[int]) 
     mids: list[Flag] = []
     for u, v in zip(path, path[1:]):
         lower, upper = (u, v) if space.level(u) < space.level(v) else (v, u)
-        down = _monotone_chain(space, lo, lower) + [lower]
-        up = [upper] + _monotone_chain(space, upper, hi)
-        mids.append(a.replace(s, down + up))
+        down, up = _monotone_chain(space, lo, lower), _monotone_chain(space, upper, hi)
+        mids.append(a.replace(s, (*down, lower, upper, *up)))
     return mids
 
 

@@ -36,13 +36,24 @@ keeps one memo per direction for all of them.  ``apply_alpha`` clears
 ``_up`` only when its lower anchor is a vertex and ``_down`` only when its
 upper anchor is one: a chain hung from ``BOTTOM`` is reached from below by no
 existing vertex, so no existing up-set changes, and likewise for ``TOP`` and
-down-sets.  It clears after the insert, because its own ``lies_over`` check
-reads the memo before.  Regions are masks inside the library and become
+down-sets.  It clears after the insert, because its own anchor check
+(``_reaches_up``) reads ``_up`` before; when the lower anchor's up-set is
+not memoized, that check searches up only to the upper anchor's level and
+fills no memo.  Regions are masks inside the library and become
 ``set[int]`` only at the public API (``upward_closure``, ``downward_closure``
 and ``between``).  A restriction to a level interval is a region too: the
 searches that need one build the masks of the level intervals once per call
 (``_interval_masks``) rather than keep an index, since tests write ``_level``
 and ``_adj`` directly.
+
+Two more memos serve the flag layer, both keyed by an anchor pair
+``(a, b)``: ``_parts`` holds the masks of the components of the between-set
+found so far (``_between_part(a, b, x)`` looks one up, with one
+``_component`` fill per miss), and ``_chains`` holds the result of
+``_monotone_chain(a, b)``, None when there is no chain.  Every insert clears
+both, whatever its anchors, unlike ``_up`` and ``_down``: the new vertices
+join the between-sets of every anchor pair around them, and a chain may pass
+where none did before.
 """
 
 from __future__ import annotations
@@ -85,6 +96,10 @@ class ColoredSpace:
         self._adj: dict[int, set[int]] = {}
         self._up: dict[int, int] = {}  # vertex -> mask of its strict up-set
         self._down: dict[int, int] = {}  # vertex -> mask of its strict down-set
+        # anchor pair -> masks of the components of its between-set found so far
+        self._parts: dict[tuple[Anchor, Anchor], list[int]] = {}
+        # anchor pair -> its _monotone_chain, None when there is none
+        self._chains: dict[tuple[Anchor, Anchor], tuple[int, ...] | None] = {}
         self.build_log: list[BuildOp] = []
 
     # -- basic structure ---------------------------------------------------
@@ -100,12 +115,13 @@ class ColoredSpace:
         return self._adj[v]
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in self.vertices:
-            for w in self._adj[v]:
-                if v < w:
-                    out.append((v, w))
-        return sorted(out)
+        out = self._edge_pairs()
+        out.sort()
+        return out
+
+    def _edge_pairs(self) -> list[tuple[int, int]]:
+        """Every edge once, as ``(v, w)`` with ``v < w``, in no particular order."""
+        return [(v, w) for v, adj in self._adj.items() for w in adj if v < w]
 
     def anchor_level(self, a: Anchor) -> int:
         if a == BOTTOM:
@@ -140,7 +156,7 @@ class ColoredSpace:
                 raise AnchorLevelMismatchError(
                     f"hi anchor for {s} must be a vertex at level {s.hi + 1}"
                 )
-        if lo_real and hi_real and not self.lies_over(lo, hi):
+        if lo_real and hi_real and not self._reaches_up(lo, hi):
             raise AnchorsNotOverError(f"anchor {hi} does not lie over {lo}")
         created = []
         prev = lo if lo_real else None
@@ -160,6 +176,8 @@ class ColoredSpace:
             self._up.clear()
         if hi_real:
             self._down.clear()
+        self._parts.clear()
+        self._chains.clear()
         self.build_log.append(BuildOp(s, lo, hi, tuple(created)))
         return created
 
@@ -184,6 +202,28 @@ class ColoredSpace:
                     mask |= 1 << w | self._reach(w, step, within, memo)
             memo[v] = mask
         return mask
+
+    def _reaches_up(self, lo: int, hi: int) -> bool:
+        """True iff vertex ``hi`` lies over vertex ``lo``, which sits at a
+        lower level: a bit test when ``lo``'s up-set is memoized, else a
+        search up from ``lo`` through the levels below ``hi``'s that stops at
+        ``hi`` and fills no memo."""
+        up = self._up.get(lo)
+        if up is not None:
+            return up >> hi & 1 == 1
+        top = self._level[hi]
+        seen = 1 << lo
+        stack = [lo]
+        while stack:
+            v = stack.pop()
+            lw = self._level[v] + 1
+            for w in self._adj[v]:
+                if w == hi:
+                    return True
+                if self._level[w] == lw < top and not seen >> w & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+        return False
 
     def _closure(
         self, a: Anchor, step: int, within: int | None = None, memo: dict | None = None
@@ -217,6 +257,22 @@ class ColoredSpace:
         """Mask of the vertices strictly between the anchors, joined to both
         by monotone paths through the ``within`` mask when given."""
         return self._closure(a, +1, within) & self._closure(b, -1, within)
+
+    def _between_part(self, a: Anchor, b: Anchor, x: int) -> int:
+        """Mask of the component of vertex ``x`` inside the between-set of the
+        anchors, 0 when ``x`` lies outside it.  The components found are kept
+        per anchor pair in ``_parts`` until the next insert; a miss costs one
+        ``_component`` fill."""
+        parts = self._parts.get((a, b))
+        if parts is None:
+            parts = self._parts[(a, b)] = []
+        for part in parts:
+            if part >> x & 1:
+                return part
+        part = self._component(x, self._between(a, b))
+        if part:
+            parts.append(part)
+        return part
 
     def between(self, a: Anchor, b: Anchor, within: set[int] | None = None) -> set[int]:
         """Vertices strictly between the anchors, joined to both by monotone
@@ -350,7 +406,7 @@ class ColoredSpace:
                 raise ParseError("build log replay produced different vertex ids")
         if "edges" not in data:
             raise ParseError("export states no edges")
-        if {tuple(sorted(e)) for e in data["edges"]} != {tuple(e) for e in space.edges()}:
+        if {tuple(sorted(e)) for e in data["edges"]} != set(space._edge_pairs()):
             raise ParseError("build log replay disagrees with the stated edges")
         return space
 
@@ -584,8 +640,8 @@ def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) ->
     dist = space.distances_from(b, within=ambient)
     reachable = [v for v in _members(ambient & inside) if v in dist]
     if not reachable:
-        chain = _monotone_chain(space, lo_anchor, b) + [b] + _monotone_chain(space, b, hi_anchor)
-        return region | set(chain)
+        down, up = _monotone_chain(space, lo_anchor, b), _monotone_chain(space, b, hi_anchor)
+        return region | {*down, b, *up}
     nearest = min(reachable, key=lambda v: (dist[v], v))
     path = space.shortest_path([nearest], {b}, ambient)
     neighbor = path[-2]  # last vertex before b on the connecting path
@@ -597,33 +653,40 @@ def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) ->
     return nice_hull(space, bigger, b, _depth + 1)
 
 
-def _monotone_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> list[int]:
+def _monotone_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> tuple[int, ...]:
     """Interior of a monotone path from anchor ``a`` up to anchor ``b``
-    (both endpoints excluded); deterministic smallest-id choice."""
-    la, lb = space.anchor_level(a), space.anchor_level(b)
-    if lb - la < 2:
-        return []
-    down = space._closure(b, -1) | (1 << b if space.is_real(b) else 0)
-    level = la + 1
-    if space.is_real(a):
-        frontier = [v for v in sorted(space.neighbors(a)) if space.level(v) == level]
-    else:
-        frontier = [v for v in space.vertices if space.level(v) == level]
-    chain: list[int] = []
-    current = next((v for v in sorted(frontier) if down >> v & 1), None)
-    while current is not None and current != b:
-        chain.append(current)
-        if space.level(current) == lb - 1:
-            break
-        nxt = None
-        for w in sorted(space.neighbors(current)):
-            if space.level(w) == space.level(current) + 1 and down >> w & 1:
-                nxt = w
-                break
-        current = nxt
-    if len(chain) != lb - la - 1:
+    (both endpoints excluded); deterministic smallest-id choice.  Kept per
+    anchor pair in ``space._chains`` until the next insert."""
+    try:
+        chain = space._chains[(a, b)]
+    except KeyError:
+        chain = space._chains[(a, b)] = _smallest_chain(space, a, b)
+    if chain is None:
         raise PreconditionError(f"no monotone chain between {a} and {b}")
     return chain
+
+
+def _smallest_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> tuple[int, ...] | None:
+    """The chain of ``_monotone_chain``, else None: from ``a``, step to the
+    least upper neighbour (the least level-0 vertex from ``BOTTOM``) that
+    lies beneath ``b``."""
+    la, lb = space.anchor_level(a), space.anchor_level(b)
+    down = space._closure(b, -1)
+    level, adj = space._level, space._adj
+    chain: list[int] = []
+    v = a
+    for lw in range(la + 1, lb):
+        if space.is_real(v):
+            v = min((w for w in adj[v] if down >> w & 1 and level[w] == lw), default=None)
+        else:
+            rest = down
+            while rest and level[_lowest(rest)] != lw:
+                rest &= rest - 1
+            v = _lowest(rest) if rest else None
+        if v is None:
+            return None
+        chain.append(v)
+    return tuple(chain)
 
 
 def amalgam_isomorphic(space: ColoredSpace, op1: BuildOp, op2: BuildOp) -> bool:

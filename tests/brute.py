@@ -10,8 +10,10 @@ Stabilizers and ``split_absorbed`` are the plain level-set loops.  The space
 searches are checked against a transitive closure of the ascending edges,
 plain flood fills and one plain BFS per pair of points.
 ``restart_flag_path`` keeps the former restart-loop ``flag_path``; it shares
-only the weak word, the connecting-path search and its lifting with the
-library.  Only usable at tiny sizes.
+only the weak word with the library.  Its connecting paths come from a plain
+BFS over ``brute_between`` and its bridges from smallest-id monotone chains
+over ``dfs_closure``, so no memo of the space takes part in it
+(``tests/test_imports.py`` checks this too).  Only usable at tiny sizes.
 """
 
 import itertools
@@ -523,25 +525,88 @@ def _split_non_intervals(space, flags) -> bool:
 
 
 def _refine_non_global(space, flags, stuck_pairs, reverse_ties) -> bool:
-    from pseudospace import flags as FL
-    from pseudospace.errors import PreconditionError
-
     for i in range(len(flags) - 1):
         a, b = flags[i], flags[i + 1]
         if (a, b) in stuck_pairs:
             continue
         s = _step_letter(space, a, b)
-        path = FL._connecting_path(space, a, b, s, reverse_ties)
+        path = _plain_connecting_path(space, a, b, s, reverse_ties)
         if path is None:
             continue
-        try:
-            mids = FL._subletter_bridge(space, a, s, path)
-        except PreconditionError:
+        mids = _plain_bridge(space, a, s, path)
+        if mids is None:
             stuck_pairs.add((a, b))
             continue
         flags[i + 1 : i + 1] = mids
         return True
     return False
+
+
+def _step_anchors(space, a, s):
+    lo = a[s.lo - 1] if s.lo > 0 else BOTTOM
+    hi = a[s.hi + 1] if s.hi < space.n else TOP
+    return lo, hi
+
+
+def _plain_connecting_path(space, a, b, s, reverse_ties):
+    """A shortest path from the s-part of ``a`` to that of ``b`` inside the
+    between-set of the step's anchors, by a plain BFS: sources and
+    neighbours in ascending id order (descending with ``reverse_ties``), the
+    first target dequeued ending the search; None when there is none."""
+    allowed = brute_between(space, *_step_anchors(space, a, s), space.vertices)
+    targets = set(b.levels_of(s))
+    prev = {}
+    queue = []
+    for v in sorted(a.levels_of(s), reverse=reverse_ties):
+        if v in allowed and v not in prev:
+            prev[v] = None
+            queue.append(v)
+    for v in queue:
+        if v in targets:
+            path = [v]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for w in sorted(space.neighbors(v), reverse=reverse_ties):
+            if w in allowed and w not in prev:
+                prev[w] = v
+                queue.append(w)
+    return None
+
+
+def _plain_bridge(space, a, s, path):
+    """The flags that replace the step from ``a`` along ``path`` by
+    proper-subletter moves: for each edge of the path, ``a`` with the s-part
+    running up a smallest-id chain to the edge and on to the upper anchor;
+    None when some chain does not exist."""
+    lo, hi = _step_anchors(space, a, s)
+    mids = []
+    for u, v in zip(path, path[1:]):
+        lower, upper = (u, v) if space.level(u) < space.level(v) else (v, u)
+        down, up = _plain_chain(space, lo, lower), _plain_chain(space, upper, hi)
+        if down is None or up is None:
+            return None
+        mids.append(a.replace(s, down + [lower, upper] + up))
+    return mids
+
+
+def _plain_chain(space, a, b):
+    """The vertices strictly between anchors ``a`` and ``b`` on the ascending
+    path that takes, level by level, the least vertex adjacent to the last
+    one (the least level-0 vertex from ``BOTTOM``) among those beneath ``b``
+    by ``dfs_closure``; None when it stops short of ``b``."""
+    la = -1 if a == BOTTOM else space.level(a)
+    lb = space.n + 1 if b == TOP else space.level(b)
+    beneath = set(space.vertices) if b == TOP else dfs_closure(space, b, -1)
+    chain = []
+    for level in range(la + 1, lb):
+        last = chain[-1] if chain else a
+        pool = space.vertices if last == BOTTOM else space.neighbors(last)
+        choices = [v for v in pool if v in beneath and space.level(v) == level]
+        if not choices:
+            return None
+        chain.append(min(choices))
+    return chain
 
 
 def _absorption_pair(key):

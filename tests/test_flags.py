@@ -4,6 +4,7 @@ import pytest
 
 import brute
 import pseudospace.flags as FL
+import pseudospace.space as SP
 import pseudospace.words as W
 from pseudospace.errors import (
     DifferenceMismatchError,
@@ -16,6 +17,7 @@ from pseudospace.errors import (
 )
 from pseudospace.flags import Flag
 from pseudospace.letters import Letter, all_letters
+from pseudospace.oracle import _applicable_ops
 from pseudospace.space import BOTTOM, TOP, ColoredSpace
 from pseudospace.words import parse_word
 
@@ -310,10 +312,11 @@ def test_public_flag_functions_reject_bad_flags(alpha1_space, call):
             call(sp, bad, F)
 
 
-def test_stuck_step_is_reported_and_blocks_merging():
-    # Vertex 7 links the level-1 vertices 2 and 3 at level 2 but has no
-    # level-3 neighbour.  So the step [1,3] below is not global, while its
-    # only bridge would need a flag through 7: the step is stuck.
+def _stuck_space():
+    """Vertex 7 links the level-1 vertices 2 and 3 at level 2 but has no
+    level-3 neighbour.  So the step [1,3] from (0, 2, 4, 9) to (1, 3, 6, 8)
+    is not global, while its only bridge would need a flag through 7: the
+    step is stuck."""
     sp = ColoredSpace(3)
     sp._level = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2, 8: 3, 9: 3}
     sp._adj = {v: set() for v in sp._level}
@@ -321,6 +324,11 @@ def test_stuck_step_is_reported_and_blocks_merging():
                  (4, 9), (5, 8), (6, 8)]:
         sp._adj[v].add(w)
         sp._adj[w].add(v)
+    return sp
+
+
+def test_stuck_step_is_reported_and_blocks_merging():
+    sp = _stuck_space()
     path = FL.flag_path(sp, Flag((0, 2, 4, 9)), Flag((1, 3, 6, 8)))
     assert path.flags == (
         Flag((0, 2, 4, 9)), Flag((0, 3, 5, 8)), Flag((1, 3, 5, 8)), Flag((1, 3, 6, 8))
@@ -361,3 +369,91 @@ def test_flag_path_matches_restart_reference():
                     assert got.stuck == want.stuck, (f, g, reverse_ties)
                     stuck += len(got.stuck)
     assert counts["merges"] > 0 and stuck > 0, (counts, stuck)
+
+
+def _new_queries(rng, sp, flags):
+    """For two flag pairs, the first starting at a flag through the newest
+    vertex: the flag paths in both tie orders, and ``is_global_step`` for the
+    step at the pair's lowest interval of difference.  Then the hull of one
+    flag's vertices with one vertex."""
+    last = len(sp.vertices) - 1
+    newest = [f for f in flags if last in f.vertices]
+    out = []
+    for first in (rng.choice(newest), rng.choice(flags)):
+        f, g = first, rng.choice(flags)
+        if f == g:
+            continue
+        out += [("path", f, g, reverse_ties) for reverse_ties in (False, True)]
+        diff = [i for i in range(sp.n + 1) if f[i] != g[i]]
+        s = Letter(diff[0], next(i for i in diff if i + 1 not in diff))
+        out.append(("global", f, f.replace(s, g.levels_of(s)), s))
+    out.append(("hull", rng.choice(flags), rng.choice(sp.vertices)))
+    return out
+
+
+def _answer(sp, query):
+    kind, *args = query
+    if kind == "path":
+        path = FL.flag_path(sp, *args)
+        return path.flags, path.word.key, path.stuck
+    if kind == "global":
+        return FL.is_global_step(sp, *args)
+    f, b = args
+    return frozenset(SP.nice_hull(sp, set(f.vertices), b))
+
+
+def _stale_answer(sp, query):
+    try:
+        return _answer(sp, query)
+    except PreconditionError as exc:  # a stale chain may miss its anchors
+        return exc
+
+
+def test_memo_answers_match_a_fresh_copy_after_every_insert():
+    """Spaces grow by interleaved ``apply_alpha`` and ``realize_type``.
+    After each insert every query asked so far is asked again of the grown
+    space, whose memos of between-set components and chains are warm from
+    the queries before, and of a fresh copy from its export: the answers
+    must agree.  A third copy is given the memos as they stood before the
+    insert; some answers must come from a warm memo, and some must differ on
+    that copy, so a memo kept past an insert would show."""
+    rng = random.Random(38)
+    warm = stale_differs = 0
+    for _ in range(16):
+        n = rng.randint(2, 4)
+        sp = ColoredSpace(n)
+        sp.apply_alpha(Letter(0, n))
+        queries = []
+        for _ in range(8):
+            kept = {k: list(v) for k, v in sp._parts.items()}, dict(sp._chains)
+            flags = FL.enumerate_flags(sp)
+            if rng.random() < 0.5:
+                letters = [rng.choice(all_letters(n)) for _ in range(rng.randint(1, 3))]
+                FL.realize_type(sp, rng.choice(flags), W.reduce(W.Word(letters, n)))
+            else:
+                sp.apply_alpha(*rng.choice(_applicable_ops(sp)))
+            fresh = ColoredSpace.from_json(sp.to_json())
+            stale = ColoredSpace.from_json(sp.to_json())
+            stale._parts, stale._chains = kept
+            queries += _new_queries(rng, sp, FL.enumerate_flags(sp))
+            for query in queries:
+                warm += bool(sp._parts or sp._chains)
+                got = _answer(sp, query)
+                assert got == _answer(fresh, query), query
+                stale_differs += _stale_answer(stale, query) != got
+    assert warm > 1000 and stale_differs > 5, (warm, stale_differs)
+
+
+def test_insert_over_a_dead_end_unsticks_a_step():
+    """A chain hung over the dead end 7 of the stuck space gives the stuck
+    step its bridge.  The space whose memos saw the step stuck must then
+    answer like a fresh copy grown the same way: no step stuck."""
+    f, g = Flag((0, 2, 4, 9)), Flag((1, 3, 6, 8))
+    sp, fresh = _stuck_space(), _stuck_space()
+    assert FL.flag_path(sp, f, g).stuck == (0,)
+    assert sp._chains and sp._parts
+    for space in (sp, fresh):
+        space.apply_alpha(Letter(3, 3), 7, TOP)
+    got = FL.flag_path(sp, f, g)
+    assert got == FL.flag_path(fresh, f, g)
+    assert got.stuck == () and W.is_reduced(got.word)

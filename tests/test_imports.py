@@ -7,7 +7,9 @@ An AST scan stands in for a linter: a name bound by a module-level
 ``from __future__`` imports.  A second scan follows the word references
 through the functions of ``brute.py`` they call and requires that none of
 them names ``kernels``: a fault in a kernel must not pass a cross-check by
-breaking the reference too.
+breaking the reference too.  The same scan requires that the flag-path
+reference names none of the library's connecting-path, bridge and chain
+searches, nor the memo of between-set components they use.
 """
 
 import ast
@@ -22,6 +24,13 @@ WORD_REFERENCES = (
     "bubble_normal_form",
     "swap_closure",
     "brute_prec",
+)
+FLAG_PATH_SEARCHES = (
+    "_connecting_path",
+    "_subletter_bridge",
+    "shortest_path",
+    "_monotone_chain",
+    "_between_part",
 )
 
 
@@ -86,3 +95,9 @@ def test_word_references_name_no_kernel():
     names = _names_reached(BRUTE.read_text(), WORD_REFERENCES)
     assert "_absorption_pair" in names
     assert "kernels" not in names
+
+
+def test_flag_path_reference_names_no_library_search():
+    names = _names_reached(BRUTE.read_text(), ["restart_flag_path"])
+    assert {"brute_between", "dfs_closure", "_plain_connecting_path"} <= names
+    assert [n for n in FLAG_PATH_SEARCHES if n in names] == []

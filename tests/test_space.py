@@ -52,6 +52,33 @@ def test_apply_alpha_errors(flag_space):
         sp.apply_alpha(Letter(0, 1), a[0], a[2])
 
 
+def test_anchor_check_matches_dfs_closure():
+    """On built and hand-made spaces, ``apply_alpha`` between two vertex
+    anchors succeeds exactly when the upper one is in the lower one's plain
+    DFS up-set, whether that up-set is memoized or not, and a refused insert
+    leaves the space as it was."""
+    accepted = refused = warm = 0
+    for rng, sp in brute.random_spaces(37, 40):
+        for _ in range(12):
+            lo, hi = sorted(rng.sample(sp.vertices, 2), key=sp.level)
+            if sp.level(hi) - sp.level(lo) < 2:
+                continue
+            if rng.random() < 0.5:
+                sp.lies_over(lo, rng.choice(sp.vertices))  # memoizes lo's up-set
+            warm += lo in sp._up
+            s = Letter(sp.level(lo) + 1, sp.level(hi) - 1)
+            if hi in brute.dfs_closure(sp, lo, +1):
+                sp.apply_alpha(s, lo, hi)
+                accepted += 1
+                continue
+            before = (dict(sp._level), sp.edges())
+            with pytest.raises(AnchorsNotOverError):
+                sp.apply_alpha(s, lo, hi)
+            assert (sp._level, sp.edges()) == before
+            refused += 1
+    assert accepted > 50 and refused > 50 and warm > 20, (accepted, refused, warm)
+
+
 def test_lies_over(flag_space):
     sp, a, b1 = flag_space
     assert sp.lies_over(a[0], a[2])
