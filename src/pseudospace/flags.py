@@ -188,7 +188,9 @@ def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
         raise DifferenceMismatchError(
             f"flags differ at {sorted(diff)}, not at the levels of {s}"
         )
-    return _connecting_path(space, f, g, s) is None
+    lo, hi = _anchors_for(space, f, s)
+    part = space._between_part(lo, hi, f[s.lo])
+    return not any(part >> v & 1 for v in g.levels_of(s))
 
 
 def _connecting_path(

@@ -31,7 +31,7 @@ IndexSet = frozenset  # subsets of [0, N]
 
 
 def check_dimension(n: int) -> int:
-    if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:  # JSON true is no dimension
         raise DimensionError(f"dimension must be in [1, {MAX_DIMENSION}], got {n!r}")
     return n
 

@@ -13,15 +13,16 @@ measured here are absolute.
 
 "Infinite distance" means plain unreachability in the finite graph.
 
-Every reachability question goes through one of four searches on
+Every reachability question goes through one of five searches on
 ``ColoredSpace``: ``_reach(v, step, within=None, memo=None)``, the vertices
 above or beneath a vertex, inside a region when one is given (``_closure``
-adds the imaginary anchors; ``upward_closure``, ``downward_closure``,
-``lies_over`` and ``between`` wrap it); ``_component(x, within, goal=0)``, the
-component of a vertex inside a region, for "connected or not";
-``distances_from(x, within)``, BFS distances inside a region; and
-``shortest_path(sources, targets, within, reverse=False)``, a deterministic
-shortest path inside a region, or None.  Exact niceness and simple
+adds the imaginary anchors; ``upward_closure``, ``downward_closure`` and
+``between`` wrap it); ``lies_over(a, b)``, whether one anchor lies over
+another; ``_component(x, within, goal=0)``, the component of a vertex inside
+a region, for "connected or not"; ``distances_from(x, within)``, BFS
+distances inside a region; and ``shortest_path(sources, targets, within,
+reverse=False)``, a deterministic shortest path inside a region, or None,
+asked only where the path itself is needed.  Exact niceness and simple
 connectivity compare distances in one scan, ``_shortcut``.
 
 Vertex sets travel through these searches as Python-int bitmasks, bit ``v``
@@ -32,19 +33,20 @@ strict up-set and down-set are memoized as masks in ``_up`` and ``_down``,
 filled on demand from ``_adj``, so a space whose graph is written directly
 needs no rebuild.  With a region the memo lives for one call: a caller that
 asks about many vertices of one region (``nice_witness``, ``is_complete``)
-keeps one memo per direction for all of them.  ``apply_alpha`` clears
-``_up`` only when its lower anchor is a vertex and ``_down`` only when its
-upper anchor is one: a chain hung from ``BOTTOM`` is reached from below by no
-existing vertex, so no existing up-set changes, and likewise for ``TOP`` and
-down-sets.  It clears after the insert, because its own anchor check
-(``_reaches_up``) reads ``_up`` before; when the lower anchor's up-set is
-not memoized, that check searches up only to the upper anchor's level and
-fills no memo.  Regions are masks inside the library and become
-``set[int]`` only at the public API (``upward_closure``, ``downward_closure``
-and ``between``).  A restriction to a level interval is a region too: the
-searches that need one build the masks of the level intervals once per call
-(``_interval_masks``) rather than keep an index, since tests write ``_level``
-and ``_adj`` directly.
+keeps one memo per direction for all of them.  A caller that asks whether
+many anchors lie over one reads that anchor's up-set once.  ``lies_over``
+between two vertices is a bit test when the lower one's up-set is memoized;
+otherwise it searches up from it only through the levels below the upper
+one's, stops there, and fills no memo.  ``apply_alpha`` checks its anchors
+with it, then clears ``_up`` only when its lower anchor is a vertex and
+``_down`` only when its upper anchor is one: a chain hung from ``BOTTOM`` is
+reached from below by no existing vertex, so no existing up-set changes, and
+likewise for ``TOP`` and down-sets.  Regions are masks inside the library and
+become ``set[int]`` only at the public API (``upward_closure``,
+``downward_closure`` and ``between``).  A restriction to a level interval is
+a region too: the searches that need one build the masks of the level
+intervals once per call (``_interval_masks``) rather than keep an index,
+since tests write ``_level`` and ``_adj`` directly.
 
 Two more memos serve the flag layer, both keyed by an anchor pair
 ``(a, b)``: ``_parts`` holds the masks of the components of the between-set
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Container, Iterable
 
 from .errors import (
@@ -156,7 +159,7 @@ class ColoredSpace:
                 raise AnchorLevelMismatchError(
                     f"hi anchor for {s} must be a vertex at level {s.hi + 1}"
                 )
-        if lo_real and hi_real and not self._reaches_up(lo, hi):
+        if lo_real and hi_real and not self.lies_over(lo, hi):
             raise AnchorsNotOverError(f"anchor {hi} does not lie over {lo}")
         created = []
         prev = lo if lo_real else None
@@ -203,28 +206,6 @@ class ColoredSpace:
             memo[v] = mask
         return mask
 
-    def _reaches_up(self, lo: int, hi: int) -> bool:
-        """True iff vertex ``hi`` lies over vertex ``lo``, which sits at a
-        lower level: a bit test when ``lo``'s up-set is memoized, else a
-        search up from ``lo`` through the levels below ``hi``'s that stops at
-        ``hi`` and fills no memo."""
-        up = self._up.get(lo)
-        if up is not None:
-            return up >> hi & 1 == 1
-        top = self._level[hi]
-        seen = 1 << lo
-        stack = [lo]
-        while stack:
-            v = stack.pop()
-            lw = self._level[v] + 1
-            for w in self._adj[v]:
-                if w == hi:
-                    return True
-                if self._level[w] == lw < top and not seen >> w & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-        return False
-
     def _closure(
         self, a: Anchor, step: int, within: int | None = None, memo: dict | None = None
     ) -> int:
@@ -246,12 +227,30 @@ class ColoredSpace:
 
     def lies_over(self, a: Anchor, b: Anchor) -> bool:
         """True iff ``b`` lies over ``a``; the imaginary anchors lie beneath
-        resp. over everything."""
+        resp. over everything.  For two vertices: a bit test when ``a``'s
+        up-set is memoized, else a search up from ``a`` through the levels
+        below ``b``'s that stops at ``b`` and fills no memo."""
         if a == BOTTOM or b == TOP:
             return True
         if a == TOP or b == BOTTOM:
             return False
-        return self._reach(a, +1) >> b & 1 == 1
+        up = self._up.get(a)
+        if up is not None:
+            return up >> b & 1 == 1
+        level, adj, top = self._level, self._adj, self._level[b]
+        seen = 1 << a
+        stack = [a]
+        while stack:
+            v = stack.pop()
+            lw = level[v] + 1
+            if lw == top and b in adj[v]:
+                return True
+            if lw < top:
+                for w in adj[v]:
+                    if level[w] == lw and not seen >> w & 1:
+                        seen |= 1 << w
+                        stack.append(w)
+        return False
 
     def _between(self, a: Anchor, b: Anchor, within: int | None = None) -> int:
         """Mask of the vertices strictly between the anchors, joined to both
@@ -406,6 +405,10 @@ class ColoredSpace:
                 raise ParseError("build log replay produced different vertex ids")
         if "edges" not in data:
             raise ParseError("export states no edges")
+        # JSON true and false equal 1 and 0, but are no vertex ids
+        stated = chain(*(op["created"] for op in data["build_log"]), *data["edges"])
+        if not set(map(type, stated)) <= {int}:
+            raise ParseError("stated vertex ids must be integers")
         if {tuple(sorted(e)) for e in data["edges"]} != set(space._edge_pairs()):
             raise ParseError("build log replay disagrees with the stated edges")
         return space
@@ -449,9 +452,7 @@ def _members(mask: int) -> list[int]:
 
 
 def _anchor(raw) -> Anchor:
-    if raw in (BOTTOM, TOP):
-        return raw
-    if isinstance(raw, int):
+    if raw in (BOTTOM, TOP) or type(raw) is int:  # JSON true is no vertex id
         return raw
     raise ParseError(f"bad anchor {raw!r}")
 
@@ -471,18 +472,14 @@ def simply_connected_witness(space: ColoredSpace):
     Checking the shortest avoiding path suffices (the condition is monotone
     in ``k``).
     """
-    anchors_lo: list[Anchor] = [BOTTOM] + space.vertices
-    anchors_hi: list[Anchor] = space.vertices + [TOP]
     everything = _mask_of(space.vertices)
     intervals = space._interval_masks()
-    for a in anchors_lo:
-        for b in anchors_hi:
-            if a == BOTTOM and b == TOP:
-                continue  # empty condition
-            if not space.lies_over(a, b):
-                continue
+    for a in [BOTTOM] + space.vertices:
+        up = space._closure(a, +1)
+        # the pair (BOTTOM, TOP) has an empty condition
+        for b in _members(up) + ([TOP] if a != BOTTOM else []):
             la, lb = space.anchor_level(a), space.anchor_level(b)
-            between = space._between(a, b)
+            between = up & space._closure(b, -1)
             outside = everything & ~_mask_of(v for v in (a, b) if space.is_real(v))
             span = range(max(la, 0), min(lb, space.n) + 1)
             found = _shortcut(space, between, outside, (
@@ -620,22 +617,16 @@ def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) ->
         raise PreconditionError("nice_hull requires a nice starting region")
     if _depth > len(space.vertices) ** 2 + 10:
         raise PreconditionError("nice_hull failed to converge")
-    lb = space.level(b)
     inside = _mask_of(region)
-    ids = _members(inside)
-    below, above = space._closure(b, -1), space._closure(b, +1)
-    lo_anchor: Anchor = BOTTOM
-    for level in range(lb - 1, -1, -1):
-        cands = [v for v in ids if space.level(v) == level and below >> v & 1]
-        if cands:
-            lo_anchor = cands[0]
-            break
-    hi_anchor: Anchor = TOP
-    for level in range(lb + 1, space.n + 1):
-        cands = [v for v in ids if space.level(v) == level and above >> v & 1]
-        if cands:
-            hi_anchor = cands[0]
-            break
+    # the region vertices beneath and over b nearest its level, least id first
+    lo_anchor: Anchor = max(
+        _members(space._closure(b, -1) & inside),
+        key=lambda v: (space.level(v), -v), default=BOTTOM,
+    )
+    hi_anchor: Anchor = min(
+        _members(space._closure(b, +1) & inside),
+        key=lambda v: (space.level(v), v), default=TOP,
+    )
     ambient = space._between(lo_anchor, hi_anchor)
     dist = space.distances_from(b, within=ambient)
     reachable = [v for v in _members(ambient & inside) if v in dist]
@@ -655,38 +646,32 @@ def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) ->
 
 def _monotone_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> tuple[int, ...]:
     """Interior of a monotone path from anchor ``a`` up to anchor ``b``
-    (both endpoints excluded); deterministic smallest-id choice.  Kept per
-    anchor pair in ``space._chains`` until the next insert."""
-    try:
-        chain = space._chains[(a, b)]
-    except KeyError:
-        chain = space._chains[(a, b)] = _smallest_chain(space, a, b)
+    (both endpoints excluded): from ``a``, step to the least upper neighbour
+    (the least level-0 vertex from ``BOTTOM``) that lies beneath ``b``.  Kept
+    per anchor pair in ``space._chains``, None when there is no chain, until
+    the next insert."""
+    if (a, b) not in space._chains:
+        down = space._closure(b, -1)
+        level, adj = space._level, space._adj
+        chain: list[int] | None = []
+        v = a
+        for lw in range(space.anchor_level(a) + 1, space.anchor_level(b)):
+            if space.is_real(v):
+                v = min((w for w in adj[v] if down >> w & 1 and level[w] == lw), default=None)
+            else:
+                rest = down
+                while rest and level[_lowest(rest)] != lw:
+                    rest &= rest - 1
+                v = _lowest(rest) if rest else None
+            if v is None:
+                chain = None
+                break
+            chain.append(v)
+        space._chains[(a, b)] = None if chain is None else tuple(chain)
+    chain = space._chains[(a, b)]
     if chain is None:
         raise PreconditionError(f"no monotone chain between {a} and {b}")
     return chain
-
-
-def _smallest_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> tuple[int, ...] | None:
-    """The chain of ``_monotone_chain``, else None: from ``a``, step to the
-    least upper neighbour (the least level-0 vertex from ``BOTTOM``) that
-    lies beneath ``b``."""
-    la, lb = space.anchor_level(a), space.anchor_level(b)
-    down = space._closure(b, -1)
-    level, adj = space._level, space._adj
-    chain: list[int] = []
-    v = a
-    for lw in range(la + 1, lb):
-        if space.is_real(v):
-            v = min((w for w in adj[v] if down >> w & 1 and level[w] == lw), default=None)
-        else:
-            rest = down
-            while rest and level[_lowest(rest)] != lw:
-                rest &= rest - 1
-            v = _lowest(rest) if rest else None
-        if v is None:
-            return None
-        chain.append(v)
-    return tuple(chain)
 
 
 def amalgam_isomorphic(space: ColoredSpace, op1: BuildOp, op2: BuildOp) -> bool:

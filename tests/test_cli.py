@@ -231,6 +231,12 @@ def test_exit_codes():
         (["strong", "--n", "2", "--steps", "-5", "[0,1].[0,1]"], 2, None),
         (["strong", "--n", "2", "--split-len", "-1", "[0,1].[0,1]"], 2, None),
         (["build", "DIR/list-letter.json"], 1, "parse-error"),
+        (["build", "DIR/bool-n.json"], 1, "dimension-mismatch"),
+        (["build", "DIR/bool-lo.json"], 1, "parse-error"),
+        (["flags", "DIR/bool-n-space.json"], 1, "dimension-mismatch"),
+        (["flags", "DIR/bool-lo-space.json"], 1, "parse-error"),
+        (["flags", "DIR/bool-created.json"], 1, "parse-error"),
+        (["flags", "DIR/bool-edge.json"], 1, "parse-error"),
     ],
 )
 def test_bad_input_never_tracebacks(tmp_path, args, status, code):
@@ -242,6 +248,20 @@ def test_bad_input_never_tracebacks(tmp_path, args, status, code):
     (tmp_path / "int-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": 5}]}))
     (tmp_path / "list-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": [0, 1]}]}))
     (tmp_path / "empty.json").write_text("{}")
+    # JSON true equals 1 in Python, but is neither a dimension nor a vertex id
+    (tmp_path / "bool-n.json").write_text(json.dumps({"n": True, "ops": []}))
+    hung = {"n": 2, "ops": [{"letter": "[0,2]"}, {"letter": "[2]", "lo": 1, "hi": "top"}]}
+    for name, tamper in [
+        ("bool-n-space", lambda d: d.update(n=True)),
+        ("bool-lo-space", lambda d: d["build_log"][1].update(lo=True)),
+        ("bool-created", lambda d: d["build_log"][0]["created"].__setitem__(1, True)),
+        ("bool-edge", lambda d: d["edges"][0].__setitem__(1, True)),
+    ]:
+        data = ColoredSpace.from_script(hung).to_json()
+        tamper(data)
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    hung["ops"][1]["lo"] = True
+    (tmp_path / "bool-lo.json").write_text(json.dumps(hung))
     space = str(tmp_path / "space.json")
     argv = [a.replace("SPACE", space).replace("DIR", str(tmp_path)) for a in args]
     result = _psn(*argv)

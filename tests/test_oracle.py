@@ -53,6 +53,8 @@ def test_space_axioms_checks_distance_stability(monkeypatch):
                 self._adj[w].add(v)
                 self._up.clear()
                 self._down.clear()
+                self._parts.clear()
+                self._chains.clear()
                 joined.append((v, w))
                 break
         return created

@@ -64,7 +64,7 @@ def test_anchor_check_matches_dfs_closure():
             if sp.level(hi) - sp.level(lo) < 2:
                 continue
             if rng.random() < 0.5:
-                sp.lies_over(lo, rng.choice(sp.vertices))  # memoizes lo's up-set
+                sp.upward_closure(lo)  # memoizes lo's up-set
             warm += lo in sp._up
             s = Letter(sp.level(lo) + 1, sp.level(hi) - 1)
             if hi in brute.dfs_closure(sp, lo, +1):
@@ -87,6 +87,33 @@ def test_lies_over(flag_space):
     assert not sp.lies_over(a[2], a[0])
     c = sp.apply_alpha(Letter(0, 2))
     assert not sp.lies_over(c[0], a[2])
+
+
+def test_lies_over_matches_dfs_closure_on_every_pair():
+    """``lies_over`` on every ordered pair of anchors of built and hand-made
+    spaces, imaginary anchors, pairs on one level and lower neighbours
+    included, matches a plain DFS with a cold memo, and fills no memo."""
+    answers = {True: 0, False: 0}
+    same_level = lower_neighbours = 0
+    for _, sp in brute.random_spaces(43, 30):
+        assert not sp._up
+        anchors = [BOTTOM, TOP] + sp.vertices
+        for a in anchors:
+            up = brute.dfs_closure(sp, a, +1) if sp.is_real(a) else set()
+            for b in anchors:
+                if a == BOTTOM or b == TOP:
+                    expected = True
+                elif a == TOP or b == BOTTOM:
+                    expected = False
+                else:
+                    expected = b in up
+                    same_level += sp.level(a) == sp.level(b)
+                    lower_neighbours += b in sp.neighbors(a) and sp.level(b) < sp.level(a)
+                assert sp.lies_over(a, b) == expected, (a, b)
+                answers[expected] += 1
+        assert not sp._up
+    assert answers[True] > 0 and answers[False] > 0, answers
+    assert same_level > 0 and lower_neighbours > 0, (same_level, lower_neighbours)
 
 
 def _distance(sp, x, y, lo, hi):
