@@ -9,7 +9,10 @@ Conventions (letters are closed level intervals):
     a repeated letter absorbs its twin, letters are idempotent).
   * A word is reduced iff no letter is absorbed: there is no pair of
     positions ``i != j`` with ``w[i]`` contained in ``w[j]`` and ``w[i]``
-    commuting with every letter strictly between them.
+    commuting with every letter strictly between them.  One scan answers
+    this for every position (``absorbed``): level sets are int bitmasks, and
+    a letter commutes with a run of letters iff its levels miss their
+    levels widened by one on each side.
   * The normal form of a word is the unique commutation-equivalent word in
     which every adjacent commuting pair increases.
 """
@@ -57,48 +60,74 @@ def absorbed_at(word: RawWord, i: int) -> bool:
     return absorber(word, i) is not None
 
 
+def absorbed(word: RawWord) -> int:
+    """The bitmask of absorbed positions of ``word``.
+
+    Each letter ``x`` scans back over the letters before it.  ``mask`` holds
+    the levels of the letters passed, each widened by one level, so a letter
+    reaches ``x`` iff its levels miss the mask.  ``x`` is absorbed by a letter
+    it reaches that contains it, and absorbs every letter inside it that
+    reaches it.  Once the mask covers ``x``, no pair with ``x`` is left."""
+    out = 0
+    for i, (lo, hi) in enumerate(word):
+        levels = ((1 << (hi - lo + 1)) - 1) << lo
+        mask = 0
+        j = i - 1
+        while j >= 0 and levels & ~mask:
+            ylo, yhi = word[j]
+            own = ((1 << (yhi - ylo + 1)) - 1) << ylo
+            if ylo <= lo and hi <= yhi and not levels & mask:
+                out |= 1 << i
+            if lo <= ylo and yhi <= hi and not own & mask:
+                out |= 1 << j
+            mask |= own | own << 1 | own >> 1
+            j -= 1
+    return out
+
+
 def is_reduced(word: RawWord) -> bool:
-    return not any(absorbed_at(word, i) for i in range(len(word)))
+    return not absorbed(word)
 
 
-def reduce_word(word: RawWord) -> RawWord:
-    """The reduct of ``word`` in normal form.
+def reduce_onto(out: list, word: RawWord) -> list:
+    """Append the letters of ``word`` to ``out``, a reduced word held as a
+    list, keeping it reduced; returns ``out``.
 
-    Letters are appended one at a time to a prefix that is kept reduced.  A
-    new letter ``x`` is dropped if a letter it reaches on the left contains
-    it.  Otherwise every earlier letter inside ``x`` that reaches ``x`` is
-    deleted.  A deleted letter commutes with everything after it, so no
-    deletion unblocks another pair and the prefix stays reduced.
-    """
-    out: list = []
+    Each new letter ``x`` scans back over ``out`` with the widened mask of
+    the kept letters passed, as in ``absorbed``.  ``x`` is dropped if a
+    letter it reaches contains it.  Otherwise every letter inside ``x`` that
+    reaches it is deleted.  One scan never does both: a letter inside ``x``
+    commutes neither with ``x`` nor with a letter containing ``x``, so it
+    cannot reach ``x`` while ``x`` reaches a container; and a drop found past
+    deleted letters would mean that the one nearest the container reached
+    it in ``out``, which is reduced.
+    A deleted letter commutes with everything after it, so no deletion
+    unblocks another pair and ``out`` stays reduced.  A reduced word appended
+    to an empty list therefore comes back unchanged."""
     for x in word:
-        absorbed = False
-        for y in reversed(out):
-            if _contains(y, x):
-                absorbed = True
-                break
-            if not _commutes(x, y):
-                break
-        if absorbed:
-            continue
-        # Level sets are int bitmasks.  ``mask`` holds the levels of the kept
-        # letters passed so far, each widened by one level, so a letter
-        # commutes with all of them iff its levels miss the mask.  Once the
-        # mask covers x, no letter inside x can reach it.
         lo, hi = x
         levels = ((1 << (hi - lo + 1)) - 1) << lo
         mask = 0
         j = len(out) - 1
         while j >= 0 and levels & ~mask:
             ylo, yhi = out[j]
+            if ylo <= lo and hi <= yhi and not levels & mask:
+                break
             own = ((1 << (yhi - ylo + 1)) - 1) << ylo
             if lo <= ylo and yhi <= hi and not own & mask:
                 del out[j]
             else:
                 mask |= own | own << 1 | own >> 1
             j -= 1
-        out.append(x)
-    return normal_form(tuple(out))
+        else:
+            out.append(x)
+    return out
+
+
+def reduce_word(word: RawWord) -> RawWord:
+    """The reduct of ``word`` in normal form: its letters reduced one at a
+    time onto an empty prefix."""
+    return normal_form(tuple(reduce_onto([], word)))
 
 
 def normal_form(word: RawWord) -> RawWord:

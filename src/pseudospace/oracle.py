@@ -134,7 +134,8 @@ def random_strategy_reduce(rng: random.Random, u: Word) -> Word:
     key = list(u.key)
     while True:
         _random_swaps(rng, key, rng.randint(0, 4))
-        candidates = [i for i in range(len(key)) if kernels.absorbed_at(key, i)]
+        absorbed = kernels.absorbed(key)
+        candidates = [i for i in range(len(key)) if absorbed >> i & 1]
         if not candidates:
             return W.normal_form(W._from_key(tuple(key), u.n))
         del key[rng.choice(candidates)]

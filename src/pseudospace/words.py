@@ -26,7 +26,9 @@ keys and level bitmasks; a letter commutes with another iff its levels miss
 the other's levels widened by one on each side.  Left division searches over
 reducts, which are normal forms like its target, so equivalence to the target
 is key equality, and reduction keeps a word's support, so letters outside the
-target's support never enter the search.
+target's support never enter the search.  Its candidates are the state with
+one letter reduced onto it: a reduced state passes through reduction
+unchanged, so only the new letter is scanned, and the result is normal-formed.
 
 There is one word representation: a ``Word`` holds its letters and, computed
 once, its key (the same letters as ``(lo, hi)`` pairs), which the kernels in
@@ -383,18 +385,35 @@ def _prec(src: tuple, dst: tuple) -> bool:
     """``prec`` on keys, without the dimension and bound checks."""
     m, last = len(src), len(dst)
     # blocked[p]: the earlier positions of u whose letters do not commute
-    # with letter p; p can come next iff none of them remains
-    blocked = [
-        sum(1 << q for q in range(p) if not kernels._commutes(src[p], src[q]))
-        for p in range(m)
-    ]
+    # with letter p, i.e. whose levels meet its widened levels; p can come
+    # next iff none of them remains
+    levels = [((1 << (hi - lo + 1)) - 1) << lo for lo, hi in src]
+    blocked = []
+    for p, own in enumerate(levels):
+        wide = own | own << 1 | own >> 1
+        mask = 0
+        bit = 1
+        for q in range(p):
+            if levels[q] & wide:
+                mask |= bit
+            bit <<= 1
+        blocked.append(mask)
     # same[i], sub[i]: the positions of u holding letter i of v, and holding
     # a proper subletter of it
-    same = [sum(1 << p for p in range(m) if src[p] == t) for t in dst]
-    sub = [
-        sum(1 << p for p in range(m) if kernels._contains(t, src[p]) and src[p] != t)
-        for t in dst
-    ]
+    same = []
+    sub = []
+    for tlo, thi in dst:
+        eq = inner = 0
+        bit = 1
+        for lo, hi in src:
+            if tlo <= lo and hi <= thi:
+                if lo == tlo and hi == thi:
+                    eq |= bit
+                else:
+                    inner |= bit
+            bit <<= 1
+        same.append(eq)
+        sub.append(inner)
     memo: dict[tuple[int, int, int], bool] = {}
 
     def search(i: int, mask: int, state: int) -> bool:
@@ -492,27 +511,35 @@ def _split_candidates(letter_key: tuple[int, int], max_len: int) -> int:
     return sum(subs**k for k in range(max_len + 1))
 
 
-def _strong_successors(key: tuple, max_split_len: int, max_steps: int) -> Iterator[tuple | None]:
-    """Successor normal forms; ``None`` stands for a splitting left out
-    because its letter has more candidate products than the step budget."""
+def _strong_successors(
+    key: tuple, absorbed: int, max_split_len: int, max_steps: int
+) -> Iterator[tuple | None]:
+    """Successor normal forms of ``key``, whose absorbed positions are the
+    mask ``absorbed``; ``None`` stands for a splitting left out because its
+    letter has more candidate products than the step budget."""
     n = len(key)
+    positions = [i for i in range(n) if absorbed >> i & 1]
     # generalized cancellations
-    for i in range(n):
-        if kernels.absorbed_at(key, i):
-            yield kernels.normal_form(key[:i] + key[i + 1 :])
-    # generalized splittings: equal pair with commuting letters between
-    for i in range(n):
+    for i in positions:
+        yield kernels.normal_form(key[:i] + key[i + 1 :])
+    # generalized splittings: equal pair with commuting letters between, so
+    # both letters are absorbed.  The scan from i stops at its twin or at the
+    # first letter whose levels meet its widened levels; a later twin lies
+    # behind either.
+    for i in positions:
+        wide = _widened(key[i])
         for j in range(i + 1, n):
-            if key[i] == key[j] and all(
-                kernels._commutes(key[i], key[k]) for k in range(i + 1, j)
-            ):
+            if key[j] == key[i]:
                 if _split_candidates(key[i], max_split_len) > max_steps:
                     yield None
-                    continue
-                for product in _split_products(key[i], max_split_len):
-                    yield kernels.normal_form(
-                        key[:i] + product + key[i + 1 : j] + key[j + 1 :]
-                    )
+                else:
+                    for product in _split_products(key[i], max_split_len):
+                        yield kernels.normal_form(
+                            key[:i] + product + key[i + 1 : j] + key[j + 1 :]
+                        )
+                break
+            if _levels(key[j]) & wide:
+                break
 
 
 def strong_reducts_bounded(
@@ -532,10 +559,11 @@ def strong_reducts_bounded(
     exhausted = False
     while stack:
         key = stack.pop()
-        if kernels.is_reduced(key):
+        absorbed = kernels.absorbed(key)
+        if not absorbed:
             reducts.add(key)
             continue
-        for succ in _strong_successors(key, max_split_len, max_steps):
+        for succ in _strong_successors(key, absorbed, max_split_len, max_steps):
             if succ is None:
                 exhausted = True
                 continue
@@ -621,7 +649,9 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
                 explored += 1
                 if not fits:
                     continue
-                candidate = kernels.reduce_word(state + (t,))
+                candidate = kernels.normal_form(
+                    tuple(kernels.reduce_onto(list(state), (t,)))
+                )
                 if candidate in visited:
                     continue
                 new_path = path + (t,)

@@ -24,6 +24,7 @@ WORD_REFERENCES = (
     "bubble_normal_form",
     "swap_closure",
     "brute_prec",
+    "absorbing_positions",
 )
 FLAG_PATH_SEARCHES = (
     "_connecting_path",

@@ -1,6 +1,7 @@
 """The word kernels, cross-checked against the restart-loop reference in
 ``brute.py`` and against words whose reduct is known by construction."""
 
+import itertools
 import random
 
 import pytest
@@ -92,16 +93,56 @@ def test_absorber_matches_plain_scan():
     for _ in range(1500):
         n = rng.choice([1, 2, 3, 5, 20])
         word = _random_word(rng, n, rng.randint(0, 40))
+        mask = kernels.absorbed(word)
         for i in range(len(word)):
             found = kernels.absorber(word, i)
             positions = absorbing_positions(word, i)
             assert (found is None) == (not kernels.absorbed_at(word, i)) == (not positions)
+            assert bool(mask >> i & 1) == bool(positions), (word, i)
             if found is None:
                 continue
             absorbed += 1
             right = [j for j in positions if j > i]
             assert found == (min(right) if right else max(positions)), (word, i)
+        assert mask >> len(word) == 0
     assert absorbed > 1000
+
+
+@given(raw_words)
+@settings(max_examples=300)
+def test_absorbed_mask_matches_plain_scan(word):
+    expected = sum(1 << i for i in range(len(word)) if absorbing_positions(word, i))
+    assert kernels.absorbed(word) == expected
+    assert kernels.is_reduced(word) == (expected == 0)
+
+
+def _reduced_normal_forms(n, max_len):
+    alphabet = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+    words = itertools.chain.from_iterable(
+        itertools.product(alphabet, repeat=k) for k in range(max_len + 1)
+    )
+    return alphabet, sorted({kernels.normal_form(w) for w in words if kernels.is_reduced(w)})
+
+
+def test_reduce_onto_a_reduced_prefix_matches_reduce_word():
+    # every reduced normal form of N <= 3 and length <= 3 with every letter;
+    # the counts show that both the drop and the deletion branch ran
+    cases = dropped = deleting = 0
+    for n in (1, 2, 3):
+        alphabet, states = _reduced_normal_forms(n, 3)
+        for state in states:
+            assert kernels.reduce_onto([], state) == list(state)
+            for t in alphabet:
+                out = kernels.reduce_onto(list(state), (t,))
+                expected = kernels.reduce_word(state + (t,))
+                assert kernels.normal_form(tuple(out)) == expected, (state, t)
+                assert expected == restart_reduce(state + (t,)), (state, t)
+                cases += 1
+                if out == list(state):
+                    dropped += 1
+                elif len(out) <= len(state):
+                    deleting += 1
+    assert (cases, dropped > 500, deleting > 500) == (1924, True, True), (cases, dropped, deleting)
 
 
 def test_normal_form_matches_bubble_sort():
