@@ -281,7 +281,7 @@ def _parse_flag(space: ColoredSpace, text: str) -> FL.Flag:
     text = text.strip()
     if text.startswith("["):
         return FL.check_flag(space, FL.Flag(tuple(_parse_ids(text))))
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         all_flags = FL.enumerate_flags(space)
         index = int(text)
         if index >= len(all_flags):

@@ -137,7 +137,7 @@ def _parse_letter_text(text: str) -> Letter:
 
 
 def _parse_nat(part: str, context: str) -> int:
-    if not part or not part.isdigit():
+    if not (part.isascii() and part.isdigit()):  # isdigit alone takes '²' and '٣'
         raise ParseError(f"bad integer {part!r} in {context!r}")
     return int(part)
 

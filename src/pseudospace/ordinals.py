@@ -131,7 +131,7 @@ def _parse_term(part: str) -> tuple[int, int]:
         c = _nat(coeff, part)
     else:
         base, c = part, 1
-    if base.isdigit():
+    if base.isascii() and base.isdigit():
         if c != 1 or "*" in part:
             raise ParseError(f"bad finite term {part!r}")
         return (0, _nat(base, part))
@@ -144,6 +144,6 @@ def _parse_term(part: str) -> tuple[int, int]:
 
 def _nat(text: str, context: str) -> int:
     text = text.strip()
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ParseError(f"bad natural {text!r} in {context!r}")
     return int(text)

@@ -18,8 +18,8 @@ Every reachability question goes through one of five searches on
 above or beneath a vertex, inside a region when one is given (``_closure``
 adds the imaginary anchors; ``upward_closure``, ``downward_closure`` and
 ``between`` wrap it); ``lies_over(a, b)``, whether one anchor lies over
-another; ``_component(x, within, goal=0)``, the component of a vertex inside
-a region, for "connected or not"; ``distances_from(x, within)``, BFS
+another; ``_component(x, within)``, the component of a vertex inside a
+region, for "connected or not"; ``distances_from(x, within)``, BFS
 distances inside a region; and ``shortest_path(sources, targets, within,
 reverse=False)``, a deterministic shortest path inside a region, or None,
 asked only where the path itself is needed.  Exact niceness and simple
@@ -48,14 +48,26 @@ a region too: the searches that need one build the masks of the level
 intervals once per call (``_interval_masks``) rather than keep an index,
 since tests write ``_level`` and ``_adj`` directly.
 
-Two more memos serve the flag layer, both keyed by an anchor pair
-``(a, b)``: ``_parts`` holds the masks of the components of the between-set
-found so far (``_between_part(a, b, x)`` looks one up, with one
+Two more memos serve the flag layer and ``open_pairs``, both keyed by an
+anchor pair ``(a, b)``: ``_parts`` holds the masks of the components of the
+between-set found so far (``_between_part(a, b, x)`` looks one up, with one
 ``_component`` fill per miss), and ``_chains`` holds the result of
 ``_monotone_chain(a, b)``, None when there is no chain.  Every insert clears
 both, whatever its anchors, unlike ``_up`` and ``_down``: the new vertices
 join the between-sets of every anchor pair around them, and a chain may pass
 where none did before.
+
+BFS distances are memoized for the life of the space: ``_dist`` maps
+``(x, within)`` to the distances ``distances_from(x, within)`` found, and no
+insert clears it.  An insert adds only edges that touch a new vertex, so the
+subgraph induced on a mask of existing vertices, and every BFS inside it,
+never changes, while a mask that holds a new vertex is a new key.  The oracle
+measures every level interval after each insert, so the exact niceness of
+the prior vertex set reads its BFS back from the memo.  ``_shortcut`` reads
+the distance in the whole level interval, usually a memo hit, as a lower
+bound of the ambient one, and runs the ambient BFS only for a point whose
+region distance exceeds it.  Code that writes ``_adj`` between existing
+vertices after a query breaks the invariant and must clear ``_dist`` too.
 """
 
 from __future__ import annotations
@@ -103,6 +115,8 @@ class ColoredSpace:
         self._parts: dict[tuple[Anchor, Anchor], list[int]] = {}
         # anchor pair -> its _monotone_chain, None when there is none
         self._chains: dict[tuple[Anchor, Anchor], tuple[int, ...] | None] = {}
+        # (x, within) -> BFS distances from x inside the mask; no insert clears it
+        self._dist: dict[tuple[int, int], dict[int, int]] = {}
         self.build_log: list[BuildOp] = []
 
     # -- basic structure ---------------------------------------------------
@@ -294,16 +308,14 @@ class ColoredSpace:
                 out[(lo, hi)] = mask
         return out
 
-    def _component(self, x: int, within: int, goal: int = 0) -> int:
+    def _component(self, x: int, within: int) -> int:
         """Mask of the component of ``x`` in the subgraph induced on the
-        ``within`` mask, 0 when ``x`` lies outside it.  With a ``goal`` mask
-        inside ``within``, the fill stops as soon as it holds all of ``goal``
-        and returns what it has reached."""
+        ``within`` mask, 0 when ``x`` lies outside it."""
         if not within >> x & 1:
             return 0
         rest = within ^ 1 << x  # the part of ``within`` not reached yet
         frontier = [x]
-        while frontier and (not goal or goal & rest):
+        while frontier:
             for w in self._adj[frontier.pop()]:
                 if rest >> w & 1:
                     rest ^= 1 << w
@@ -312,18 +324,20 @@ class ColoredSpace:
 
     def distances_from(self, x: int, within: int) -> dict[int, int]:
         """BFS distances from ``x`` through the vertices of the ``within``
-        mask."""
+        mask, kept in ``_dist``; callers must not change the dict returned."""
         if not within >> x & 1:
             return {}
-        dist = {x: 0}
-        queue = deque([x])
-        while queue:
-            v = queue.popleft()
-            d = dist[v] + 1
-            for w in self._adj[v]:
-                if w not in dist and within >> w & 1:
-                    dist[w] = d
-                    queue.append(w)
+        dist = self._dist.get((x, within))
+        if dist is None:
+            dist = self._dist[(x, within)] = {x: 0}
+            queue = deque([x])
+            while queue:
+                v = queue.popleft()
+                d = dist[v] + 1
+                for w in self._adj[v]:
+                    if w not in dist and within >> w & 1:
+                        dist[w] = d
+                        queue.append(w)
         return dist
 
     def shortest_path(
@@ -496,17 +510,27 @@ def _shortcut(space: ColoredSpace, region: int, ambient: int, intervals):
     inside the ``ambient`` mask than inside the ``region`` mask, which lies
     inside it; else None.  Intervals are scanned in order, then ``x`` and
     ``y`` ascending; one with fewer than two region points, or where the two
-    masks agree, holds no shortcut."""
+    masks agree, holds no shortcut.  The distance inside the whole of
+    ``levels`` bounds the ambient one from below, so a ``y`` no farther
+    inside the region than that holds no shortcut, and the ambient BFS from
+    ``x`` runs only once some ``y`` is."""
     for t, levels in intervals:
         pts = region & levels
-        if pts.bit_count() < 2 or pts == ambient & levels:
+        around = ambient & levels
+        if pts.bit_count() < 2 or pts == around:
             continue
         members = _members(pts)
         for i, x in enumerate(members[:-1]):
-            ambient_d = space.distances_from(x, ambient & levels)
+            bound = space.distances_from(x, levels)
             region_d = space.distances_from(x, pts)
+            ambient_d = bound if around == levels else None
             for y in members[i + 1 :]:
-                dm, dd = ambient_d.get(y, INF), region_d.get(y, INF)
+                dd = region_d.get(y, INF)
+                if dd <= bound.get(y, INF):
+                    continue
+                if ambient_d is None:
+                    ambient_d = space.distances_from(x, around)
+                dm = ambient_d.get(y, INF)
                 if dd > dm:
                     return t, x, y, dm, dd
     return None
@@ -539,6 +563,10 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
 
     Pairs are scanned anchor ``a``, then ``b``, and level interval, then
     ``x``, then ``y``, each ascending, and the first violation is returned.
+    Condition 1 holds exactly when every anchor's up-set and down-set inside
+    the region equal its ambient ones cut to the region, since the pairs
+    ``(a, TOP)`` and ``(BOTTOM, b)`` are among those scanned; so the pair
+    scan runs only to name the first witness.
     Without ``exact``, condition 2 asks only that region points joined in the
     ambient interval are joined inside the region.  So for each region
     component one flood fill inside the region and one in the interval find
@@ -555,12 +583,13 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     down_inside = [space._closure(b, -1, inside, down_memo) for b in anchors]
     up_ambient = [space._closure(a, +1) & inside for a in anchors]
     down_ambient = [space._closure(b, -1) & inside for b in anchors]
-    for i, a in enumerate(anchors):
-        for j, b in enumerate(anchors):
-            ambient = up_ambient[i] & down_ambient[j]
-            missing = ambient & ~(up_inside[i] & down_inside[j])
-            if missing:
-                return ("between-sets", a, b, _members(missing))
+    if up_inside != up_ambient or down_inside != down_ambient:
+        for i, a in enumerate(anchors):
+            for j, b in enumerate(anchors):
+                ambient = up_ambient[i] & down_ambient[j]
+                missing = ambient & ~(up_inside[i] & down_inside[j])
+                if missing:
+                    return ("between-sets", a, b, _members(missing))
     intervals = space._interval_masks()
     if exact:
         labelled = ((tuple(range(lo, hi + 1)), levels) for (lo, hi), levels in intervals.items())
@@ -587,7 +616,9 @@ def is_nice(space: ColoredSpace, region: set[int]) -> bool:
 
 def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anchor]]:
     """Anchor pairs over the region with two region vertices between them at
-    infinite distance inside the ambient between-subgraph."""
+    infinite distance inside the ambient between-subgraph: those whose
+    region points leave the between-set component (``_between_part``) of
+    the lowest one."""
     inside = _mask_of(region)
     anchors: list[Anchor] = [BOTTOM] + _members(inside) + [TOP]
     # a pair with b not over a (a == b included) has an empty between-set
@@ -596,11 +627,10 @@ def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anch
     out = []
     for i, a in enumerate(anchors):
         for j, b in enumerate(anchors):
-            ambient = ups[i] & downs[j]
-            pts = ambient & inside
+            pts = ups[i] & downs[j] & inside
             if pts.bit_count() < 2:
                 continue
-            if pts & ~space._component(_lowest(pts), ambient, goal=pts):
+            if pts & ~space._between_part(a, b, _lowest(pts)):
                 out.append((a, b))
     return out
 

@@ -237,6 +237,8 @@ def test_exit_codes():
         (["flags", "DIR/bool-lo-space.json"], 1, "parse-error"),
         (["flags", "DIR/bool-created.json"], 1, "parse-error"),
         (["flags", "DIR/bool-edge.json"], 1, "parse-error"),
+        (["reduce", "--n", "2", "[²]"], 1, "parse-error"),
+        (["word", "SPACE", "²", "0"], 1, "parse-error"),
     ],
 )
 def test_bad_input_never_tracebacks(tmp_path, args, status, code):

@@ -9,7 +9,9 @@ through the functions of ``brute.py`` they call and requires that none of
 them names ``kernels``: a fault in a kernel must not pass a cross-check by
 breaking the reference too.  The same scan requires that the flag-path
 reference names none of the library's connecting-path, bridge and chain
-searches, nor the memo of between-set components they use.
+searches, nor the memo of between-set components they use, and that the
+niceness, simple-connectivity and open-pair references name none of the
+library's searches and do their own BFS, flood fills and order.
 """
 
 import ast
@@ -32,6 +34,15 @@ FLAG_PATH_SEARCHES = (
     "shortest_path",
     "_monotone_chain",
     "_between_part",
+)
+SPACE_REFERENCES = ("brute_nice_witness", "brute_simply_connected_witness", "brute_open_pairs")
+SPACE_SEARCHES = (
+    "distances_from",
+    "_shortcut",
+    "_component",
+    "_between_part",
+    "_closure",
+    "_reach",
 )
 
 
@@ -102,3 +113,9 @@ def test_flag_path_reference_names_no_library_search():
     names = _names_reached(BRUTE.read_text(), ["restart_flag_path"])
     assert {"brute_between", "dfs_closure", "_plain_connecting_path"} <= names
     assert [n for n in FLAG_PATH_SEARCHES if n in names] == []
+
+
+def test_space_references_name_no_library_search():
+    names = _names_reached(BRUTE.read_text(), SPACE_REFERENCES)
+    assert {"bfs_distance", "flood", "monotone_order"} <= names
+    assert [n for n in SPACE_SEARCHES if n in names] == []

@@ -62,6 +62,14 @@ def test_parse_strictness():
             parse_letter(bad)
 
 
+def test_parse_takes_ascii_digits_only():
+    """``str.isdigit()`` holds for superscripts and for other scripts'
+    digits; ``int`` refuses the first and reads the others as numbers."""
+    for bad in ["[²]", "[٣]", "[0,３]", "[1,²]"]:
+        with pytest.raises(ParseError):
+            parse_letter(bad)
+
+
 def test_letter_str_roundtrip():
     for s in all_letters(4):
         assert parse_letter(str(s)) == s

@@ -40,7 +40,8 @@ def test_space_axioms_runs_the_amalgam_law(monkeypatch):
 
 def test_space_axioms_checks_distance_stability(monkeypatch):
     """An insert that also joins two old vertices on adjacent levels
-    shortens a distance that was there before it."""
+    shortens a distance that was there before it.  Such an edge breaks the
+    invariant the distance memo rests on, so it clears that memo too."""
     apply_alpha = ColoredSpace.apply_alpha
     joined = []
 
@@ -55,6 +56,7 @@ def test_space_axioms_checks_distance_stability(monkeypatch):
                 self._down.clear()
                 self._parts.clear()
                 self._chains.clear()
+                self._dist.clear()
                 joined.append((v, w))
                 break
         return created

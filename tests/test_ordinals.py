@@ -32,7 +32,8 @@ def test_format_canonical():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "w^", "3+w", "w*0", "w+w", "2*3"]:
+    # str.isdigit() holds for "²" and "٣", which are no ASCII digits
+    for bad in ["", "w^", "3+w", "w*0", "w+w", "2*3", "²", "w^²", "w*٣"]:
         with pytest.raises(ParseError):
             parse_cnf(bad)
 

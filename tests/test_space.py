@@ -14,7 +14,7 @@ from pseudospace.errors import (
     PreconditionError,
 )
 from pseudospace.letters import Letter, index_set_to_letters, parse_letter
-from pseudospace.oracle import random_reduced_word, random_script
+from pseudospace.oracle import _applicable_ops, random_reduced_word, random_script
 from pseudospace.space import BOTTOM, INF, TOP, ColoredSpace
 
 
@@ -435,6 +435,46 @@ def test_simply_connected_witness_matches_per_pair_bfs():
         assert witness == brute.brute_simply_connected_witness(sp), sp.to_json()
         found += witness is not None
     assert found > 10
+
+
+def test_distance_memo_matches_a_fresh_copy_after_every_insert():
+    """Spaces grow by interleaved ``apply_alpha`` and ``realize_type``.
+    After each insert the grown space, whose distance memo is warm from the
+    queries before, and a fresh copy from its export must agree on the BFS
+    distances from every point of every level interval and between-set,
+    the exact witness for the prior vertex set, the simple-connectivity
+    witness and the open pairs of the prior set.  The copy measures each
+    distance map with an empty memo, so a memo entry read back for the wrong
+    mask shows.  Some BFS of the grown space must be answered by entries
+    made before the insert, so a memo that an insert had to clear would
+    show."""
+    rng = random.Random(46)
+    carried = 0
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        sp = ColoredSpace(n)
+        sp.apply_alpha(Letter(0, n))
+        for _ in range(6):
+            prior = set(sp.vertices)
+            kept = set(sp._dist)
+            if rng.random() < 0.5:
+                flag = rng.choice(FL.enumerate_flags(sp))
+                FL.realize_type(sp, flag, random_reduced_word(rng, n, 3))
+            else:
+                sp.apply_alpha(*rng.choice(_applicable_ops(sp)))
+            fresh = ColoredSpace.from_json(sp.to_json())
+            anchors = [BOTTOM, *sp.vertices, TOP]
+            masks = set(sp._interval_masks().values())
+            masks |= {sp._between(a, b) for a in anchors for b in anchors}
+            for within in sorted(masks):
+                for x in SP._members(within):
+                    carried += (x, within) in kept
+                    fresh._dist.clear()
+                    assert sp.distances_from(x, within) == fresh.distances_from(x, within)
+            assert SP.nice_witness(sp, prior, exact=True) == SP.nice_witness(fresh, prior, exact=True)
+            assert SP.simply_connected_witness(sp) == SP.simply_connected_witness(fresh)
+            assert SP.open_pairs(sp, prior) == SP.open_pairs(fresh, prior)
+    assert carried > 100, carried
 
 
 def _interval_steps(sp, flags):
