@@ -217,10 +217,7 @@ def _load_space(path: str) -> ColoredSpace:
     data = _read_json(path)
     if isinstance(data, dict) and "ops" in data:
         return ColoredSpace.from_script(data)
-    try:
-        return ColoredSpace.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed space file {path}: {exc!r}") from exc
+    return ColoredSpace.from_json(data)
 
 
 def _read_json(path: str):

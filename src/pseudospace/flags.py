@@ -26,6 +26,11 @@ the order of ``kernels.normal_form``.  On spaces not built by the standard
 operations a step may admit no proper-subletter replacement; such steps are
 reported on the path as ``stuck`` instead of being silently accepted, and
 nothing is merged.  Public functions check the flags they are given once.
+
+A basepoint over a nice region is reached by the ``preceq``-least connecting
+word, which exists on spaces built by ``apply_alpha`` (Baudisch,
+Martin-Pizarro and Ziegler, *Ample hierarchy*).  ``prec`` lowers the rank, so
+the words of least rank are the ones equivalent to it: no ``prec`` search.
 """
 
 from __future__ import annotations
@@ -359,12 +364,11 @@ def permute_path(space: ColoredSpace, path: FlagPath, target: Word) -> FlagPath:
 # basepoints, forking, canonical bases
 
 
-_PREC_BOUND = 32  # connecting words at desk scale are far shorter
-
-
 def basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Word]:
-    """The flag of the region reached by the smallest connecting word, with
-    ties broken by the least vertex-id tuple."""
+    """The region's flag whose connecting word from ``f`` has least rank,
+    ties to the least vertex-id tuple, with that word: the ``preceq``-minimum
+    on built spaces.  On a hand-made graph without a minimum the word may be
+    incomparable with another minimal one."""
     check_flag(space, f)
     return _basepoint(space, f, region)
 
@@ -372,21 +376,16 @@ def basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Wor
 def _basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Word]:
     if not is_nice(space, region):
         raise PreconditionError("basepoint requires a nice region")
-    candidates = enumerate_flags(space, within=region)
-    if not candidates:
+    best = best_rank = None
+    # candidates come in vertex-tuple order, so the first of least rank wins
+    for g in enumerate_flags(space, within=region):
+        u = _flag_path(space, f, g).word
+        rank = W._rank(u.key, space.n)
+        if best is None or rank < best_rank:
+            best, best_rank = (g, u), rank
+    if best is None:
         raise NoFlagError("region contains no flag")
-    paths = {g: _flag_path(space, f, g).word for g in candidates}
-    best = candidates[0]
-    for g in candidates[1:]:
-        if W.prec(paths[g], paths[best], bound=_PREC_BOUND):
-            best = g
-    # minimal is minimum here: nothing else may lie strictly below
-    for g in candidates:
-        if W.prec(paths[g], paths[best], bound=_PREC_BOUND):
-            raise PreconditionError("no minimum connecting word; region not nice?")
-    tied = [g for g in candidates if W.equivalent(paths[g], paths[best])]
-    winner = min(tied, key=lambda g: g.vertices)
-    return winner, paths[winner]
+    return best
 
 
 def indep(space: ColoredSpace, f: Flag, g: Flag, h: Flag) -> bool:

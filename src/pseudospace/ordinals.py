@@ -85,10 +85,10 @@ def cnf_add(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
     return CnfOrdinal(tuple(kept) + tuple(rest))
 
 
-def cnf_from_counts(counts: dict[int, int]) -> CnfOrdinal:
-    """Build ``sum w^e * counts[e]`` directly from an exponent -> count map."""
-    terms = tuple((e, c) for e, c in sorted(counts.items(), reverse=True) if c)
-    return CnfOrdinal(terms)
+def cnf_from_counts(counts: list[int]) -> CnfOrdinal:
+    """The CNF reading of ``[c_e, ..., c_0]``: ``w^e * c_e + ... + c_0``."""
+    top = len(counts) - 1
+    return CnfOrdinal(tuple((top - i, c) for i, c in enumerate(counts) if c))
 
 
 def format_cnf(a: CnfOrdinal) -> str:

@@ -409,21 +409,22 @@ class ColoredSpace:
     @classmethod
     def from_json(cls, data: dict) -> "ColoredSpace":
         """Rebuild from an export; the replayed build log must reproduce the
-        ids each op created and the stated edges exactly."""
-        space = cls(data["n"])
-        for op in data["build_log"]:
-            created = space.apply_alpha(
-                parse_letter(op["letter"]), _anchor(op["lo"]), _anchor(op["hi"])
-            )
-            if created != list(op["created"]):
+        ids each op created and the stated edges exactly.  A malformed export
+        (a missing key, a container of the wrong type) is a ``ParseError``."""
+        try:
+            n, edges = data["n"], [list(e) for e in data["edges"]]
+            log = [(op["letter"], op["lo"], op["hi"], list(op["created"]))
+                   for op in data["build_log"]]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed space export: {exc!r}") from exc
+        space = cls(n)
+        for letter, lo, hi, created in log:
+            if space.apply_alpha(parse_letter(letter), _anchor(lo), _anchor(hi)) != created:
                 raise ParseError("build log replay produced different vertex ids")
-        if "edges" not in data:
-            raise ParseError("export states no edges")
         # JSON true and false equal 1 and 0, but are no vertex ids
-        stated = chain(*(op["created"] for op in data["build_log"]), *data["edges"])
-        if not set(map(type, stated)) <= {int}:
+        if not set(map(type, chain(*(op[3] for op in log), *edges))) <= {int}:
             raise ParseError("stated vertex ids must be integers")
-        if {tuple(sorted(e)) for e in data["edges"]} != set(space._edge_pairs()):
+        if {tuple(sorted(e)) for e in edges} != set(space._edge_pairs()):
             raise ParseError("build log replay disagrees with the stated edges")
         return space
 

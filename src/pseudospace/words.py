@@ -449,13 +449,22 @@ def preceq(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
 # ---------------------------------------------------------------------------
 # ranks
 
+# ``prec`` replaces a letter by smaller ones, so it strictly lowers the rank:
+# among words with a ``preceq``-least one, those of least rank are exactly the
+# words equivalent to it.  Flag basepoints are found this way.
+
+
+def _rank(key: tuple, n: int) -> list[int]:
+    """Letter counts by size, largest first: ordered as ``ord_rank`` is."""
+    counts = [0] * (n + 1)
+    for lo, hi in key:
+        counts[n - hi + lo] += 1
+    return counts
+
 
 def ord_rank(u: Word) -> CnfOrdinal:
     """``sum over i of w^i * (number of letters of size i+1)``."""
-    counts: dict[int, int] = {}
-    for s in u.letters:
-        counts[s.size - 1] = counts.get(s.size - 1, 0) + 1
-    return cnf_from_counts(counts)
+    return cnf_from_counts(_rank(u.key, u.n))
 
 
 def rd_closed_form(u: Word) -> CnfOrdinal:
@@ -603,8 +612,8 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
     States are reducts, hence normal forms, and so is the target, so
     equivalence to it is key equality.  Reduction keeps a word's support, and
     every state lies inside the target's, so a letter outside it is counted
-    as explored but never multiplied in.  Ranks are compared as letter counts
-    by size, largest size first, which orders them as ``ord_rank`` does."""
+    as explored but never multiplied in.  Ranks are compared as ``_rank``
+    lists."""
     n = _same_dimension(u, v)
     if not kernels.is_reduced(u.key) or not kernels.is_reduced(v.key):
         raise NotReducedError("divides_left_bounded requires reduced inputs")
@@ -617,19 +626,12 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
         for lo in range(n + 1)
         for hi in range(lo, n + 1)
     ]
-
-    def rank(key: tuple) -> list[int]:
-        counts = [0] * (n + 1)
-        for lo, hi in key:
-            counts[n - hi + lo] += 1
-        return counts
-
-    target_rank = rank(target)
+    target_rank = _rank(target, n)
     bounded = PREC_DEFAULT_BOUND - len(target)
 
     def below_target(x: tuple) -> bool:
         # x lies inside the target's support
-        if rank(x) > target_rank:
+        if _rank(x, n) > target_rank:
             return False
         # beyond the bound ``prec`` cannot prune soundly: keep exploring
         return len(x) > bounded or _prec(x, target)

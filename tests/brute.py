@@ -13,7 +13,9 @@ plain flood fills and one plain BFS per pair of points.
 only the weak word with the library.  Its connecting paths come from a plain
 BFS over ``brute_between`` and its bridges from smallest-id monotone chains
 over ``dfs_closure``, so no memo of the space takes part in it
-(``tests/test_imports.py`` checks this too).  Only usable at tiny sizes.
+(``tests/test_imports.py`` checks this too).  ``brute_basepoint`` takes
+its words from that reference, its flags from its own DFS and the minimum
+from ``brute_prec``; it names no rank.  Only usable at tiny sizes.
 """
 
 import itertools
@@ -493,6 +495,44 @@ def restart_flag_path(space, f, g, reverse_ties=False, counts=None):
     word = W._from_key(tuple(_step_letter(space, a, b).key for a, b in steps), space.n)
     stuck = tuple(i for i, pair in enumerate(steps) if pair in stuck_pairs)
     return FL.FlagPath(tuple(flags), word, stuck)
+
+
+def brute_basepoint(space, f, region):
+    """Reference for ``flags.basepoint`` on nice regions: the region's flags
+    from a plain DFS, their words from ``restart_flag_path``, and the
+    ``preceq``-minimum found by ``brute_prec`` and swap closures, ties going
+    to the least vertex tuple.  Asserts that the minimum lies ``preceq``
+    every candidate."""
+    words = {g: restart_flag_path(space, f, g).word for g in _region_flags(space, region)}
+    assert words, "region contains no flag"
+    least = next(iter(words))
+    for g, u in words.items():
+        if brute_prec(u, words[least]):
+            least = g
+    same = swap_closure(words[least])
+    assert all(u.letters in same or brute_prec(words[least], u) for u in words.values())
+    best = min((g for g, u in words.items() if u.letters in same), key=lambda g: g.vertices)
+    return best, words[best]
+
+
+def _region_flags(space, region):
+    """The level-0..N paths inside ``region``, by a plain DFS over the
+    adjacency sets."""
+    from pseudospace.flags import Flag
+
+    out = []
+    stack = [(v,) for v in region if space.level(v) == 0]
+    while stack:
+        path = stack.pop()
+        if len(path) == space.n + 1:
+            out.append(Flag(path))
+            continue
+        stack += [
+            path + (w,)
+            for w in space.neighbors(path[-1])
+            if w in region and space.level(w) == len(path)
+        ]
+    return out
 
 
 def _step_letter(space, a, b):

@@ -14,9 +14,10 @@ import pseudospace
 from pseudospace import flags as FL
 from pseudospace import oracle as OR
 from pseudospace.cli import cli, main
+from pseudospace.letters import all_letters
 from pseudospace.oracle import random_script
 from pseudospace.space import ColoredSpace
-from pseudospace.words import parse_word, right_stabilizer
+from pseudospace.words import Word, is_reduced, normal_form, parse_word, right_stabilizer
 
 SCRIPT = json.dumps(
     {
@@ -185,6 +186,45 @@ def _psn(*argv, timeout=None):
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+
+
+def _long_reduced_word(rng, n, length):
+    """A reduced word of ``length`` letters, grown by random letters that
+    keep it reduced; a word no letter extends is started again."""
+    letters = []
+    while len(letters) < length:
+        options = [s for s in all_letters(n) if is_reduced(Word((*letters, s), n))]
+        letters = [*letters, rng.choice(options)] if options else []
+    return Word(tuple(letters), n)
+
+
+def test_long_connecting_words_get_a_basepoint(runner, tmp_path):
+    """Two 18-letter reduced words realized over one flag at N = 4: the
+    basepoint and the canonical base of the first flag over the second's
+    path set are answered with exit 0, and are the base flag and the first
+    word, since the two realizations are independent over it."""
+    rng = random.Random(4)
+    u1, u2 = (_long_reduced_word(rng, 4, 18) for _ in range(2))
+    script, exported = tmp_path / "script.json", tmp_path / "space.json"
+    space = str(exported)
+    script.write_text(json.dumps({"n": 4, "ops": [{"letter": "[0,4]"}]}))
+    run(runner, "build", str(script), "-o", space)
+    base = FL.Flag((0, 1, 2, 3, 4))
+    f1, f2 = (
+        json.loads(run(runner, "realize", space, json.dumps(base.vertices), str(u), "-o", space,
+                       "--json"))["flag"]
+        for u in (u1, u2)
+    )
+    sp = ColoredSpace.from_json(json.loads(exported.read_text()))
+    region = json.dumps(sorted(FL.flag_path(sp, base, FL.Flag(tuple(f2))).vertex_set()))
+    answers = {}
+    for command in ("basepoint", "canbase"):
+        result = _psn(command, space, json.dumps(f1), "--set", region, "--json")
+        assert result.returncode == 0, result.stderr
+        answers[command] = json.loads(result.stdout)
+    assert answers["basepoint"] == {"basepoint": list(base.vertices), "word": str(normal_form(u1))}
+    assert answers["canbase"]["flag"] == list(base.vertices)
+    assert answers["canbase"]["modulus"] == sorted(right_stabilizer(u1))
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -369,6 +370,38 @@ def test_flag_path_matches_restart_reference():
                     assert got.stuck == want.stuck, (f, g, reverse_ties)
                     stuck += len(got.stuck)
     assert counts["merges"] > 0 and stuck > 0, (counts, stuck)
+
+
+def test_basepoint_matches_brute_minimum():
+    """On built spaces and nice regions (hulls and flag-path vertex sets)
+    the basepoint and the canonical base are those of the brute-force
+    ``preceq``-minimum.  The sweep must see regions with several flags, ties
+    at the least rank and unique least-rank words."""
+    rng = random.Random(17)
+    seen = {"several": 0, "tied": 0, "unique": 0}
+    scripted = [sp for _, sp in itertools.islice(brute.random_spaces(18, 40), 40)]
+    for sp in scripted + list(_realized_spaces(19, 40)):
+        flags = FL.enumerate_flags(sp)
+        for _ in range(6):
+            g = rng.choice(flags)
+            if rng.random() < 0.5:
+                region = SP.nice_hull(sp, set(g.vertices), rng.choice(sp.vertices))
+            else:
+                region = set(g.vertices) | FL.flag_path(sp, g, rng.choice(flags)).vertex_set()
+            if not SP.is_nice(sp, region):
+                continue
+            f = rng.choice(flags)
+            want, word = brute.brute_basepoint(sp, f, region)
+            assert FL.basepoint(sp, f, region) == (want, word), (f, region)
+            modulus = brute.brute_left_stabilizer(W.Word(word.letters[::-1], sp.n))
+            assert FL.canonical_base(sp, f, region) == FL.FlagClass(want, modulus)
+            ranks = [W.ord_rank(FL.flag_path(sp, f, h).word)
+                     for h in FL.enumerate_flags(sp, within=region)]
+            least = ranks.count(min(ranks))
+            seen["several"] += len(ranks) > 1
+            seen["tied"] += least > 1
+            seen["unique"] += len(ranks) > 1 and least == 1
+    assert min(seen.values()) > 20, seen
 
 
 def _new_queries(rng, sp, flags):

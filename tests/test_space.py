@@ -305,6 +305,29 @@ def test_export_must_state_its_edges():
     assert empty["edges"] == [] and ColoredSpace.from_json(empty).to_json() == empty
 
 
+def test_malformed_export_is_a_parse_error():
+    """Missing keys, containers of the wrong type and a top level that is no
+    object are refused by ``from_json`` itself with a ``ParseError``."""
+    data = ColoredSpace.from_script(random_script(random.Random(36), 3)).to_json()
+    op = data["build_log"][0]
+    broken = [
+        *({k: v for k, v in data.items() if k != key} for key in ("n", "build_log", "edges")),
+        *({**data, "build_log": [{k: v for k, v in op.items() if k != key}]}
+          for key in ("letter", "lo", "hi", "created")),
+        {**data, "build_log": 3},
+        {**data, "build_log": [3]},
+        {**data, "build_log": [{**op, "created": 3}]},
+        {**data, "edges": 3},
+        {**data, "edges": [3]},
+        [data],
+        None,
+        "{}",
+    ]
+    for export in broken:
+        with pytest.raises(ParseError):
+            ColoredSpace.from_json(export)
+
+
 def test_build_log_replays_identically():
     rng = random.Random(34)
     for _ in range(20):
