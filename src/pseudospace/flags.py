@@ -22,10 +22,12 @@ component misses the new s-part is global without a search; otherwise the
 shortest path is searched inside that component.  The lifts of a bridge take
 their monotone chains from the space's memo too.  Both rewrites strictly
 decrease the word's ordinal rank, so the loop terminates; the path ends in
-the order of ``kernels.normal_form``.  On spaces not built by the standard
-operations a step may admit no proper-subletter replacement; such steps are
-reported on the path as ``stuck`` instead of being silently accepted, and
-nothing is merged.  Public functions check the flags they are given once.
+the order of ``kernels.normal_form``.  Vertex ids break the search ties and
+so choose the path's flags; its word, up to commutation, does not depend on
+them.  On hand-made graphs (``ColoredSpace.from_graph``) a step may admit
+no proper-subletter replacement; such steps are reported on the path as
+``stuck`` instead of being silently accepted, and nothing is merged.  Public
+functions check the flags they are given once.
 
 A basepoint over a nice region is reached by the ``preceq``-least connecting
 word, which exists on spaces built by ``apply_alpha`` (Baudisch,
@@ -198,9 +200,7 @@ def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
     return not any(part >> v & 1 for v in g.levels_of(s))
 
 
-def _connecting_path(
-    space: ColoredSpace, f: Flag, g: Flag, s: Letter, reverse_ties: bool = False
-) -> list[int] | None:
+def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> list[int] | None:
     """A shortest vertex path at the levels of ``s`` from the s-part of ``f``
     to that of ``g`` between the anchors (all at the levels of ``s``, as
     monotone paths change the level at each edge), or None when global.
@@ -215,26 +215,26 @@ def _connecting_path(
     targets = g.levels_of(s)
     if not any(part >> v & 1 for v in targets):
         return None
-    return space.shortest_path(f.levels_of(s), set(targets), part, reverse_ties)
+    return space.shortest_path(f.levels_of(s), set(targets), part)
 
 
 # ---------------------------------------------------------------------------
 # reduced flag paths
 
 
-def flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False) -> FlagPath:
+def flag_path(space: ColoredSpace, f: Flag, g: Flag) -> FlagPath:
     """The reduced flag path from ``f`` to ``g`` with its normal-form word."""
     check_flag(space, f)
     check_flag(space, g)
-    return _flag_path(space, f, g, reverse_ties)
+    return _flag_path(space, f, g)
 
 
-def _flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False) -> FlagPath:
+def _flag_path(space: ColoredSpace, f: Flag, g: Flag) -> FlagPath:
     flags, keys = _interval_steps([f, g], 0, space.n)
     stuck_pairs: set[tuple[Flag, Flag]] = set()
     i = 0  # every step before i is global or stuck
     for _ in range(10_000):
-        i, mids = _next_bridge(space, flags, keys, i, stuck_pairs, reverse_ties)
+        i, mids = _next_bridge(space, flags, keys, i, stuck_pairs)
         if mids is not None:
             _rewrite(flags, keys, i, i + 1, mids, keys[i])
             continue
@@ -265,8 +265,7 @@ def _flag_path(space: ColoredSpace, f: Flag, g: Flag, reverse_ties: bool = False
 
 
 def _next_bridge(
-    space: ColoredSpace, flags: list[Flag], keys: list, i: int,
-    stuck_pairs: set, reverse_ties: bool,
+    space: ColoredSpace, flags: list[Flag], keys: list, i: int, stuck_pairs: set
 ) -> tuple[int, list[Flag] | None]:
     """The first step from ``i`` on that is not global, with the flags that
     bridge it by proper-subletter moves; ``len(keys), None`` when there is
@@ -275,7 +274,7 @@ def _next_bridge(
         pair = (flags[i], flags[i + 1])
         if pair not in stuck_pairs:
             s = _LETTERS[keys[i]]
-            path = _connecting_path(space, flags[i], flags[i + 1], s, reverse_ties)
+            path = _connecting_path(space, flags[i], flags[i + 1], s)
             if path is not None:
                 try:
                     return i, _subletter_bridge(space, flags[i], s, path)

@@ -4,12 +4,13 @@ operations.
 A colored N-space is a leveled graph: every vertex carries a level in
 ``[0, N]`` and edges join adjacent levels only.  Two imaginary anchors,
 ``BOTTOM`` below level 0 and ``TOP`` above level N, are adjacent to every
-level-0 and level-N vertex respectively.  The only constructor is
+level-0 and level-N vertex respectively.  The only insert is
 ``apply_alpha``: adjoin a fresh chain of vertices at the levels of a letter
 between two anchors, one of which must lie over the other.  Spaces built this
 way are exactly the desk-scale strong extensions of the empty space; the
 previously built part stays wunderbar in every extension, so graph distances
-measured here are absolute.
+measured here are absolute.  ``from_graph`` makes a checked hand-made graph
+with no build log, such as a relabeled copy.
 
 "Infinite distance" means plain unreachability in the finite graph.
 
@@ -20,8 +21,8 @@ adds the imaginary anchors; ``upward_closure``, ``downward_closure`` and
 ``between`` wrap it); ``lies_over(a, b)``, whether one anchor lies over
 another; ``_component(x, within)``, the component of a vertex inside a
 region, for "connected or not"; ``distances_from(x, within)``, BFS
-distances inside a region; and ``shortest_path(sources, targets, within,
-reverse=False)``, a deterministic shortest path inside a region, or None,
+distances inside a region; and ``shortest_path(sources, targets, within)``,
+the shortest path inside a region that ascending ids pick first, or None,
 asked only where the path itself is needed.  Exact niceness and simple
 connectivity compare distances in one scan, ``_shortcut``.
 
@@ -30,8 +31,8 @@ standing for vertex ``v`` (ids are dense).  ``_reach`` is one recursion over
 the level DAG: ``up(v)`` is the union over the upper neighbours ``w`` (inside
 the region, if any) of ``w`` and ``up(w)``.  Without a region each vertex's
 strict up-set and down-set are memoized as masks in ``_up`` and ``_down``,
-filled on demand from ``_adj``, so a space whose graph is written directly
-needs no rebuild.  With a region the memo lives for one call: a caller that
+filled on demand from ``_adj``, so a space made by ``from_graph`` needs no
+rebuild.  With a region the memo lives for one call: a caller that
 asks about many vertices of one region (``nice_witness``, ``is_complete``)
 keeps one memo per direction for all of them.  A caller that asks whether
 many anchors lie over one reads that anchor's up-set once.  ``lies_over``
@@ -45,8 +46,8 @@ likewise for ``TOP`` and down-sets.  Regions are masks inside the library and
 become ``set[int]`` only at the public API (``upward_closure``,
 ``downward_closure`` and ``between``).  A restriction to a level interval is
 a region too: the searches that need one build the masks of the level
-intervals once per call (``_interval_masks``) rather than keep an index,
-since tests write ``_level`` and ``_adj`` directly.
+intervals once per call (``_interval_masks``) rather than keep an index that
+every insert would have to update.
 
 Two more memos serve the flag layer and ``open_pairs``, both keyed by an
 anchor pair ``(a, b)``: ``_parts`` holds the masks of the components of the
@@ -75,7 +76,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Container, Iterable
+from typing import Container, Iterable, Sequence
 
 from .errors import (
     AnchorLevelMismatchError,
@@ -341,23 +342,15 @@ class ColoredSpace:
         return dist
 
     def shortest_path(
-        self,
-        sources: Iterable[int],
-        targets: Container[int],
-        within: int,
-        reverse: bool = False,
+        self, sources: Iterable[int], targets: Container[int], within: int
     ) -> list[int] | None:
         """A shortest path from some source to some target through vertices
         of the ``within`` mask, else None.
 
-        Sources and neighbours are tried in ascending id order (descending
-        with ``reverse``), so the path returned is deterministic."""
-        prev: dict[int, int | None] = {}
-        queue: deque[int] = deque()
-        for v in sorted(sources, reverse=reverse):
-            if v not in prev and within >> v & 1:
-                prev[v] = None
-                queue.append(v)
+        Sources and neighbours are tried in ascending id order, so the path
+        returned is deterministic."""
+        prev: dict[int, int | None] = {v: None for v in sorted(sources) if within >> v & 1}
+        queue = deque(prev)
         while queue:
             v = queue.popleft()
             if v in targets:
@@ -365,7 +358,7 @@ class ColoredSpace:
                 while prev[path[-1]] is not None:
                     path.append(prev[path[-1]])
                 return path[::-1]
-            for w in sorted(self._adj[v], reverse=reverse):
+            for w in sorted(self._adj[v]):
                 if w not in prev and within >> w & 1:
                     prev[w] = v
                     queue.append(w)
@@ -404,6 +397,25 @@ class ColoredSpace:
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"malformed build script op {i}: {exc!r}") from exc
             space.apply_alpha(parse_letter(letter), _anchor(lo), _anchor(hi))
+        return space
+
+    @classmethod
+    def from_graph(cls, n: int, levels: Sequence[int], edges: Iterable) -> "ColoredSpace":
+        """A hand-made space with no build log: vertex ``v`` at ``levels[v]``.
+        A level that is no int in ``[0, n]``, an edge naming an unknown vertex
+        or one not joining adjacent levels is a ``ParseError``."""
+        space = cls(n)
+        for v, level in enumerate(levels):
+            if type(level) is not int or not 0 <= level <= n:  # JSON true is no level
+                raise ParseError(f"vertex {v} has level {level!r}, not one in [0, {n}]")
+            space._level[v], space._adj[v] = level, set()
+        for v, w in edges:
+            if not (type(v) is int and type(w) is int and v in space._adj and w in space._adj):
+                raise ParseError(f"edge ({v!r}, {w!r}) names an unknown vertex")
+            if abs(space._level[v] - space._level[w]) != 1:
+                raise ParseError(f"edge ({v}, {w}) does not join adjacent levels")
+            space._adj[v].add(w)
+            space._adj[w].add(v)
         return space
 
     @classmethod
@@ -708,10 +720,11 @@ def _monotone_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> tuple[int, ...
 def amalgam_isomorphic(space: ColoredSpace, op1: BuildOp, op2: BuildOp) -> bool:
     """Apply two independent operations in either order; the results must be
     isomorphic via the canonical matching of created vertices."""
-    s1 = _replay(space)
+    levels = [space.level(v) for v in space.vertices]
+    s1 = ColoredSpace.from_graph(space.n, levels, space.edges())
     a1 = s1.apply_alpha(op1.letter, op1.lo, op1.hi)
     b1 = s1.apply_alpha(op2.letter, op2.lo, op2.hi)
-    s2 = _replay(space)
+    s2 = ColoredSpace.from_graph(space.n, levels, space.edges())
     b2 = s2.apply_alpha(op2.letter, op2.lo, op2.hi)
     a2 = s2.apply_alpha(op1.letter, op1.lo, op1.hi)
     mapping = {v: v for v in space.vertices}
@@ -723,10 +736,3 @@ def amalgam_isomorphic(space: ColoredSpace, op1: BuildOp, op2: BuildOp) -> bool:
         return False
     edges1 = {tuple(sorted((mapping[x], mapping[y]))) for x, y in s1.edges()}
     return edges1 == {tuple(e) for e in s2.edges()}
-
-
-def _replay(space: ColoredSpace) -> ColoredSpace:
-    clone = ColoredSpace(space.n)
-    for op in space.build_log:
-        clone.apply_alpha(op.letter, op.lo, op.hi)
-    return clone

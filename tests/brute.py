@@ -445,25 +445,20 @@ def brute_decompose_fine(u: Word, v: Word) -> tuple:
 
 
 def random_spaces(seed, count):
-    """Built spaces, then leveled graphs with random edges between adjacent
-    levels, which need not be simply connected."""
+    """Built spaces, then ``from_graph`` leveled graphs with random edges
+    between adjacent levels, which need not be simply connected."""
     rng = random.Random(seed)
     for _ in range(count):
         yield rng, ColoredSpace.from_script(random_script(rng, 3))
     for _ in range(count):
-        sp = ColoredSpace(rng.randint(1, 3))
-        for level in range(sp.n + 1):
-            for _ in range(rng.randint(1, 4)):
-                sp._level[len(sp._level)] = level
-        sp._adj = {v: set() for v in sp._level}
-        for v, w in itertools.combinations(sp._level, 2):
-            if sp._level[w] == sp._level[v] + 1 and rng.random() < 0.6:
-                sp._adj[v].add(w)
-                sp._adj[w].add(v)
-        yield rng, sp
+        n = rng.randint(1, 3)
+        levels = [level for level in range(n + 1) for _ in range(rng.randint(1, 4))]
+        edges = [(v, w) for v, w in itertools.combinations(range(len(levels)), 2)
+                 if levels[w] == levels[v] + 1 and rng.random() < 0.6]
+        yield rng, ColoredSpace.from_graph(n, levels, edges)
 
 
-def restart_flag_path(space, f, g, reverse_ties=False, counts=None):
+def restart_flag_path(space, f, g, counts=None):
     """Reference for ``flags.flag_path``: after every local rewrite it starts
     over from the first step, recomputing each step's letter from a scan of
     all levels, and sorts the final path by repeated bubble passes.  Adds the
@@ -481,7 +476,7 @@ def restart_flag_path(space, f, g, reverse_ties=False, counts=None):
             continue
         if _split_non_intervals(space, flags):
             continue
-        if _refine_non_global(space, flags, stuck_pairs, reverse_ties):
+        if _refine_non_global(space, flags, stuck_pairs):
             continue
         if _merge_absorbed(space, flags, stuck_pairs):
             if counts is not None:
@@ -564,13 +559,13 @@ def _split_non_intervals(space, flags) -> bool:
     return False
 
 
-def _refine_non_global(space, flags, stuck_pairs, reverse_ties) -> bool:
+def _refine_non_global(space, flags, stuck_pairs) -> bool:
     for i in range(len(flags) - 1):
         a, b = flags[i], flags[i + 1]
         if (a, b) in stuck_pairs:
             continue
         s = _step_letter(space, a, b)
-        path = _plain_connecting_path(space, a, b, s, reverse_ties)
+        path = _plain_connecting_path(space, a, b, s)
         if path is None:
             continue
         mids = _plain_bridge(space, a, s, path)
@@ -588,16 +583,16 @@ def _step_anchors(space, a, s):
     return lo, hi
 
 
-def _plain_connecting_path(space, a, b, s, reverse_ties):
+def _plain_connecting_path(space, a, b, s):
     """A shortest path from the s-part of ``a`` to that of ``b`` inside the
     between-set of the step's anchors, by a plain BFS: sources and
-    neighbours in ascending id order (descending with ``reverse_ties``), the
-    first target dequeued ending the search; None when there is none."""
+    neighbours in ascending id order, the first target dequeued ending the
+    search; None when there is none."""
     allowed = brute_between(space, *_step_anchors(space, a, s), space.vertices)
     targets = set(b.levels_of(s))
     prev = {}
     queue = []
-    for v in sorted(a.levels_of(s), reverse=reverse_ties):
+    for v in sorted(a.levels_of(s)):
         if v in allowed and v not in prev:
             prev[v] = None
             queue.append(v)
@@ -607,7 +602,7 @@ def _plain_connecting_path(space, a, b, s, reverse_ties):
             while prev[path[-1]] is not None:
                 path.append(prev[path[-1]])
             return path[::-1]
-        for w in sorted(space.neighbors(v), reverse=reverse_ties):
+        for w in sorted(space.neighbors(v)):
             if w in allowed and w not in prev:
                 prev[w] = v
                 queue.append(w)

@@ -18,7 +18,7 @@ from pseudospace.errors import (
 )
 from pseudospace.flags import Flag
 from pseudospace.letters import Letter, all_letters
-from pseudospace.oracle import _applicable_ops
+from pseudospace.oracle import _applicable_ops, _reversed_copy
 from pseudospace.space import BOTTOM, TOP, ColoredSpace
 from pseudospace.words import parse_word
 
@@ -318,14 +318,11 @@ def _stuck_space():
     level-3 neighbour.  So the step [1,3] from (0, 2, 4, 9) to (1, 3, 6, 8)
     is not global, while its only bridge would need a flag through 7: the
     step is stuck."""
-    sp = ColoredSpace(3)
-    sp._level = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2, 8: 3, 9: 3}
-    sp._adj = {v: set() for v in sp._level}
-    for v, w in [(0, 2), (0, 3), (1, 3), (2, 4), (2, 7), (3, 5), (3, 6), (3, 7),
-                 (4, 9), (5, 8), (6, 8)]:
-        sp._adj[v].add(w)
-        sp._adj[w].add(v)
-    return sp
+    return ColoredSpace.from_graph(
+        3,
+        [0, 0, 1, 1, 2, 2, 2, 2, 3, 3],
+        [(0, 2), (0, 3), (1, 3), (2, 4), (2, 7), (3, 5), (3, 6), (3, 7), (4, 9), (5, 8), (6, 8)],
+    )
 
 
 def test_stuck_step_is_reported_and_blocks_merging():
@@ -355,19 +352,22 @@ def _realized_spaces(seed, count):
 
 
 def test_flag_path_matches_restart_reference():
+    """On each space and on its copy with every vertex id reversed, so that
+    every tie broken by id falls the other way."""
     counts = {"merges": 0}
     stuck = 0
     spaces = [sp for _, sp in brute.random_spaces(0, 30)] + list(_realized_spaces(1, 30))
     for sp in spaces:
         flags = FL.enumerate_flags(sp)[:16]
-        for f in flags:
-            for g in flags:
-                for reverse_ties in (False, True):
-                    want = brute.restart_flag_path(sp, f, g, reverse_ties, counts)
-                    got = FL.flag_path(sp, f, g, reverse_ties)
-                    assert got.flags == want.flags, (f, g, reverse_ties)
-                    assert got.word.key == want.word.key, (f, g, reverse_ties)
-                    assert got.stuck == want.stuck, (f, g, reverse_ties)
+        mirror, mirrored = _reversed_copy(sp, flags)
+        for space, chosen in ((sp, flags), (mirror, [mirrored[f] for f in flags])):
+            for f in chosen:
+                for g in chosen:
+                    want = brute.restart_flag_path(space, f, g, counts)
+                    got = FL.flag_path(space, f, g)
+                    assert got.flags == want.flags, (f, g)
+                    assert got.word.key == want.word.key, (f, g)
+                    assert got.stuck == want.stuck, (f, g)
                     stuck += len(got.stuck)
     assert counts["merges"] > 0 and stuck > 0, (counts, stuck)
 
@@ -406,8 +406,8 @@ def test_basepoint_matches_brute_minimum():
 
 def _new_queries(rng, sp, flags):
     """For two flag pairs, the first starting at a flag through the newest
-    vertex: the flag paths in both tie orders, and ``is_global_step`` for the
-    step at the pair's lowest interval of difference.  Then the hull of one
+    vertex: the flag paths both ways, and ``is_global_step`` for the step at
+    the pair's lowest interval of difference.  Then the hull of one
     flag's vertices with one vertex."""
     last = len(sp.vertices) - 1
     newest = [f for f in flags if last in f.vertices]
@@ -416,7 +416,7 @@ def _new_queries(rng, sp, flags):
         f, g = first, rng.choice(flags)
         if f == g:
             continue
-        out += [("path", f, g, reverse_ties) for reverse_ties in (False, True)]
+        out += [("path", f, g), ("path", g, f)]
         diff = [i for i in range(sp.n + 1) if f[i] != g[i]]
         s = Letter(diff[0], next(i for i in diff if i + 1 not in diff))
         out.append(("global", f, f.replace(s, g.levels_of(s)), s))

@@ -14,13 +14,18 @@ basepoint reference names neither the library's flag paths, order, ranks
 nor flag enumeration; and that the niceness, simple-connectivity and
 open-pair references name none of the library's searches and do their own
 BFS, flood fills and order.
+
+A third scan keeps hand-made graphs on ``ColoredSpace.from_graph``: no test
+module writes a space's ``_level`` or ``_adj`` apart from
+``tests/test_oracle.py``, whose fault injections edit a space on purpose.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pseudospace"
-BRUTE = Path(__file__).resolve().parent / "brute.py"
+TESTS = Path(__file__).resolve().parent
+BRUTE = TESTS / "brute.py"
 WORD_REFERENCES = (
     "restart_reduce",
     "exhaustive_reducts",
@@ -47,6 +52,8 @@ BASEPOINT_SEARCHES = (
     "enumerate_flags",
 )
 SPACE_REFERENCES = ("brute_nice_witness", "brute_simply_connected_witness", "brute_open_pairs")
+GRAPH_FIELDS = ("_level", "_adj")
+MUTATORS = ("add", "clear", "discard", "pop", "remove", "setdefault", "update")
 SPACE_SEARCHES = (
     "distances_from",
     "_shortcut",
@@ -136,3 +143,52 @@ def test_space_references_name_no_library_search():
     names = _names_reached(BRUTE.read_text(), SPACE_REFERENCES)
     assert {"bfs_distance", "flood", "monotone_order"} <= names
     assert [n for n in SPACE_SEARCHES if n in names] == []
+
+
+def _graph_writes(source: str) -> list[int]:
+    """The lines that write an attribute named in ``GRAPH_FIELDS``: assign
+    to it or to a subscript of it (also by unpacking, augmented assignment
+    or ``del``), or call one of ``MUTATORS`` on it or on a subscript of it."""
+    written = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            written += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            written.append(node.target)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in MUTATORS:
+                written.append(node.func.value)
+    lines = []
+    while written:
+        target = written.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            written += target.elts
+            continue
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute) and target.attr in GRAPH_FIELDS:
+            lines.append(target.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_graph_writes():
+    source = (
+        "sp._level = {0: 0}\n"
+        "sp._adj[0] = set()\n"
+        "a, sp._level[1] = 1, 0\n"
+        "sp._adj[0].add(1)\n"
+        "sp._adj[v] |= {w}\n"
+        "del sp._level[1]\n"
+        "sp._adj.clear()\n"
+        "levels = dict(sp._level)\n"
+        "edges = sp._adj[0].copy()\n"
+        "sp._parts = {}\n"
+    )
+    assert _graph_writes(source) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_tests_make_hand_made_graphs_with_from_graph():
+    modules = sorted(p for p in TESTS.glob("*.py") if p.name != "test_oracle.py")
+    assert BRUTE in modules and Path(__file__).resolve() in modules
+    writes = {p.name: _graph_writes(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in writes.items() if lines} == {}

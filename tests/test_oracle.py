@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from pseudospace import flags as FL
 from pseudospace import oracle
 from pseudospace import space as SP
+from pseudospace import words as W
 from pseudospace.errors import UnknownSuiteError
 from pseudospace.oracle import (
     SUITE_NAMES,
@@ -81,6 +83,31 @@ def test_flags_paths_reports_every_scaffold(monkeypatch):
     monkeypatch.setattr(SP, "nice_witness", lambda space, region, exact=False: ("between-sets",))
     report = run_suite(SuiteConfig("flags-paths", seed=0, cases=10))
     assert sum(f["law"] == "scaffold-nice" for f in report.failures) == sum(paths) > 50
+
+
+def test_path_word_invariance_catches_an_id_dependent_fault(monkeypatch):
+    """A step of two or more levels taken for global whenever the least id of
+    the old s-part lies below the new one's: the word then depends on how the
+    vertices are numbered, which the copy with reversed ids shows."""
+    connecting_path = FL._connecting_path
+
+    def id_dependent(space, f, g, s):
+        if s.size > 1 and min(f.levels_of(s)) < min(g.levels_of(s)):
+            return None
+        return connecting_path(space, f, g, s)
+
+    monkeypatch.setattr(FL, "_connecting_path", id_dependent)
+    report = run_suite(SuiteConfig("flags-paths", seed=0, cases=20))
+    assert sum(f["law"] == "path-word-invariance" for f in report.failures) > 50
+
+
+def test_basepoint_support_law_catches_a_wide_support(monkeypatch):
+    """A ``support`` that also claims level 0 leaves the least modulus of
+    many mid flags without it."""
+    support = W.support
+    monkeypatch.setattr(W, "support", lambda u: support(u) | {0})
+    report = run_suite(SuiteConfig("flags-forking", seed=0, cases=300))
+    assert sum(f["law"] == "basepoint-word-support" for f in report.failures) > 20
 
 
 def test_reports_are_deterministic():

@@ -10,10 +10,11 @@ import pseudospace.space as SP
 from pseudospace.errors import (
     AnchorLevelMismatchError,
     AnchorsNotOverError,
+    DimensionError,
     ParseError,
     PreconditionError,
 )
-from pseudospace.letters import Letter, index_set_to_letters, parse_letter
+from pseudospace.letters import MAX_DIMENSION, Letter, index_set_to_letters, parse_letter
 from pseudospace.oracle import _applicable_ops, random_reduced_word, random_script
 from pseudospace.space import BOTTOM, INF, TOP, ColoredSpace
 
@@ -151,9 +152,7 @@ def test_simply_connected_empty():
 
 
 def test_four_cycle_is_rejected():
-    sp = ColoredSpace(1)
-    sp._level = {0: 0, 1: 0, 2: 1, 3: 1}
-    sp._adj = {0: {2, 3}, 1: {2, 3}, 2: {0, 1}, 3: {0, 1}}
+    sp = ColoredSpace.from_graph(1, [0, 0, 1, 1], [(0, 2), (0, 3), (1, 2), (1, 3)])
     witness = SP.simply_connected_witness(sp)
     assert witness is not None
 
@@ -326,6 +325,57 @@ def test_malformed_export_is_a_parse_error():
     for export in broken:
         with pytest.raises(ParseError):
             ColoredSpace.from_json(export)
+
+
+def test_from_graph_refuses_bad_graphs():
+    """A level that is no int in [0, N], an edge naming an unknown vertex and
+    an edge not joining adjacent levels are ``ParseError``s; JSON true is
+    neither a level nor a vertex id.  A bad dimension is a ``DimensionError``."""
+    levels, edges = [0, 1, 1, 2], [(0, 1), (2, 0), (1, 3)]
+    sp = ColoredSpace.from_graph(2, levels, edges)
+    assert sp.vertices == [0, 1, 2, 3] and sp.edges() == [(0, 1), (0, 2), (1, 3)]
+    assert sp.build_log == [] and sp.lies_over(0, 3) and not sp.lies_over(2, 3)
+    broken = [
+        ([0, 1, 1, 3], edges),  # a level above N
+        ([0, -1, 1, 2], edges),
+        ([0, 1.0, 1, 2], edges),
+        ([0, True, 1, 2], edges),
+        (["0", 1, 1, 2], edges),
+        (levels, [(0, 4)]),  # no vertex 4
+        (levels, [(-1, 0)]),
+        (levels, [(True, 3)]),  # true equals vertex 1, which is adjacent to 3
+        (levels, [(0, 1.0)]),
+        (levels, [(0, 3)]),  # levels 0 and 2
+        (levels, [(1, 2)]),  # one level
+        (levels, [(0, 0)]),
+    ]
+    for bad_levels, bad_edges in broken:
+        with pytest.raises(ParseError):
+            ColoredSpace.from_graph(2, bad_levels, bad_edges)
+    for n in (0, -1, True, 2.0, "2", MAX_DIMENSION + 1):
+        with pytest.raises(DimensionError):
+            ColoredSpace.from_graph(n, [], [])
+
+
+def test_from_graph_copy_answers_like_the_built_space():
+    """A copy made from a built space's levels and edges answers
+    ``lies_over``, ``between``, ``enumerate_flags`` and ``flag_path`` exactly
+    as the space does."""
+    rng = random.Random(44)
+    paths = 0
+    for _ in range(30):
+        sp = ColoredSpace.from_script(random_script(rng, 3))
+        copy = ColoredSpace.from_graph(sp.n, [sp.level(v) for v in sp.vertices], sp.edges())
+        assert copy.build_log == [] and copy.edges() == sp.edges()
+        for a, b in itertools.product([BOTTOM, *sp.vertices, TOP], repeat=2):
+            assert copy.lies_over(a, b) == sp.lies_over(a, b), (a, b)
+            assert copy.between(a, b) == sp.between(a, b), (a, b)
+        flags = FL.enumerate_flags(sp)
+        assert FL.enumerate_flags(copy) == flags
+        for f, g in itertools.product(flags[:12], repeat=2):
+            assert FL.flag_path(copy, f, g) == FL.flag_path(sp, f, g), (f, g)
+            paths += 1
+    assert paths > 500, paths
 
 
 def test_build_log_replays_identically():
