@@ -12,6 +12,18 @@ previously built part stays wunderbar in every extension, so graph distances
 measured here are absolute.  ``from_graph`` makes a checked hand-made graph
 with no build log, such as a relabeled copy.
 
+An insert records one ``BuildOp`` in ``build_log``: the letter, the two
+anchors and the ids it created, the next free ones in level order.  Loading a
+space costs one replay and one linear check: ``from_script`` and
+``from_json`` both replay through ``apply_alpha``, and there is no other
+insert path.  ``from_json`` checks, in this order: the keys ``n``, ``edges``
+and ``build_log``; then op by op its keys, its letter and anchors, the
+insert's own checks, and that the stated ``created`` ids equal the ids the
+replay made and are all ints; then, in one pass, that each stated edge is a
+pair of ints (``_stated_edges``, either orientation, repeats allowed) that
+is an edge of the replay; last, that the distinct stated edges are as many
+as the replay's edges.  The stated ``vertices`` are not read.
+
 "Infinite distance" means plain unreachability in the finite graph.
 
 Every reachability question goes through one of five searches on
@@ -74,9 +86,8 @@ vertices after a query breaks the invariant and must clear ``_dist`` too.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from itertools import chain
-from typing import Container, Iterable, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 from .errors import (
     AnchorLevelMismatchError,
@@ -94,8 +105,10 @@ Anchor = int | str  # vertex id, BOTTOM or TOP
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class BuildOp:
+class BuildOp(NamedTuple):
+    """One insert of the build log: the letter, the anchors and the ids of
+    the vertices it created, in level order."""
+
     letter: Letter
     lo: Anchor
     hi: Anchor
@@ -133,13 +146,10 @@ class ColoredSpace:
         return self._adj[v]
 
     def edges(self) -> list[tuple[int, int]]:
-        out = self._edge_pairs()
+        """Every edge once, as ``(v, w)`` with ``v < w``, ascending."""
+        out = [(v, w) for v, adj in self._adj.items() for w in adj if v < w]
         out.sort()
         return out
-
-    def _edge_pairs(self) -> list[tuple[int, int]]:
-        """Every edge once, as ``(v, w)`` with ``v < w``, in no particular order."""
-        return [(v, w) for v, adj in self._adj.items() for w in adj if v < w]
 
     def anchor_level(self, a: Anchor) -> int:
         if a == BOTTOM:
@@ -154,46 +164,46 @@ class ColoredSpace:
     # -- construction --------------------------------------------------------
 
     def apply_alpha(self, s: Letter, lo: Anchor = BOTTOM, hi: Anchor = TOP) -> list[int]:
-        """Adjoin a fresh path at the levels of ``s`` between the anchors."""
-        lo_real, hi_real = self.is_real(lo), self.is_real(hi)
-        if not s.valid_for(self.n):
+        """Adjoin a fresh path at the levels of ``s`` between the anchors.
+
+        A real anchor must be a vertex one level below resp. above ``s``;
+        ``_level.get`` of an imaginary one is None, so that one test also
+        refuses ``BOTTOM`` and ``TOP`` where a vertex is needed."""
+        level, adj = self._level, self._adj
+        s_lo, s_hi = s.lo, s.hi
+        if s_hi > self.n:
             raise AnchorLevelMismatchError(f"letter {s} exceeds dimension {self.n}")
-        if s.lo == 0:
+        if s_lo == 0:
             if lo != BOTTOM:
                 raise AnchorLevelMismatchError(f"letter {s} needs the bottom anchor")
-        else:
-            if not (lo_real and self._level.get(lo) == s.lo - 1):
-                raise AnchorLevelMismatchError(
-                    f"lo anchor for {s} must be a vertex at level {s.lo - 1}"
-                )
-        if s.hi == self.n:
+        elif level.get(lo) != s_lo - 1:
+            raise AnchorLevelMismatchError(f"lo anchor for {s} must be a vertex at level {s_lo - 1}")
+        if s_hi == self.n:
             if hi != TOP:
                 raise AnchorLevelMismatchError(f"letter {s} needs the top anchor")
-        else:
-            if not (hi_real and self._level.get(hi) == s.hi + 1):
-                raise AnchorLevelMismatchError(
-                    f"hi anchor for {s} must be a vertex at level {s.hi + 1}"
-                )
+        elif level.get(hi) != s_hi + 1:
+            raise AnchorLevelMismatchError(f"hi anchor for {s} must be a vertex at level {s_hi + 1}")
+        lo_real, hi_real = s_lo > 0, s_hi < self.n
         if lo_real and hi_real and not self.lies_over(lo, hi):
             raise AnchorsNotOverError(f"anchor {hi} does not lie over {lo}")
-        created = []
+        first = len(level)
+        created = list(range(first, first + s_hi - s_lo + 1))
+        shift = first - s_lo
         prev = lo if lo_real else None
-        for level in range(s.lo, s.hi + 1):
-            v = len(self._level)
-            self._level[v] = level
-            self._adj[v] = set()
-            if prev is not None:
-                self._adj[v].add(prev)
-                self._adj[prev].add(v)
-            created.append(v)
+        for v in created:
+            level[v] = v - shift
+            if prev is None:
+                adj[v] = set()
+            else:
+                adj[v] = {prev}
+                adj[prev].add(v)
             prev = v
         if hi_real:
-            self._adj[prev].add(hi)
-            self._adj[hi].add(prev)
+            adj[prev].add(hi)
+            adj[hi].add(prev)
+            self._down.clear()
         if lo_real:
             self._up.clear()
-        if hi_real:
-            self._down.clear()
         self._parts.clear()
         self._chains.clear()
         self.build_log.append(BuildOp(s, lo, hi, tuple(created)))
@@ -367,18 +377,16 @@ class ColoredSpace:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
+        # ``edges()`` made as lists: one object per edge, not a tuple and a copy
+        edges = [[v, w] for v, adj in self._adj.items() for w in adj if v < w]
+        edges.sort()
         return {
             "n": self.n,
             "vertices": [{"id": v, "level": self._level[v]} for v in self.vertices],
-            "edges": [list(e) for e in self.edges()],
+            "edges": edges,
             "build_log": [
-                {
-                    "letter": str(op.letter),
-                    "lo": op.lo,
-                    "hi": op.hi,
-                    "created": list(op.created),
-                }
-                for op in self.build_log
+                {"letter": str(letter), "lo": lo, "hi": hi, "created": list(created)}
+                for letter, lo, hi, created in self.build_log
             ],
         }
 
@@ -402,16 +410,19 @@ class ColoredSpace:
     @classmethod
     def from_graph(cls, n: int, levels: Sequence[int], edges: Iterable) -> "ColoredSpace":
         """A hand-made space with no build log: vertex ``v`` at ``levels[v]``.
-        A level that is no int in ``[0, n]``, an edge naming an unknown vertex
-        or one not joining adjacent levels is a ``ParseError``."""
+        Levels that are no sequence, a level that is no int in ``[0, n]``, an
+        edge that is no pair of ints (``_stated_edges``), one naming an unknown
+        vertex or one not joining adjacent levels is a ``ParseError``."""
         space = cls(n)
+        if not isinstance(levels, Sequence):
+            raise ParseError(f"levels {levels!r} are no sequence")
         for v, level in enumerate(levels):
             if type(level) is not int or not 0 <= level <= n:  # JSON true is no level
                 raise ParseError(f"vertex {v} has level {level!r}, not one in [0, {n}]")
             space._level[v], space._adj[v] = level, set()
-        for v, w in edges:
-            if not (type(v) is int and type(w) is int and v in space._adj and w in space._adj):
-                raise ParseError(f"edge ({v!r}, {w!r}) names an unknown vertex")
+        for v, w in _stated_edges(edges):
+            if v not in space._adj or w not in space._adj:
+                raise ParseError(f"edge ({v}, {w}) names an unknown vertex")
             if abs(space._level[v] - space._level[w]) != 1:
                 raise ParseError(f"edge ({v}, {w}) does not join adjacent levels")
             space._adj[v].add(w)
@@ -420,39 +431,69 @@ class ColoredSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoredSpace":
-        """Rebuild from an export; the replayed build log must reproduce the
-        ids each op created and the stated edges exactly.  A malformed export
-        (a missing key, a container of the wrong type) is a ``ParseError``."""
+        """Rebuild from an export by one replay of its build log and one pass
+        over its stated edges, checked in the order the module docstring
+        gives.  A malformed export (a missing key, a container of the wrong
+        type) is a ``ParseError``."""
         try:
-            n, edges = data["n"], [list(e) for e in data["edges"]]
-            log = [(op["letter"], op["lo"], op["hi"], list(op["created"]))
-                   for op in data["build_log"]]
+            n, edges, log = data["n"], data["edges"], iter(data["build_log"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed space export: {exc!r}") from exc
         space = cls(n)
-        for letter, lo, hi, created in log:
-            if space.apply_alpha(parse_letter(letter), _anchor(lo), _anchor(hi)) != created:
-                raise ParseError("build log replay produced different vertex ids")
-        # JSON true and false equal 1 and 0, but are no vertex ids
-        if not set(map(type, chain(*(op[3] for op in log), *edges))) <= {int}:
-            raise ParseError("stated vertex ids must be integers")
-        if {tuple(sorted(e)) for e in edges} != set(space._edge_pairs()):
-            raise ParseError("build log replay disagrees with the stated edges")
+        for i, op in enumerate(log):
+            try:
+                letter, lo, hi, stated = op["letter"], op["lo"], op["hi"], list(op["created"])
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"malformed build log op {i}: {exc!r}") from exc
+            if space.apply_alpha(parse_letter(letter), _anchor(lo), _anchor(hi)) != stated:
+                raise ParseError(f"build log op {i}: the replay made other ids than {stated}")
+            for v in stated:
+                if type(v) is not int:  # JSON true equals 1, but is no vertex id
+                    raise ParseError(f"build log op {i} states a vertex id {v!r}")
+        adj = space._adj
+        seen = set()
+        for pair in _stated_edges(edges):
+            if pair[1] not in adj.get(pair[0], ()):
+                raise ParseError(f"stated edge {pair} is no edge of the build log replay")
+            seen.add(pair)
+        if 2 * len(seen) != sum(map(len, adj.values())):
+            raise ParseError("the stated edges miss an edge of the build log replay")
         return space
 
     def to_dot(self) -> str:
         lines = ["graph pseudospace {", "  rankdir=BT;"]
-        for level in range(self.n + 1):
-            ids = [v for v in self.vertices if self._level[v] == level]
-            if ids:
-                ranks = " ".join(f"v{v};" for v in ids)
+        ids = self.vertices
+        rows: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for v in ids:
+            rows[self._level[v]].append(v)
+        for row in rows:
+            if row:
+                ranks = " ".join(f"v{v};" for v in row)
                 lines.append(f"  {{ rank=same; {ranks} }}")
-        for v in self.vertices:
+        for v in ids:
             lines.append(f'  v{v} [label="v{v}@{self._level[v]}"];')
         for a, b in self.edges():
             lines.append(f"  v{a} -- v{b};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _stated_edges(edges: Iterable) -> Iterator[tuple[int, int]]:
+    """Each edge of a stated edge list as ``(v, w)`` with ``v < w``.  A list
+    that is no iterable, an edge that is no pair and an end that is no int
+    are ``ParseError``s naming what was stated."""
+    try:
+        stated = iter(edges)
+    except TypeError:
+        raise ParseError(f"edges {edges!r} are no list") from None
+    for e in stated:
+        try:
+            v, w = e
+        except (TypeError, ValueError):
+            raise ParseError(f"edge {e!r} is no pair of vertex ids") from None
+        if type(v) is not int or type(w) is not int:  # JSON true is no vertex id
+            raise ParseError(f"edge {e!r} names a vertex id that is no int")
+        yield (v, w) if v < w else (w, v)
 
 
 def _mask_of(vertices: Iterable[int]) -> int:

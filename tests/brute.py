@@ -15,14 +15,25 @@ BFS over ``brute_between`` and its bridges from smallest-id monotone chains
 over ``dfs_closure``, so no memo of the space takes part in it
 (``tests/test_imports.py`` checks this too).  ``brute_basepoint`` takes
 its words from that reference, its flags from its own DFS and the minimum
-from ``brute_prec``; it names no rank.  Only usable at tiny sizes.
+from ``brute_prec``; it names no rank.  ``reference_from_json`` keeps the
+export check that ``ColoredSpace.from_json`` made before its one-pass edge
+sweep: copy every stated edge, then compare two sets of sorted pairs.  Only
+usable at tiny sizes.
 """
 
 import itertools
 import random
 from functools import lru_cache
 
-from pseudospace.letters import Letter, all_letters, commutes, contains, index_set_to_letters
+from pseudospace.errors import ParseError
+from pseudospace.letters import (
+    Letter,
+    all_letters,
+    commutes,
+    contains,
+    index_set_to_letters,
+    parse_letter,
+)
 from pseudospace.oracle import random_script
 from pseudospace.space import BOTTOM, TOP, ColoredSpace
 from pseudospace.words import Word
@@ -442,6 +453,32 @@ def brute_decompose_fine(u: Word, v: Word) -> tuple:
         Word(v.letters[::-1], v.n), brute_left_stabilizer(u1_reversed)
     )
     return u1, u_prime, v_prime_rev[::-1], v1_rev[::-1]
+
+
+def reference_from_json(data) -> ColoredSpace:
+    """Load an export the way ``from_json`` used to: copy the stated edges
+    and the build log up front (a missing key or a container of the wrong
+    type is a ``ParseError``), replay the log, refuse ids that differ from
+    the stated ``created`` ones, then any stated id that is no int, then a
+    set of sorted stated edges other than the set of replayed edges."""
+    try:
+        n, edges = data["n"], [list(e) for e in data["edges"]]
+        log = [(op["letter"], op["lo"], op["hi"], list(op["created"])) for op in data["build_log"]]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed space export: {exc!r}") from exc
+    space = ColoredSpace(n)
+    for letter, lo, hi, created in log:
+        s = parse_letter(letter)
+        for anchor in (lo, hi):
+            if anchor not in (BOTTOM, TOP) and type(anchor) is not int:
+                raise ParseError(f"bad anchor {anchor!r}")
+        if space.apply_alpha(s, lo, hi) != created:
+            raise ParseError("build log replay produced different vertex ids")
+    if not set(map(type, itertools.chain(*(op[3] for op in log), *edges))) <= {int}:
+        raise ParseError("stated vertex ids must be integers")
+    if {tuple(sorted(e)) for e in edges} != set(space.edges()):
+        raise ParseError("build log replay disagrees with the stated edges")
+    return space
 
 
 def random_spaces(seed, count):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -13,8 +14,9 @@ from pseudospace.errors import (
     DimensionError,
     ParseError,
     PreconditionError,
+    PseudospaceError,
 )
-from pseudospace.letters import MAX_DIMENSION, Letter, index_set_to_letters, parse_letter
+from pseudospace.letters import MAX_DIMENSION, Letter, all_letters, index_set_to_letters, parse_letter
 from pseudospace.oracle import _applicable_ops, random_reduced_word, random_script
 from pseudospace.space import BOTTOM, INF, TOP, ColoredSpace
 
@@ -318,6 +320,8 @@ def test_malformed_export_is_a_parse_error():
         {**data, "build_log": [{**op, "created": 3}]},
         {**data, "edges": 3},
         {**data, "edges": [3]},
+        {**data, "edges": [[0, 1, 2], *data["edges"]]},
+        {**data, "edges": [[0], *data["edges"]]},
         [data],
         None,
         "{}",
@@ -348,10 +352,17 @@ def test_from_graph_refuses_bad_graphs():
         (levels, [(0, 3)]),  # levels 0 and 2
         (levels, [(1, 2)]),  # one level
         (levels, [(0, 0)]),
+        (None, edges),  # levels that are no sequence
+        (3, edges),
+        ({0: 0, 1: 1}, edges),
     ]
     for bad_levels, bad_edges in broken:
         with pytest.raises(ParseError):
             ColoredSpace.from_graph(2, bad_levels, bad_edges)
+    for bad_edges in ([(0, 1, 2)], [0], [(0,)], None):  # no list of pairs
+        stated = repr(bad_edges if bad_edges is None else bad_edges[0])
+        with pytest.raises(ParseError, match=re.escape(stated)):
+            ColoredSpace.from_graph(2, levels, bad_edges)
     for n in (0, -1, True, 2.0, "2", MAX_DIMENSION + 1):
         with pytest.raises(DimensionError):
             ColoredSpace.from_graph(n, [], [])
@@ -386,6 +397,132 @@ def test_build_log_replays_identically():
         for op in sp.build_log:
             assert replay.apply_alpha(op.letter, op.lo, op.hi) == list(op.created)
         assert replay.to_json() == sp.to_json()
+
+
+def test_export_round_trips_levels_edges_and_log():
+    """``from_json(to_json(s))``, through JSON text, has the levels, the
+    edges and the build log of ``s``."""
+    rng = random.Random(45)
+    ops = 0
+    for _ in range(40):
+        sp = ColoredSpace.from_script(random_script(rng, 5, max_ops=64))
+        clone = ColoredSpace.from_json(json.loads(json.dumps(sp.to_json())))
+        assert [clone.level(v) for v in clone.vertices] == [sp.level(v) for v in sp.vertices]
+        assert clone.edges() == sp.edges()
+        log = [[(str(op.letter), op.lo, op.hi, op.created) for op in s.build_log] for s in (sp, clone)]
+        assert log[0] == log[1]
+        ops += len(sp.build_log)
+    assert ops > 600, ops
+
+
+def test_loads_insert_through_apply_alpha_once_per_op(monkeypatch):
+    """``from_script`` and ``from_json`` replay through ``apply_alpha``, one
+    call per op: there is no second insert path."""
+    rng = random.Random(46)
+    scripts = [random_script(rng, 4, max_ops=20) for _ in range(10)]
+    exports = [ColoredSpace.from_script(script).to_json() for script in scripts]
+    calls = []
+    apply_alpha = ColoredSpace.apply_alpha
+
+    def counted(self, *args):
+        calls.append(args)
+        return apply_alpha(self, *args)
+
+    monkeypatch.setattr(ColoredSpace, "apply_alpha", counted)
+    for script, data in zip(scripts, exports):
+        calls.clear()
+        ColoredSpace.from_script(script)
+        assert len(calls) == len(script["ops"])
+        calls.clear()
+        ColoredSpace.from_json(data)
+        assert len(calls) == len(data["build_log"]) == len(script["ops"])
+
+
+EXPORT_FAULTS = (
+    "drop-edge", "add-edge", "move-end", "duplicate-edge", "reverse-edge",
+    "shift-created", "true-created", "change-letter", "change-anchor",
+)
+
+
+def _with_fault(rng, data, fault):
+    """A copy of the export with one fault of the given kind, or None when
+    the export has no place for it."""
+    data = json.loads(json.dumps(data))
+    edges, log = data["edges"], data["build_log"]
+    size = len(data["vertices"])
+    level = [d["level"] for d in data["vertices"]]
+    if fault == "add-edge":
+        joined = {tuple(e) for e in edges}
+        free = [[v, w] for v in range(size) for w in range(v + 1, size)
+                if abs(level[v] - level[w]) == 1 and (v, w) not in joined]
+        if not free:
+            return None
+        edges.insert(rng.randrange(len(edges) + 1), rng.choice(free))
+    elif fault in ("drop-edge", "move-end", "duplicate-edge", "reverse-edge"):
+        if not edges:
+            return None
+        i = rng.randrange(len(edges))
+        if fault == "drop-edge":
+            del edges[i]
+        elif fault == "move-end":
+            end = rng.randrange(2)
+            edges[i][end] = rng.choice([v for v in range(size + 1) if v != edges[i][end]])
+        elif fault == "duplicate-edge":
+            edges.insert(rng.randrange(len(edges) + 1), list(edges[i]))
+        else:
+            edges[i].reverse()
+    else:
+        op = rng.choice(log)
+        if fault == "shift-created":
+            op["created"][rng.randrange(len(op["created"]))] += rng.choice((-1, 1))
+        elif fault == "true-created":  # in half the cases true stands for id 1
+            if rng.random() < 0.5:
+                op = next((op for op in log if 1 in op["created"]), op)
+            ids = op["created"]
+            ids[ids.index(1) if 1 in ids else rng.randrange(len(ids))] = True
+        elif fault == "change-letter":  # the letters of N + 1 include some beyond N
+            op["letter"] = str(rng.choice([s for s in all_letters(data["n"] + 1)
+                                           if str(s) != op["letter"]]))
+        else:  # in half the cases an older vertex on the anchor's level, if any
+            side = rng.choice(("lo", "hi"))
+            old = op[side]
+            anchors = [a for a in [BOTTOM, TOP, True, *range(size)] if (a, type(a)) != (old, type(old))]
+            level_mates = [v for v in range(op["created"][0]) if type(old) is int
+                           and v != old and level[v] == level[old]]
+            op[side] = rng.choice(level_mates if level_mates and rng.random() < 0.5 else anchors)
+    return data
+
+
+def _outcome(load, data):
+    try:
+        return "accepted", load(data).to_json()
+    except PseudospaceError as exc:  # any other exception fails the test
+        return "refused", type(exc)
+
+
+def test_from_json_refuses_exactly_what_the_reference_refuses():
+    """Seeded exports with one fault each load with ``from_json`` exactly as
+    with the former two-set check (``brute.reference_from_json``): both
+    accept the same space, or both refuse with the same exception class.
+    Repeated and reversed edges are accepted; every other fault is
+    refused."""
+    rng = random.Random(47)
+    seen = {}
+    for i in range(360):
+        data = ColoredSpace.from_script(random_script(rng, 4, max_ops=40)).to_json()
+        fault = EXPORT_FAULTS[i % len(EXPORT_FAULTS)]
+        broken = _with_fault(rng, data, fault)
+        if broken is None:
+            continue
+        got = _outcome(ColoredSpace.from_json, broken)
+        assert got == _outcome(brute.reference_from_json, broken), (fault, broken)
+        seen.setdefault(fault, []).append(got[0] if got[0] == "accepted" else got[1])
+    assert all(len(seen[fault]) >= 30 for fault in EXPORT_FAULTS), {f: len(o) for f, o in seen.items()}
+    for fault, outcomes in seen.items():
+        accepted = fault in ("duplicate-edge", "reverse-edge")
+        assert all((o == "accepted") == accepted for o in outcomes), (fault, outcomes)
+    classes = {o for outcomes in seen.values() for o in outcomes}
+    assert {ParseError, AnchorLevelMismatchError, AnchorsNotOverError} <= classes, classes
 
 
 def test_distance_stability_under_operations():
