@@ -13,9 +13,10 @@ with one ``(lo, hi)`` key per step, set where a step is made and updated
 where steps are rewritten.  Starting from the weak difference word it scans
 the steps: a non-global step is replaced by proper-subletter steps, lifted
 from a vertex-level shortest path between the anchors; once every step is
-global, the leftmost absorbed step (``kernels.absorber``) is swapped next to
-its absorber and merged into it.  Only the rewritten steps are split into
-intervals and rid of identities, and the scan resumes where the path changed.
+global, the leftmost absorbed step (the lowest bit of one ``kernels.absorbed``
+mask) is swapped next to its absorber (``kernels.absorber``) and merged into
+it.  Only the rewritten steps are split into intervals and rid of
+identities, and the scan resumes where the path changed.
 Whether a step is global is a lookup: the space keeps, per pair of anchors,
 the components of their between-set, and a step whose old s-part's
 component misses the new s-part is global without a search; otherwise the
@@ -37,7 +38,7 @@ the words of least rank are the ones equivalent to it: no ``prec`` search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import kernels
@@ -66,37 +67,37 @@ from .space import (
 from .words import Word
 
 
-@dataclass(frozen=True)
-class Flag:
-    """A level-0..N path, position i holding the level-i vertex."""
+class Flag(tuple):
+    """A level-0..N path, position i holding the level-i vertex: a tuple of
+    vertex ids with no instance dict, so indexing and hashing are the
+    tuple's own.  ``vertices`` is the flag itself."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
-    def __getitem__(self, i: int) -> int:
-        return self.vertices[i]
+    @property
+    def vertices(self) -> "Flag":
+        return self
 
-    def __len__(self) -> int:
-        return len(self.vertices)
+    def __repr__(self) -> str:
+        return f"Flag(vertices={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.vertices) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     def levels_of(self, s: Letter) -> tuple[int, ...]:
-        return self.vertices[s.lo : s.hi + 1]
+        return self[s.lo : s.hi + 1]
 
     def replace(self, s: Letter, part: Sequence[int]) -> "Flag":
-        v = list(self.vertices)
-        v[s.lo : s.hi + 1] = list(part)
-        return Flag(tuple(v))
+        return Flag(self[: s.lo] + tuple(part) + self[s.hi + 1 :])
 
 
 def check_flag(space: ColoredSpace, flag: Flag) -> Flag:
-    if len(flag.vertices) != space.n + 1:
-        raise ParseError(f"flag needs {space.n + 1} vertices, got {len(flag.vertices)}")
-    for i, v in enumerate(flag.vertices):
+    if len(flag) != space.n + 1:
+        raise ParseError(f"flag needs {space.n + 1} vertices, got {len(flag)}")
+    for i, v in enumerate(flag):
         if v not in space._level or space.level(v) != i:
             raise ParseError(f"vertex {v} is not at level {i}")
-    for a, b in zip(flag.vertices, flag.vertices[1:]):
+    for a, b in zip(flag, flag[1:]):
         if b not in space.neighbors(a):
             raise ParseError(f"flag vertices {a}, {b} are not adjacent")
     return flag
@@ -105,30 +106,26 @@ def check_flag(space: ColoredSpace, flag: Flag) -> Flag:
 @dataclass(frozen=True)
 class FlagClass:
     """A flag modulo an index set: only the vertices at levels outside the
-    modulus matter.  Classes with different moduli never compare equal; use
-    ``refines`` across moduli."""
+    modulus matter.  ``fixed`` holds them once, as ``(level, vertex)`` pairs
+    bottom up, and equality and hashing read the modulus and ``fixed`` only.
+    Classes with different moduli never compare equal; use ``refines``
+    across moduli."""
 
-    flag: Flag
+    flag: Flag = field(compare=False)
     modulus: IndexSet
+    fixed: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        fixed = tuple((i, v) for i, v in enumerate(self.flag) if i not in self.modulus)
+        object.__setattr__(self, "fixed", fixed)
 
     def fixed_vertices(self) -> dict[int, int]:
-        return {
-            i: v for i, v in enumerate(self.flag.vertices) if i not in self.modulus
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlagClass):
-            return NotImplemented
-        return self.modulus == other.modulus and self.fixed_vertices() == other.fixed_vertices()
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, tuple(sorted(self.fixed_vertices().items()))))
+        return dict(self.fixed)
 
     def refines(self, other: "FlagClass") -> bool:
         if not self.modulus <= other.modulus:
             return False
-        theirs = other.fixed_vertices()
-        return all(self.flag.vertices[i] == v for i, v in theirs.items())
+        return all(self.flag[i] == v for i, v in other.fixed)
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ class FlagPath:
     def vertex_set(self) -> set[int]:
         out: set[int] = set()
         for f in self.flags:
-            out.update(f.vertices)
+            out.update(f)
         return out
 
 
@@ -155,7 +152,7 @@ def enumerate_flags(space: ColoredSpace, within: set[int] | None = None) -> list
     def extend(prefix: list[int]):
         level = len(prefix)
         if level == space.n + 1:
-            out.append(Flag(tuple(prefix)))
+            out.append(Flag(prefix))
             return
         if level == 0:
             candidates = [v for v in space.vertices if v in allowed and space.level(v) == 0]
@@ -240,14 +237,13 @@ def _flag_path(space: ColoredSpace, f: Flag, g: Flag) -> FlagPath:
             continue
         if stuck_pairs:
             break
-        absorbed = next(
-            ((k, j) for k in range(len(keys)) if (j := kernels.absorber(keys, k)) is not None),
-            None,
-        )
-        if absorbed is None:
+        absorbed = kernels.absorbed(keys)
+        if not absorbed:
             break
-        # move the absorbed step k next to its absorber j, then merge the two
-        k, j = absorbed
+        k = (absorbed & -absorbed).bit_length() - 1
+        j = kernels.absorber(keys, k)
+        # move the leftmost absorbed step k next to its absorber j, then
+        # merge the two
         if k < j:
             for p in range(k, j - 1):
                 _swap_steps(flags, keys, p)
@@ -317,7 +313,7 @@ def _rewrite(flags: list[Flag], keys: list, i: int, j: int, mids: list[Flag], ke
 
 def _put(a: Flag, b: Flag, lo: int, hi: int) -> Flag:
     """``a`` with the vertices of ``b`` at levels lo..hi."""
-    return Flag(a.vertices[:lo] + b.vertices[lo : hi + 1] + a.vertices[hi + 1 :])
+    return Flag(a[:lo] + b[lo : hi + 1] + a[hi + 1 :])
 
 
 def _subletter_bridge(space: ColoredSpace, a: Flag, s: Letter, path: list[int]) -> list[Flag]:
@@ -350,9 +346,7 @@ def _reorder(flags: list[Flag], keys: list, target: Sequence) -> None:
 
 def permute_path(space: ColoredSpace, path: FlagPath, target: Word) -> FlagPath:
     """The unique weak path with a commutation-permuted word."""
-    if sorted(path.word.letters) != sorted(target.letters) or not W.equivalent(
-        path.word, target
-    ):
+    if sorted(path.word.key) != sorted(target.key) or not W.equivalent(path.word, target):
         raise NotAPermutationError(f"{target} is not a permutation of {path.word}")
     flags, keys = list(path.flags), list(path.word.key)
     _reorder(flags, keys, target.key)
@@ -402,7 +396,7 @@ def indep_over_set(space: ColoredSpace, f: Flag, g: Flag, region: set[int]) -> b
     """True iff ``g`` is a basepoint of ``f`` over the region."""
     check_flag(space, f)
     check_flag(space, g)
-    if not set(g.vertices) <= set(region):
+    if not set(g) <= set(region):
         raise FlagNotInSetError("flag lies outside the region")
     base_word = _basepoint(space, f, region)[1]
     return W.equivalent(_flag_path(space, f, g).word, base_word)
@@ -423,7 +417,8 @@ def realize_type(space: ColoredSpace, g: Flag, u: Word) -> Flag:
     if not W.is_reduced(u):
         raise NotReducedError(f"{u} is not reduced")
     current = g
-    for s in reversed(u.letters):
+    for key in reversed(u.key):
+        s = _LETTERS[key]
         lo, hi = _anchors_for(space, current, s)
         created = space.apply_alpha(s, lo, hi)
         current = current.replace(s, created)

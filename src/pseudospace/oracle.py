@@ -229,11 +229,12 @@ def _suite_words_absorption(config: SuiteConfig, report: SuiteReport) -> None:
         # absorption witnesses are unique; non-commuting absorbed letters share one
         for v in _enumerate_words(n, 3):
             absorbed = []
+            letters = v.letters
             for s in all_letters(n):
                 witnesses = [
-                    j for j in range(len(v.letters))
-                    if (v.letters[j].lo <= s.lo and s.hi <= v.letters[j].hi
-                        and all(commutes(s, t) for t in v.letters[:j]))
+                    j for j, t in enumerate(letters)
+                    if (t.lo <= s.lo and s.hi <= t.hi
+                        and all(commutes(s, r) for r in letters[:j]))
                 ]
                 if witnesses:
                     absorbed.append((s, witnesses[0]))
@@ -671,12 +672,11 @@ def _check_basepoint_chain(report, space, path, base, inputs) -> None:
     is independent from base over base's own vertices."""
     region = set(base.vertices)
     # every step is a global application over the remaining tail plus region
-    for i in range(len(path.flags) - 1):
+    for i, s in enumerate(path.word):
         tail: set[int] = set(region)
         for g in path.flags[i + 1 :]:
             tail.update(g.vertices)
         new_vertices = set(path.flags[i].vertices) - set(path.flags[i + 1].vertices)
-        s = path.word.letters[i]
         lo, hi = FL._anchors_for(space, path.flags[i], s)
         between, tail_mask = space._between(lo, hi), SP._mask_of(tail)
         if any(space._component(v, between) & tail_mask for v in new_vertices):

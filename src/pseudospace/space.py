@@ -166,9 +166,10 @@ class ColoredSpace:
     def apply_alpha(self, s: Letter, lo: Anchor = BOTTOM, hi: Anchor = TOP) -> list[int]:
         """Adjoin a fresh path at the levels of ``s`` between the anchors.
 
-        A real anchor must be a vertex one level below resp. above ``s``;
-        ``_level.get`` of an imaginary one is None, so that one test also
-        refuses ``BOTTOM`` and ``TOP`` where a vertex is needed."""
+        A real anchor must be a vertex (a plain ``int``, so not ``True`` or
+        ``0.0``) one level below resp. above ``s``; ``_level.get`` of an
+        imaginary one is None, so that one test also refuses ``BOTTOM`` and
+        ``TOP`` where a vertex is needed."""
         level, adj = self._level, self._adj
         s_lo, s_hi = s.lo, s.hi
         if s_hi > self.n:
@@ -176,12 +177,12 @@ class ColoredSpace:
         if s_lo == 0:
             if lo != BOTTOM:
                 raise AnchorLevelMismatchError(f"letter {s} needs the bottom anchor")
-        elif level.get(lo) != s_lo - 1:
+        elif type(lo) is not int or level.get(lo) != s_lo - 1:
             raise AnchorLevelMismatchError(f"lo anchor for {s} must be a vertex at level {s_lo - 1}")
         if s_hi == self.n:
             if hi != TOP:
                 raise AnchorLevelMismatchError(f"letter {s} needs the top anchor")
-        elif level.get(hi) != s_hi + 1:
+        elif type(hi) is not int or level.get(hi) != s_hi + 1:
             raise AnchorLevelMismatchError(f"hi anchor for {s} must be a vertex at level {s_hi + 1}")
         lo_real, hi_real = s_lo > 0, s_hi < self.n
         if lo_real and hi_real and not self.lies_over(lo, hi):

@@ -21,8 +21,8 @@ while a bitmask holds the positions of ``u`` not yet placed, and a position
 may be placed next when no unplaced earlier position holds a letter that does
 not commute with it.
 
-Stabilizers, ``split_absorbed``, fine decomposition and left division work on
-keys and level bitmasks; a letter commutes with another iff its levels miss
+Stabilizers, final segments, ``split_absorbed``, fine decomposition and left
+division work on keys and level bitmasks; a letter commutes with another iff its levels miss
 the other's levels widened by one on each side.  Left division searches over
 reducts, which are normal forms like its target, so equivalence to the target
 is key equality, and reduction keeps a word's support, so letters outside the
@@ -30,21 +30,21 @@ target's support never enter the search.  Its candidates are the state with
 one letter reduced onto it: a reduced state passes through reduction
 unchanged, so only the new letter is scanned, and the result is normal-formed.
 
-There is one word representation: a ``Word`` holds its letters and, computed
-once, its key (the same letters as ``(lo, hi)`` pairs), which the kernels in
-``kernels.py`` work on and which equality and hashing use.  Validation
-happens at the boundary only: ``Word(...)`` and ``parse_word`` check the
-dimension and every letter, while results computed from words that are
-already valid are built by ``_from_key`` without any check, with letters
-shared by key.
+There is one word representation: a ``Word`` stores its dimension and its
+key, the letters as ``(lo, hi)`` pairs, which the kernels in ``kernels.py``
+work on and which equality and hashing use; its letters are read back from
+the key through the shared table ``_LETTERS``.  Validation happens at the
+boundary only: ``Word(...)`` and ``parse_word`` check the dimension and every
+letter, while results computed from words that are already valid are built
+by ``_from_key``, which sets the two fields without any check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import kernels
 from .errors import (
@@ -69,45 +69,43 @@ SPLIT_LEN_DEFAULT = 3
 SPLIT_STEPS_DEFAULT = 50_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
-    """A finite sequence of letters in ambient dimension ``n``; ``key`` is
-    the same sequence as ``(lo, hi)`` pairs, which the kernels work on and
-    which equality and hashing use."""
+    """A finite sequence of letters in ambient dimension ``n``, stored as its
+    ``key``: the letters as ``(lo, hi)`` pairs, which the kernels work on and
+    equality and hashing use.  ``letters`` reads them back from ``_LETTERS``."""
 
-    letters: tuple[Letter, ...]
     n: int
-    key: tuple[tuple[int, int], ...] = field(init=False)
+    key: tuple[tuple[int, int], ...]
+
+    def __init__(self, letters: Iterable[Letter], n: int):
+        self.__dict__.update(n=n, key=tuple(s.key for s in letters))
+        self.__post_init__()
 
     def __post_init__(self):
         check_dimension(self.n)
-        for s in self.letters:
-            if not s.valid_for(self.n):
-                raise DimensionError(f"letter {s} exceeds dimension {self.n}")
-        object.__setattr__(self, "key", tuple(s.key for s in self.letters))
+        for lo, hi in self.key:
+            if hi > self.n:
+                raise DimensionError(f"letter {_LETTERS[lo, hi]} exceeds dimension {self.n}")
 
     @classmethod
     def one(cls, n: int) -> "Word":
         return cls((), n)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.n == other.n and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.key))
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(map(_LETTERS.__getitem__, self.key))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.key)
 
     def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return map(_LETTERS.__getitem__, self.key)
 
     def __str__(self) -> str:
-        if not self.letters:
+        if not self.key:
             return "1"
-        return ".".join(str(s) for s in self.letters)
+        return ".".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, n={self.n})"
@@ -126,9 +124,9 @@ def _same_dimension(u: Word, v: Word) -> int:
 def _from_key(key: tuple[tuple[int, int], ...], n: int) -> Word:
     """The unchecked constructor: ``key`` must already be a tuple of valid
     letter keys of dimension ``n``, as every result computed from checked
-    words is.  Skips all validation and shares letters by key."""
+    words is.  Skips all validation."""
     w = object.__new__(Word)
-    w.__dict__.update(letters=tuple(map(_LETTERS.__getitem__, key)), n=n, key=key)
+    w.__dict__.update(n=n, key=key)
     return w
 
 
@@ -208,16 +206,18 @@ def concat_reduce(u: Word, v: Word) -> Word:
 
 def final_segment(u: Word) -> tuple[Word, Word]:
     """Split ``u ~ remainder . segment``; the segment letters commute with
-    everything after their position (hence pairwise)."""
-    key = u.key
+    everything after their position (hence pairwise): their levels miss
+    ``later``, the widened levels of the letters after them."""
     remainder: list[tuple[int, int]] = []
     segment: list[tuple[int, int]] = []
-    for i, s in enumerate(key):
-        if all(kernels._commutes(s, t) for t in key[i + 1 :]):
-            segment.append(s)
-        else:
+    later = 0
+    for s in reversed(u.key):
+        if _levels(s) & later:
             remainder.append(s)
-    return _from_key(tuple(remainder), u.n), _from_key(tuple(segment), u.n)
+        else:
+            segment.append(s)
+        later |= _widened(s)
+    return _from_key(tuple(remainder[::-1]), u.n), _from_key(tuple(segment[::-1]), u.n)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def rd_closed_form(u: Word) -> CnfOrdinal:
     left-division and the replacement orders there."""
     if not is_reduced(u):
         raise NotReducedError(f"{u} is not reduced")
-    sizes = [s.size for s in u.letters]
+    sizes = [hi - lo + 1 for lo, hi in u.key]
     if any(a < b for a, b in zip(sizes, sizes[1:])):
         raise NotMonotoneError(f"letter sizes increase in {u}")
     out = CnfOrdinal.zero()

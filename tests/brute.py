@@ -6,7 +6,8 @@ normal forms from bubble passes, equivalence from the full swap closure, and
 the replacement order from exhaustive segmentation of every permutation.  The
 word references name no kernel (``tests/test_imports.py`` checks this), so a
 fault in a kernel cannot pass a cross-check by breaking its reference too.
-Stabilizers and ``split_absorbed`` are the plain level-set loops.  The space
+Stabilizers and ``split_absorbed`` are the plain level-set loops, and
+``final_segment`` the pairwise commutation scan.  The space
 searches are checked against a transitive closure of the ascending edges,
 plain flood fills and one plain BFS per pair of points.
 ``restart_flag_path`` keeps the former restart-loop ``flag_path``; it shares
@@ -441,6 +442,21 @@ def brute_split_absorbed(u: Word, absorbed_into) -> tuple[tuple, tuple]:
         else:
             stay.append(s)
     return tuple(s.key for s in reversed(stay)), tuple(s.key for s in reversed(moved))
+
+
+def brute_final_segment(u: Word) -> tuple[tuple, tuple]:
+    """Reference for ``words.final_segment``, as keys: a letter belongs to
+    the segment when it commutes with every later letter, tested pair by
+    pair."""
+    letters = u.letters
+    remainder: list[tuple] = []
+    segment: list[tuple] = []
+    for i, s in enumerate(letters):
+        if all(commutes(s, t) for t in letters[i + 1 :]):
+            segment.append(s.key)
+        else:
+            remainder.append(s.key)
+    return tuple(remainder), tuple(segment)
 
 
 def brute_decompose_fine(u: Word, v: Word) -> tuple:

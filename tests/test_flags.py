@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -226,6 +228,31 @@ def test_flag_class_semantics(alpha1_space):
     assert FL.FlagClass(F, frozenset()) != FL.FlagClass(G, frozenset())
     assert FL.FlagClass(F, frozenset()).refines(c1)
     assert not c1.refines(FL.FlagClass(F, frozenset()))
+
+
+def test_flag_is_a_tuple_and_a_class_hashes_its_fixed_part(alpha1_space):
+    sp, F, G = alpha1_space
+    assert isinstance(F, tuple) and not hasattr(F, "__dict__")
+    assert F.vertices is F and F == tuple(F)
+    assert str(F) == "[" + ",".join(map(str, F)) + "]"
+    assert repr(F) == f"Flag(vertices={tuple(F)!r})"
+    assert type(F.replace(Letter(1, 1), [G[1]])) is Flag
+    for flag, modulus in itertools.product((F, G), map(frozenset, [(), (1,), (0, 2), (0, 1, 2)])):
+        cls = FL.FlagClass(flag, modulus)
+        fixed = {i: v for i, v in enumerate(flag) if i not in modulus}
+        assert cls.fixed_vertices() == fixed
+        assert hash(cls) == hash((modulus, tuple(sorted(fixed.items()))))
+
+
+def test_values_survive_copy_and_pickle(alpha1_space):
+    sp, F, G = alpha1_space
+    path = FL.flag_path(sp, F, G)
+    values = [parse_word("[0,1].[2].[1,2]", 2), path.word, F, FL.FlagClass(F, frozenset({1})), path]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x) and str(y) == str(x)
+    assert vars(pickle.loads(pickle.dumps(path.word))) == vars(path.word)
 
 
 def test_type_rank_examples():

@@ -18,6 +18,10 @@ BFS, flood fills and order.
 A third scan keeps hand-made graphs on ``ColoredSpace.from_graph``: no test
 module writes a space's ``_level`` or ``_adj`` apart from
 ``tests/test_oracle.py``, whose fault injections edit a space on purpose.
+
+A fourth keeps the internal word paths on keys: ``kernels.py`` and
+``flags.py`` read no attribute named ``letters``, and ``words.py`` reads it
+only inside the class ``Word``, which derives its letters from its key.
 """
 
 import ast
@@ -34,6 +38,7 @@ WORD_REFERENCES = (
     "swap_closure",
     "brute_prec",
     "absorbing_positions",
+    "brute_final_segment",
 )
 FLAG_PATH_SEARCHES = (
     "_connecting_path",
@@ -192,3 +197,37 @@ def test_tests_make_hand_made_graphs_with_from_graph():
     assert BRUTE in modules and Path(__file__).resolve() in modules
     writes = {p.name: _graph_writes(p.read_text()) for p in modules}
     assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+def _letter_reads(source: str, inside: str | None = None) -> list[int]:
+    """The lines that take an attribute named ``letters``, outside the
+    module-level class ``inside`` when given."""
+    tree = ast.parse(source)
+    skipped = {
+        id(node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == inside
+        for node in ast.walk(cls)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "letters" and id(node) not in skipped
+    )
+
+
+def test_scan_finds_letter_reads():
+    source = (
+        "from .letters import Letter\n"
+        "class Word:\n    def f(self):\n        return self.letters\n"
+        "def g(u):\n    return u.letters[0]\n"
+        "def h(u):\n    return u.key\n"
+    )
+    assert _letter_reads(source) == [4, 6]
+    assert _letter_reads(source, inside="Word") == [6]
+
+
+def test_internal_word_paths_read_keys():
+    assert _letter_reads((PACKAGE / "kernels.py").read_text()) == []
+    assert _letter_reads((PACKAGE / "flags.py").read_text()) == []
+    assert _letter_reads((PACKAGE / "words.py").read_text(), inside="Word") == []

@@ -55,6 +55,28 @@ def test_apply_alpha_errors(flag_space):
         sp.apply_alpha(Letter(0, 1), a[0], a[2])
 
 
+def test_apply_alpha_refuses_anchors_that_are_not_ints():
+    """``True``, ``1.0`` and ``0.0`` find vertices 1 and 0 in a dict, but are
+    no vertex ids: each is refused as an anchor, and the space keeps its
+    export, which still reloads."""
+    sp = ColoredSpace(2)
+    sp.apply_alpha(Letter(0, 2))  # vertices 0, 1, 2 at levels 0, 1, 2
+    before = sp.to_json()
+    for s, lo, hi in [
+        (Letter(2, 2), True, TOP),
+        (Letter(2, 2), 1.0, TOP),
+        (Letter(1, 1), 0.0, 2),
+        (Letter(1, 1), 0, 2.0),
+        (Letter(0, 0), BOTTOM, True),
+        (Letter(0, 0), BOTTOM, 1.0),
+    ]:
+        with pytest.raises(AnchorLevelMismatchError):
+            sp.apply_alpha(s, lo, hi)
+        assert sp.to_json() == before, (s, lo, hi)
+    assert sp.apply_alpha(Letter(2, 2), 1, TOP) == [3]
+    assert ColoredSpace.from_json(sp.to_json()).edges() == sp.edges()
+
+
 def test_anchor_check_matches_dfs_closure():
     """On built and hand-made spaces, ``apply_alpha`` between two vertex
     anchors succeeds exactly when the upper one is in the lower one's plain

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import pseudospace.flags as FL
 import pseudospace.words as W
 from brute import (
     all_words,
+    brute_final_segment,
     brute_left_stabilizer,
     brute_prec,
     brute_properly_absorbs_left,
@@ -22,7 +24,7 @@ from pseudospace.errors import (
     ParseError,
     SearchBoundExceededError,
 )
-from pseudospace.letters import Letter, all_letters, commutes
+from pseudospace.letters import _LETTERS, Letter, all_letters, commutes
 from pseudospace.oracle import _random_swaps, random_reduced_word, random_script
 from pseudospace.space import ColoredSpace
 from pseudospace.words import Word, parse_word
@@ -128,6 +130,19 @@ def test_final_segment_recombines():
         assert all(
             commutes(a, b) for a, b in itertools.combinations(seg.letters, 2)
         )
+
+
+def test_final_segment_matches_pairwise_scan():
+    """Every word of length <= 4 with N <= 3 against the pairwise scan."""
+    checked = split = 0
+    for n in (1, 2, 3):
+        for u in all_words(n, 4):
+            rem, seg = W.final_segment(u)
+            assert (rem.key, seg.key) == brute_final_segment(u), str(u)
+            checked += 1
+            split += len(rem) > 0 and len(seg) > 0
+    assert checked == 121 + 1555 + 11111
+    assert split > 1000, split
 
 
 def test_stabilizer_examples():
@@ -305,6 +320,21 @@ def _assert_checked_equal(w):
     assert hash(rebuilt) == hash(w)
     assert w.key == tuple(s.key for s in w.letters)
     assert type(w.key) is tuple and type(w.letters) is tuple
+
+
+def test_word_stores_only_its_key_and_dimension():
+    """Parsed or computed, a word holds its key and dimension and nothing
+    else; its letters are the shared ones of its key, and it is frozen."""
+    parsed = pw("[0,1].[2,3].[1].[0,3]")
+    for w in (parsed, W.reduce(parsed), W.inverse(parsed), *W.final_segment(parsed), Word.one(3)):
+        assert set(vars(w)) == {"key", "n"}
+        letters = w.letters
+        assert len(letters) == len(w.key)
+        assert all(letters[i] is _LETTERS[w.key[i]] for i in range(len(w)))
+        for name, value in (("key", ()), ("n", 4), ("letters", ()), ("extra", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, name, value)
+        assert set(vars(w)) == {"key", "n"}
 
 
 def _word_corpus():
