@@ -207,12 +207,15 @@ def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> list[i
     global when that component misses ``g``'s s-part; otherwise the search
     runs inside it, where it visits what it would visit in the whole
     between-set."""
-    lo, hi = _anchors_for(space, f, s)
-    part = space._between_part(lo, hi, f[s.lo])
-    targets = g.levels_of(s)
-    if not any(part >> v & 1 for v in targets):
-        return None
-    return space.shortest_path(f.levels_of(s), set(targets), part)
+    lo, hi = s.lo, s.hi
+    part = space._between_part(
+        f[lo - 1] if lo else BOTTOM, f[hi + 1] if hi < space.n else TOP, f[lo]
+    )
+    targets = g[lo : hi + 1]
+    for v in targets:
+        if part >> v & 1:
+            return space.shortest_path(f[lo : hi + 1], set(targets), part)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +270,15 @@ def _next_bridge(
     bridge it by proper-subletter moves; ``len(keys), None`` when there is
     none.  A step whose bridge does not exist is recorded as stuck."""
     while i < len(keys):
-        pair = (flags[i], flags[i + 1])
-        if pair not in stuck_pairs:
+        f, g = flags[i], flags[i + 1]
+        if not stuck_pairs or (f, g) not in stuck_pairs:
             s = _LETTERS[keys[i]]
-            path = _connecting_path(space, flags[i], flags[i + 1], s)
+            path = _connecting_path(space, f, g, s)
             if path is not None:
                 try:
-                    return i, _subletter_bridge(space, flags[i], s, path)
+                    return i, _subletter_bridge(space, f, s, path)
                 except PreconditionError:
-                    stuck_pairs.add(pair)
+                    stuck_pairs.add((f, g))
         i += 1
     return i, None
 

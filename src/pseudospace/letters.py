@@ -56,9 +56,6 @@ class Letter:
     def levels(self) -> IndexSet:
         return frozenset(range(self.lo, self.hi + 1))
 
-    def valid_for(self, n: int) -> bool:
-        return self.hi <= n
-
     def __str__(self) -> str:
         if self.lo == self.hi:
             return f"[{self.lo}]"

@@ -79,8 +79,18 @@ measures every level interval after each insert, so the exact niceness of
 the prior vertex set reads its BFS back from the memo.  ``_shortcut`` reads
 the distance in the whole level interval, usually a memo hit, as a lower
 bound of the ambient one, and runs the ambient BFS only for a point whose
-region distance exceeds it.  Code that writes ``_adj`` between existing
-vertices after a query breaks the invariant and must clear ``_dist`` too.
+region distance exceeds it.  ``_level_parts`` maps the mask of a level
+interval to the masks of its components found so far (``_interval_part``
+looks one up, with one ``_component`` fill per miss, like ``_between_part``),
+and no insert clears it either, by the same invariant: a grown interval is a
+new key.  Non-exact niceness reads the ambient component of each point from
+it, so every query on one space shares the fills.  Code that writes ``_adj``
+between existing vertices after a query breaks the invariant and must clear
+``_dist`` and ``_level_parts`` too.
+
+Edges join adjacent levels only, so a single-level interval has no edges and
+holds no witness: niceness and simple connectivity scan only the intervals
+of two levels or more.
 """
 
 from __future__ import annotations
@@ -131,6 +141,8 @@ class ColoredSpace:
         self._chains: dict[tuple[Anchor, Anchor], tuple[int, ...] | None] = {}
         # (x, within) -> BFS distances from x inside the mask; no insert clears it
         self._dist: dict[tuple[int, int], dict[int, int]] = {}
+        # level-interval mask -> masks of its components found so far; no insert clears it
+        self._level_parts: dict[int, list[int]] = {}
         self.build_log: list[BuildOp] = []
 
     # -- basic structure ---------------------------------------------------
@@ -295,6 +307,22 @@ class ColoredSpace:
             if part >> x & 1:
                 return part
         part = self._component(x, self._between(a, b))
+        if part:
+            parts.append(part)
+        return part
+
+    def _interval_part(self, levels: int, x: int) -> int:
+        """Mask of the component of vertex ``x`` inside the ``levels`` mask of
+        a level interval, 0 when ``x`` lies outside it.  The components found
+        are kept per mask in ``_level_parts`` for the life of the space, like
+        ``_dist``; a miss costs one ``_component`` fill."""
+        parts = self._level_parts.get(levels)
+        if parts is None:
+            parts = self._level_parts[levels] = []
+        for part in parts:
+            if part >> x & 1:
+                return part
+        part = self._component(x, levels)
         if part:
             parts.append(part)
         return part
@@ -552,7 +580,7 @@ def simply_connected_witness(space: ColoredSpace):
             outside = everything & ~_mask_of(v for v in (a, b) if space.is_real(v))
             span = range(max(la, 0), min(lb, space.n) + 1)
             found = _shortcut(space, between, outside, (
-                ((lo, hi), intervals[(lo, hi)]) for lo in span for hi in span if lo <= hi
+                ((lo, hi), intervals[(lo, hi)]) for lo in span for hi in span if lo < hi
             ))
             if found is not None:
                 return (a, b, *found[:4])  # k is the distance avoiding the anchors
@@ -624,10 +652,11 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     scan runs only to name the first witness.
     Without ``exact``, condition 2 asks only that region points joined in the
     ambient interval are joined inside the region.  So for each region
-    component one flood fill inside the region and one in the interval find
-    the least ``x`` whose ambient component holds region points outside its
-    region component, and one BFS measures the distance to the least such
-    ``y``.
+    component one flood fill inside the region and one ambient component,
+    read from the space's ``_interval_part``, find the least ``x`` whose
+    ambient component holds region points outside its region component, and
+    one BFS measures the distance to the least such ``y``.  Single-level
+    intervals, which have no edges, are skipped in both modes.
     """
     inside = _mask_of(region)
     ids = _members(inside)
@@ -645,18 +674,19 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
                 missing = ambient & ~(up_inside[i] & down_inside[j])
                 if missing:
                     return ("between-sets", a, b, _members(missing))
-    intervals = space._interval_masks()
+    # a single-level interval has no edges, so it holds no witness
+    intervals = [(t, levels) for t, levels in space._interval_masks().items() if t[0] < t[1]]
     if exact:
-        labelled = ((tuple(range(lo, hi + 1)), levels) for (lo, hi), levels in intervals.items())
+        labelled = ((tuple(range(lo, hi + 1)), levels) for (lo, hi), levels in intervals)
         found = _shortcut(space, inside, _mask_of(space._level), labelled)
         return None if found is None else ("distance", *found)
-    for (lo, hi), levels in intervals.items():
+    for (lo, hi), levels in intervals:
         pts = inside & levels
         todo = pts
         while todo:
             x = _lowest(todo)
             joined = space._component(x, pts)
-            apart = space._component(x, levels) & pts & ~joined
+            apart = space._interval_part(levels, x) & pts & ~joined
             if apart:
                 y = _lowest(apart)
                 dm = space.distances_from(x, levels)[y]

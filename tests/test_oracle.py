@@ -59,6 +59,7 @@ def test_space_axioms_checks_distance_stability(monkeypatch):
                 self._parts.clear()
                 self._chains.clear()
                 self._dist.clear()
+                self._level_parts.clear()
                 joined.append((v, w))
                 break
         return created

@@ -675,13 +675,21 @@ def test_distance_memo_matches_a_fresh_copy_after_every_insert():
     queries before, and a fresh copy from its export must agree on the BFS
     distances from every point of every level interval and between-set,
     the exact witness for the prior vertex set, the simple-connectivity
-    witness and the open pairs of the prior set.  The copy measures each
-    distance map with an empty memo, so a memo entry read back for the wrong
-    mask shows.  Some BFS of the grown space must be answered by entries
+    witness and the open pairs of the prior set, and the niceness witness of
+    the prior set and of random regions, which must also equal the
+    brute-force one.  The copy measures each distance map with an empty
+    memo, so a memo entry read back for the wrong mask shows.  Some BFS and
+    some interval components of the grown space must be answered by entries
     made before the insert, so a memo that an insert had to clear would
-    show."""
+    show.  Positive control: the components of each level interval before
+    the insert, carried to the grown interval as a memo keyed by ``(lo,
+    hi)`` would carry them, must give a wrong witness more than five times.
+    (The verdict stays right: an insert merges no two old components, and a
+    new vertex misses such a memo, so its fresh component finds the
+    violation from its side.)"""
     rng = random.Random(46)
-    carried = 0
+    regions_rng = random.Random(47)
+    carried = carried_parts = stale_wrong = 0
     for _ in range(12):
         n = rng.randint(1, 3)
         sp = ColoredSpace(n)
@@ -689,14 +697,19 @@ def test_distance_memo_matches_a_fresh_copy_after_every_insert():
         for _ in range(6):
             prior = set(sp.vertices)
             kept = set(sp._dist)
+            kept_parts = {m: list(parts) for m, parts in sp._level_parts.items()}
+            old_masks = sp._interval_masks()
             if rng.random() < 0.5:
                 flag = rng.choice(FL.enumerate_flags(sp))
                 FL.realize_type(sp, flag, random_reduced_word(rng, n, 3))
             else:
                 sp.apply_alpha(*rng.choice(_applicable_ops(sp)))
             fresh = ColoredSpace.from_json(sp.to_json())
+            intervals = sp._interval_masks()
             anchors = [BOTTOM, *sp.vertices, TOP]
-            masks = set(sp._interval_masks().values())
+            if len(sp.vertices) > len(prior):  # an empty word inserts nothing
+                carried_parts += sum(len(sp._level_parts.get(m, ())) for m in set(intervals.values()))
+            masks = set(intervals.values())
             masks |= {sp._between(a, b) for a in anchors for b in anchors}
             for within in sorted(masks):
                 for x in SP._members(within):
@@ -706,7 +719,56 @@ def test_distance_memo_matches_a_fresh_copy_after_every_insert():
             assert SP.nice_witness(sp, prior, exact=True) == SP.nice_witness(fresh, prior, exact=True)
             assert SP.simply_connected_witness(sp) == SP.simply_connected_witness(fresh)
             assert SP.open_pairs(sp, prior) == SP.open_pairs(fresh, prior)
+            stale = ColoredSpace.from_json(sp.to_json())
+            stale._level_parts = {
+                intervals[t]: list(kept_parts[m]) for t, m in old_masks.items() if m in kept_parts
+            }
+            for region in [prior, *(_random_region(regions_rng, sp) for _ in range(3))]:
+                fresh._level_parts.clear()
+                witness = SP.nice_witness(sp, region)
+                assert witness == SP.nice_witness(fresh, region), region
+                assert witness == brute.brute_nice_witness(sp, region), region
+                stale_wrong += SP.nice_witness(stale, region) != witness
     assert carried > 100, carried
+    assert carried_parts > 15, carried_parts
+    assert stale_wrong > 5, stale_wrong
+
+
+def test_interval_components_are_filled_once_per_space(monkeypatch):
+    """Non-exact niceness floods each level interval of two levels or more
+    once per space: a first query on every vertex fills the components of
+    every such interval, and a second query on another region floods only
+    inside that region, at those intervals, and fills nothing.  No query
+    floods a single-level interval."""
+    floods = []
+    component = ColoredSpace._component
+
+    def counted(self, x, within):
+        floods.append(within)
+        return component(self, x, within)
+
+    monkeypatch.setattr(ColoredSpace, "_component", counted)
+    rng = random.Random(48)
+    second = 0
+    for _ in range(30):
+        sp = ColoredSpace.from_script(random_script(rng, 4, max_ops=12))
+        intervals = sp._interval_masks()
+        multi = {m for (lo, hi), m in intervals.items() if lo < hi}
+        single = {m for (lo, hi), m in intervals.items() if lo == hi}
+        floods.clear()
+        assert SP.is_nice(sp, set(sp.vertices))
+        assert set(floods) <= multi and not set(floods) & single
+        filled = {m: list(parts) for m, parts in sp._level_parts.items()}
+        assert set(filled) == multi
+        for _ in range(3):
+            region = _random_region(rng, sp)
+            inside = SP._mask_of(region)
+            floods.clear()
+            SP.is_nice(sp, region)
+            assert set(floods) <= {inside & m for m in multi}, region
+            assert sp._level_parts == filled
+            second += len(floods)
+    assert second > 100, second
 
 
 def _interval_steps(sp, flags):
