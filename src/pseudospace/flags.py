@@ -17,18 +17,18 @@ global, the leftmost absorbed step (the lowest bit of one ``kernels.absorbed``
 mask) is swapped next to its absorber (``kernels.absorber``) and merged into
 it.  Only the rewritten steps are split into intervals and rid of
 identities, and the scan resumes where the path changed.
-Whether a step is global is a lookup: the space keeps, per pair of anchors,
-the components of their between-set, and a step whose old s-part's
-component misses the new s-part is global without a search; otherwise the
-shortest path is searched inside that component.  The lifts of a bridge take
-their monotone chains from the space's memo too.  Both rewrites strictly
-decrease the word's ordinal rank, so the loop terminates; the path ends in
-the order of ``kernels.normal_form``.  Vertex ids break the search ties and
-so choose the path's flags; its word, up to commutation, does not depend on
-them.  On hand-made graphs (``ColoredSpace.from_graph``) a step may admit
-no proper-subletter replacement; such steps are reported on the path as
-``stuck`` instead of being silently accepted, and nothing is merged.  Public
-functions check the flags they are given once.
+Whether a step is global is a lookup: the space keeps, per between-set
+mask, the components of that between-set found so far, and a step whose old
+s-part's component misses the new s-part is global without a search;
+otherwise the shortest path is searched inside that component.  The lifts of
+a bridge take their monotone chains from the space's memo too.  Both
+rewrites strictly decrease the word's ordinal rank, so the loop terminates;
+the path ends in the order of ``kernels.normal_form``.  Vertex ids break the
+search ties and so choose the path's flags; its word, up to commutation,
+does not depend on them.  On hand-made graphs (``ColoredSpace.from_graph``)
+a step may admit no proper-subletter replacement; such steps are reported on
+the path as ``stuck`` instead of being silently accepted, and nothing is
+merged.  Public functions check the flags they are given once.
 
 A basepoint over a nice region is reached by the ``preceq``-least connecting
 word, which exists on spaces built by ``apply_alpha`` (Baudisch,
@@ -146,26 +146,29 @@ class FlagPath:
 
 
 def enumerate_flags(space: ColoredSpace, within: set[int] | None = None) -> list[Flag]:
-    allowed = set(space.vertices) if within is None else set(within)
+    """The flags inside ``within`` (the whole space when None), in
+    vertex-tuple order: up from each level-0 vertex of ``within`` through
+    upper neighbours in ascending id order.  Ids that are no vertices are
+    ignored."""
+    level, adj, n = space._level, space._adj, space.n
+    inside = level if within is None else within
+    uppers: dict[int, list[int]] = {}  # vertex -> its upper neighbours inside, ascending
     out: list[Flag] = []
 
-    def extend(prefix: list[int]):
-        level = len(prefix)
-        if level == space.n + 1:
+    def extend(prefix: tuple[int, ...]) -> None:
+        lw = len(prefix)
+        if lw > n:
             out.append(Flag(prefix))
             return
-        if level == 0:
-            candidates = [v for v in space.vertices if v in allowed and space.level(v) == 0]
-        else:
-            candidates = [
-                v
-                for v in sorted(space.neighbors(prefix[-1]))
-                if v in allowed and space.level(v) == level
-            ]
-        for v in candidates:
-            extend(prefix + [v])
+        v = prefix[-1]
+        ws = uppers.get(v)
+        if ws is None:
+            ws = uppers[v] = sorted(w for w in adj[v] if level[w] == lw and w in inside)
+        for w in ws:
+            extend(prefix + (w,))
 
-    extend([])
+    for v in sorted(v for v in inside if level.get(v) == 0):
+        extend((v,))
     return out
 
 
@@ -192,8 +195,7 @@ def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
         raise DifferenceMismatchError(
             f"flags differ at {sorted(diff)}, not at the levels of {s}"
         )
-    lo, hi = _anchors_for(space, f, s)
-    part = space._between_part(lo, hi, f[s.lo])
+    part = space._part(space._between(*_anchors_for(space, f, s)), f[s.lo])
     return not any(part >> v & 1 for v in g.levels_of(s))
 
 
@@ -203,14 +205,13 @@ def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> list[i
     monotone paths change the level at each edge), or None when global.
 
     Both s-parts lie between the anchors, and ``f``'s in one component of
-    that between-set, which the space keeps per anchor pair.  The step is
-    global when that component misses ``g``'s s-part; otherwise the search
-    runs inside it, where it visits what it would visit in the whole
+    that between-set, which the space keeps per between-set mask.  The step
+    is global when that component misses ``g``'s s-part; otherwise the
+    search runs inside it, where it visits what it would visit in the whole
     between-set."""
     lo, hi = s.lo, s.hi
-    part = space._between_part(
-        f[lo - 1] if lo else BOTTOM, f[hi + 1] if hi < space.n else TOP, f[lo]
-    )
+    between = space._between(f[lo - 1] if lo else BOTTOM, f[hi + 1] if hi < space.n else TOP)
+    part = space._part(between, f[lo])
     targets = g[lo : hi + 1]
     for v in targets:
         if part >> v & 1:

@@ -41,52 +41,45 @@ connectivity compare distances in one scan, ``_shortcut``.
 Vertex sets travel through these searches as Python-int bitmasks, bit ``v``
 standing for vertex ``v`` (ids are dense).  ``_reach`` is one recursion over
 the level DAG: ``up(v)`` is the union over the upper neighbours ``w`` (inside
-the region, if any) of ``w`` and ``up(w)``.  Without a region each vertex's
-strict up-set and down-set are memoized as masks in ``_up`` and ``_down``,
-filled on demand from ``_adj``, so a space made by ``from_graph`` needs no
-rebuild.  With a region the memo lives for one call: a caller that
-asks about many vertices of one region (``nice_witness``, ``is_complete``)
-keeps one memo per direction for all of them.  A caller that asks whether
-many anchors lie over one reads that anchor's up-set once.  ``lies_over``
-between two vertices is a bit test when the lower one's up-set is memoized;
-otherwise it searches up from it only through the levels below the upper
-one's, stops there, and fills no memo.  ``apply_alpha`` checks its anchors
-with it, then clears ``_up`` only when its lower anchor is a vertex and
-``_down`` only when its upper anchor is one: a chain hung from ``BOTTOM`` is
-reached from below by no existing vertex, so no existing up-set changes, and
-likewise for ``TOP`` and down-sets.  Regions are masks inside the library and
-become ``set[int]`` only at the public API (``upward_closure``,
-``downward_closure`` and ``between``).  A restriction to a level interval is
-a region too: the searches that need one build the masks of the level
-intervals once per call (``_interval_masks``) rather than keep an index that
-every insert would have to update.
+the region, if any) of ``w`` and ``up(w)``.  With a region its memo lives for
+one call: a caller that asks about many vertices of one region
+(``nice_witness``, ``is_complete``) keeps one memo per direction for all of
+them.  A caller that asks whether many anchors lie over one reads that
+anchor's up-set once.  ``lies_over`` between two vertices is a bit test when
+the lower one's up-set is memoized; otherwise it searches up from it only
+through the levels below the upper one's, stops there, and fills no memo.
+Regions are masks inside the library and become ``set[int]`` only at the
+public API (``upward_closure``, ``downward_closure`` and ``between``).  A
+restriction to a level interval is a region too: the searches that need one
+build the masks of the level intervals once per call (``_interval_masks``)
+rather than keep an index that every insert would have to update.
 
-Two more memos serve the flag layer and ``open_pairs``, both keyed by an
-anchor pair ``(a, b)``: ``_parts`` holds the masks of the components of the
-between-set found so far (``_between_part(a, b, x)`` looks one up, with one
-``_component`` fill per miss), and ``_chains`` holds the result of
-``_monotone_chain(a, b)``, None when there is no chain.  Every insert clears
-both, whatever its anchors, unlike ``_up`` and ``_down``: the new vertices
-join the between-sets of every anchor pair around them, and a chain may pass
-where none did before.
+``ColoredSpace`` keeps five memos, filled on demand from ``_adj``, so a space
+made by ``from_graph`` needs no rebuild.  ``_up`` and ``_down`` hold each
+vertex's strict up-set and down-set; ``apply_alpha`` clears ``_up`` only when
+its lower anchor is a vertex and ``_down`` only when its upper anchor is one,
+since a chain hung from ``BOTTOM`` is reached from below by no old vertex,
+and likewise for ``TOP``.  The other three follow one rule: their key fixes
+their answer, so no insert clears them.  An insert adds vertices with ids
+above every old one and edges that touch a new vertex only, between anchors
+that lie over each other, so the subgraph induced on a mask of old vertices
+never changes, nor does the set of old vertices beneath or over an old one.
+``_dist`` maps ``(x, within)`` to the BFS distances from ``x`` inside the
+mask, and ``_parts`` maps a region mask to the masks of its components found
+so far (``_part(within, x)``, one ``_component`` fill per miss); a mask that
+holds a new vertex is a new key.  The flag layer and ``open_pairs`` read
+``_parts`` under the between-set mask of two anchors, and non-exact niceness
+under a level-interval mask.  ``_chains`` maps an anchor pair to its
+``_monotone_chain``, whose least-id choice at each level no new id can
+displace; a missing chain is not kept, as an insert may make one.  Code that
+writes ``_adj`` between existing vertices breaks the rule and must clear
+every memo.
 
-BFS distances are memoized for the life of the space: ``_dist`` maps
-``(x, within)`` to the distances ``distances_from(x, within)`` found, and no
-insert clears it.  An insert adds only edges that touch a new vertex, so the
-subgraph induced on a mask of existing vertices, and every BFS inside it,
-never changes, while a mask that holds a new vertex is a new key.  The oracle
-measures every level interval after each insert, so the exact niceness of
-the prior vertex set reads its BFS back from the memo.  ``_shortcut`` reads
-the distance in the whole level interval, usually a memo hit, as a lower
-bound of the ambient one, and runs the ambient BFS only for a point whose
-region distance exceeds it.  ``_level_parts`` maps the mask of a level
-interval to the masks of its components found so far (``_interval_part``
-looks one up, with one ``_component`` fill per miss, like ``_between_part``),
-and no insert clears it either, by the same invariant: a grown interval is a
-new key.  Non-exact niceness reads the ambient component of each point from
-it, so every query on one space shares the fills.  Code that writes ``_adj``
-between existing vertices after a query breaks the invariant and must clear
-``_dist`` and ``_level_parts`` too.
+The oracle measures every level interval after each insert, so the exact
+niceness of the prior vertex set reads its BFS back from ``_dist``.
+``_shortcut`` reads the distance in the whole level interval, usually a memo
+hit, as a lower bound of the ambient one, and runs the ambient BFS only for
+a point whose region distance exceeds it.
 
 Edges join adjacent levels only, so a single-level interval has no edges and
 holds no witness: niceness and simple connectivity scan only the intervals
@@ -135,14 +128,13 @@ class ColoredSpace:
         self._adj: dict[int, set[int]] = {}
         self._up: dict[int, int] = {}  # vertex -> mask of its strict up-set
         self._down: dict[int, int] = {}  # vertex -> mask of its strict down-set
-        # anchor pair -> masks of the components of its between-set found so far
-        self._parts: dict[tuple[Anchor, Anchor], list[int]] = {}
-        # anchor pair -> its _monotone_chain, None when there is none
-        self._chains: dict[tuple[Anchor, Anchor], tuple[int, ...] | None] = {}
-        # (x, within) -> BFS distances from x inside the mask; no insert clears it
+        # no insert clears these three (module docstring)
+        # region mask -> masks of its components found so far
+        self._parts: dict[int, list[int]] = {}
+        # anchor pair -> its _monotone_chain, once one is found
+        self._chains: dict[tuple[Anchor, Anchor], tuple[int, ...]] = {}
+        # (x, within) -> BFS distances from x inside the mask
         self._dist: dict[tuple[int, int], dict[int, int]] = {}
-        # level-interval mask -> masks of its components found so far; no insert clears it
-        self._level_parts: dict[int, list[int]] = {}
         self.build_log: list[BuildOp] = []
 
     # -- basic structure ---------------------------------------------------
@@ -217,8 +209,6 @@ class ColoredSpace:
             self._down.clear()
         if lo_real:
             self._up.clear()
-        self._parts.clear()
-        self._chains.clear()
         self.build_log.append(BuildOp(s, lo, hi, tuple(created)))
         return created
 
@@ -290,47 +280,26 @@ class ColoredSpace:
                         stack.append(w)
         return False
 
-    def _between(self, a: Anchor, b: Anchor, within: int | None = None) -> int:
-        """Mask of the vertices strictly between the anchors, joined to both
-        by monotone paths through the ``within`` mask when given."""
-        return self._closure(a, +1, within) & self._closure(b, -1, within)
-
-    def _between_part(self, a: Anchor, b: Anchor, x: int) -> int:
-        """Mask of the component of vertex ``x`` inside the between-set of the
-        anchors, 0 when ``x`` lies outside it.  The components found are kept
-        per anchor pair in ``_parts`` until the next insert; a miss costs one
-        ``_component`` fill."""
-        parts = self._parts.get((a, b))
-        if parts is None:
-            parts = self._parts[(a, b)] = []
-        for part in parts:
-            if part >> x & 1:
-                return part
-        part = self._component(x, self._between(a, b))
-        if part:
-            parts.append(part)
-        return part
-
-    def _interval_part(self, levels: int, x: int) -> int:
-        """Mask of the component of vertex ``x`` inside the ``levels`` mask of
-        a level interval, 0 when ``x`` lies outside it.  The components found
-        are kept per mask in ``_level_parts`` for the life of the space, like
-        ``_dist``; a miss costs one ``_component`` fill."""
-        parts = self._level_parts.get(levels)
-        if parts is None:
-            parts = self._level_parts[levels] = []
-        for part in parts:
-            if part >> x & 1:
-                return part
-        part = self._component(x, levels)
-        if part:
-            parts.append(part)
-        return part
+    def _between(self, a: Anchor, b: Anchor) -> int:
+        """Mask of the vertices strictly between the anchors, the key of
+        their between-set in ``_parts``.  The flag layer asks for it at every
+        step, so a memoized up- or down-set is read directly and an
+        imaginary anchor's side constrains nothing."""
+        if a == BOTTOM:
+            return self._closure(b, -1)
+        up = self._up.get(a)
+        if up is None:
+            up = self._closure(a, +1)
+        if b == TOP:
+            return up
+        down = self._down.get(b)
+        return up & (self._closure(b, -1) if down is None else down)
 
     def between(self, a: Anchor, b: Anchor, within: set[int] | None = None) -> set[int]:
         """Vertices strictly between the anchors, joined to both by monotone
         paths through ``within`` when given."""
-        return set(_members(self._between(a, b, None if within is None else _mask_of(within))))
+        inside = None if within is None else _mask_of(within)
+        return set(_members(self._closure(a, +1, inside) & self._closure(b, -1, inside)))
 
     # -- metric ----------------------------------------------------------------
 
@@ -347,6 +316,22 @@ class ColoredSpace:
                 mask |= by_level[hi]
                 out[(lo, hi)] = mask
         return out
+
+    def _part(self, within: int, x: int) -> int:
+        """Mask of the component of vertex ``x`` inside the ``within`` mask,
+        0 when ``x`` lies outside it.  The components found are kept per mask
+        in ``_parts`` for the life of the space; a miss costs one
+        ``_component`` fill."""
+        parts = self._parts.get(within)
+        if parts is None:
+            parts = self._parts[within] = []
+        for part in parts:
+            if part >> x & 1:
+                return part
+        part = self._component(x, within)
+        if part:
+            parts.append(part)
+        return part
 
     def _component(self, x: int, within: int) -> int:
         """Mask of the component of ``x`` in the subgraph induced on the
@@ -653,9 +638,10 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     Without ``exact``, condition 2 asks only that region points joined in the
     ambient interval are joined inside the region.  So for each region
     component one flood fill inside the region and one ambient component,
-    read from the space's ``_interval_part``, find the least ``x`` whose
-    ambient component holds region points outside its region component, and
-    one BFS measures the distance to the least such ``y``.  Single-level
+    read from the space's ``_parts`` under the interval's mask, find the
+    least ``x`` whose ambient component holds region points outside its
+    region component, and one BFS measures the distance to the least such
+    ``y``.  Single-level
     intervals, which have no edges, are skipped in both modes.
     """
     inside = _mask_of(region)
@@ -686,7 +672,7 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
         while todo:
             x = _lowest(todo)
             joined = space._component(x, pts)
-            apart = space._interval_part(levels, x) & pts & ~joined
+            apart = space._part(levels, x) & pts & ~joined
             if apart:
                 y = _lowest(apart)
                 dm = space.distances_from(x, levels)[y]
@@ -702,8 +688,8 @@ def is_nice(space: ColoredSpace, region: set[int]) -> bool:
 def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anchor]]:
     """Anchor pairs over the region with two region vertices between them at
     infinite distance inside the ambient between-subgraph: those whose
-    region points leave the between-set component (``_between_part``) of
-    the lowest one."""
+    region points leave the component of the lowest one inside the
+    between-set, read from the space's ``_parts`` under the between mask."""
     inside = _mask_of(region)
     anchors: list[Anchor] = [BOTTOM] + _members(inside) + [TOP]
     # a pair with b not over a (a == b included) has an empty between-set
@@ -715,7 +701,7 @@ def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anch
             pts = ups[i] & downs[j] & inside
             if pts.bit_count() < 2:
                 continue
-            if pts & ~space._between_part(a, b, _lowest(pts)):
+            if pts & ~space._part(ups[i] & downs[j], _lowest(pts)):
                 out.append((a, b))
     return out
 
@@ -762,30 +748,32 @@ def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) ->
 def _monotone_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> tuple[int, ...]:
     """Interior of a monotone path from anchor ``a`` up to anchor ``b``
     (both endpoints excluded): from ``a``, step to the least upper neighbour
-    (the least level-0 vertex from ``BOTTOM``) that lies beneath ``b``.  Kept
-    per anchor pair in ``space._chains``, None when there is no chain, until
-    the next insert."""
-    if (a, b) not in space._chains:
-        down = space._closure(b, -1)
-        level, adj = space._level, space._adj
-        chain: list[int] | None = []
-        v = a
-        for lw in range(space.anchor_level(a) + 1, space.anchor_level(b)):
-            if space.is_real(v):
-                v = min((w for w in adj[v] if down >> w & 1 and level[w] == lw), default=None)
-            else:
-                rest = down
-                while rest and level[_lowest(rest)] != lw:
-                    rest &= rest - 1
-                v = _lowest(rest) if rest else None
-            if v is None:
-                chain = None
-                break
-            chain.append(v)
-        space._chains[(a, b)] = None if chain is None else tuple(chain)
-    chain = space._chains[(a, b)]
-    if chain is None:
-        raise PreconditionError(f"no monotone chain between {a} and {b}")
+    (the least level-0 vertex from ``BOTTOM``) that lies beneath ``b``.
+
+    A chain found is kept per anchor pair in ``space._chains`` for the life
+    of the space: an insert never changes which old vertices lie beneath
+    ``b``, and its ids exceed every old one, so no least-id choice changes.
+    A missing chain, which only hand-made graphs have, is not kept, since an
+    insert may make one."""
+    chain = space._chains.get((a, b))
+    if chain is not None:
+        return chain
+    down = space._closure(b, -1)
+    level, adj = space._level, space._adj
+    found = []
+    v = a
+    for lw in range(space.anchor_level(a) + 1, space.anchor_level(b)):
+        if space.is_real(v):
+            v = min((w for w in adj[v] if down >> w & 1 and level[w] == lw), default=None)
+        else:
+            rest = down
+            while rest and level[_lowest(rest)] != lw:
+                rest &= rest - 1
+            v = _lowest(rest) if rest else None
+        if v is None:
+            raise PreconditionError(f"no monotone chain between {a} and {b}")
+        found.append(v)
+    chain = space._chains[(a, b)] = tuple(found)
     return chain
 
 

@@ -40,6 +40,23 @@ def test_enumerate_flags(alpha1_space):
     assert FL.enumerate_flags(ColoredSpace(2)) == []
 
 
+def test_enumerate_flags_matches_plain_search():
+    """On built and hand-made spaces, the flags of the whole space and of
+    random regions, given with ids that are no vertices, come in
+    vertex-tuple order and equal those a plain DFS finds."""
+    several = 0
+    for rng, sp in brute.random_spaces(49, 200):
+        everything = set(sp.vertices)
+        assert FL.enumerate_flags(sp) == sorted(brute._region_flags(sp, everything))
+        for _ in range(5):
+            region = {v for v in everything if rng.random() < 0.7}
+            strays = {-1, len(everything), len(everything) + rng.randint(1, 5)}
+            flags = FL.enumerate_flags(sp, within=region | strays)
+            assert flags == sorted(brute._region_flags(sp, region)), region
+            several += len(flags) > 1
+    assert several > 500, several
+
+
 def test_weak_word(alpha1_space):
     sp, F, G = alpha1_space
     assert str(FL.weak_word(sp, F, F)) == "1"
@@ -435,7 +452,8 @@ def _new_queries(rng, sp, flags):
     """For two flag pairs, the first starting at a flag through the newest
     vertex: the flag paths both ways, and ``is_global_step`` for the step at
     the pair's lowest interval of difference.  Then the hull of one
-    flag's vertices with one vertex."""
+    flag's vertices with one vertex, and the monotone chain between two
+    anchors on one flag at least two levels apart, so it is never empty."""
     last = len(sp.vertices) - 1
     newest = [f for f in flags if last in f.vertices]
     out = []
@@ -448,6 +466,10 @@ def _new_queries(rng, sp, flags):
         s = Letter(diff[0], next(i for i in diff if i + 1 not in diff))
         out.append(("global", f, f.replace(s, g.levels_of(s)), s))
     out.append(("hull", rng.choice(flags), rng.choice(sp.vertices)))
+    anchors = [BOTTOM, *rng.choice(flags), TOP]
+    i = rng.randrange(len(anchors) - 2)
+    j = rng.randrange(i + 2, len(anchors))
+    out.append(("chain", anchors[i], anchors[j]))
     return out
 
 
@@ -458,6 +480,8 @@ def _answer(sp, query):
         return path.flags, path.word.key, path.stuck
     if kind == "global":
         return FL.is_global_step(sp, *args)
+    if kind == "chain":
+        return SP._monotone_chain(sp, *args)
     f, b = args
     return frozenset(SP.nice_hull(sp, set(f.vertices), b))
 
@@ -465,27 +489,50 @@ def _answer(sp, query):
 def _stale_answer(sp, query):
     try:
         return _answer(sp, query)
-    except PreconditionError as exc:  # a stale chain may miss its anchors
+    except PreconditionError as exc:  # a stale component may need a chain that is not there
         return exc
 
 
-def test_memo_answers_match_a_fresh_copy_after_every_insert():
+def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
     """Spaces grow by interleaved ``apply_alpha`` and ``realize_type``.
     After each insert every query asked so far is asked again of the grown
-    space, whose memos of between-set components and chains are warm from
-    the queries before, and of a fresh copy from its export: the answers
-    must agree.  A third copy is given the memos as they stood before the
-    insert; some answers must come from a warm memo, and some must differ on
-    that copy, so a memo kept past an insert would show."""
+    space, whose component and chain memos are warm from the queries
+    before, and of a fresh copy from its export: the answers must agree.
+    More than 2,000 between-set components and more than 300 chains found
+    before an insert must be read back after it from the same memo entry,
+    so a memo that an insert had to clear would show.  Positive control: a
+    third copy is given the between-set components of the third copy before
+    the insert (of the grown space at the first insert), each carried to the
+    grown between-set of the same anchor pair, as a memo keyed by anchor
+    pair would carry them if no insert cleared it; more than five of its
+    answers must differ."""
+    part = ColoredSpace._part
+    # between mask -> its list of components in the memo before the insert, and its length then
+    kept_parts: dict[int, tuple[list[int], int]] = {}
+    read_back = 0
+
+    def counted(self, within, x):
+        nonlocal read_back
+        if self is sp and within in kept_parts:
+            parts, found = kept_parts[within]
+            read_back += self._parts.get(within) is parts and any(p >> x & 1 for p in parts[:found])
+        return part(self, within, x)
+
+    monkeypatch.setattr(ColoredSpace, "_part", counted)
     rng = random.Random(38)
-    warm = stale_differs = 0
+    chains_read = stale_differs = 0
     for _ in range(16):
         n = rng.randint(2, 4)
         sp = ColoredSpace(n)
         sp.apply_alpha(Letter(0, n))
-        queries = []
+        queries, stale = [], sp
         for _ in range(8):
-            kept = {k: list(v) for k, v in sp._parts.items()}, dict(sp._chains)
+            anchors = [BOTTOM, *sp.vertices, TOP]
+            between = {(a, b): sp._between(a, b) for a in anchors for b in anchors}
+            masks = set(between.values()) & sp._parts.keys()
+            kept_parts = {m: (sp._parts[m], len(sp._parts[m])) for m in masks}
+            carried = {pair: list(stale._parts.get(m, ())) for pair, m in between.items()}
+            kept_chains = dict(sp._chains)
             flags = FL.enumerate_flags(sp)
             if rng.random() < 0.5:
                 letters = [rng.choice(all_letters(n)) for _ in range(rng.randint(1, 3))]
@@ -494,14 +541,16 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert():
                 sp.apply_alpha(*rng.choice(_applicable_ops(sp)))
             fresh = ColoredSpace.from_json(sp.to_json())
             stale = ColoredSpace.from_json(sp.to_json())
-            stale._parts, stale._chains = kept
+            stale._parts = {stale._between(*ab): parts for ab, parts in carried.items() if parts}
             queries += _new_queries(rng, sp, FL.enumerate_flags(sp))
             for query in queries:
-                warm += bool(sp._parts or sp._chains)
                 got = _answer(sp, query)
                 assert got == _answer(fresh, query), query
+                chains_read += query[0] == "chain" and got is kept_chains.get(tuple(query[1:]))
                 stale_differs += _stale_answer(stale, query) != got
-    assert warm > 1000 and stale_differs > 5, (warm, stale_differs)
+    assert read_back > 2000 and chains_read > 300 and stale_differs > 5, (
+        read_back, chains_read, stale_differs
+    )
 
 
 def test_insert_over_a_dead_end_unsticks_a_step():

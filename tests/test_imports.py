@@ -45,7 +45,7 @@ FLAG_PATH_SEARCHES = (
     "_subletter_bridge",
     "shortest_path",
     "_monotone_chain",
-    "_between_part",
+    "_part",
 )
 BASEPOINT_SEARCHES = (
     "flag_path",
@@ -63,7 +63,7 @@ SPACE_SEARCHES = (
     "distances_from",
     "_shortcut",
     "_component",
-    "_between_part",
+    "_part",
     "_closure",
     "_reach",
 )

@@ -697,7 +697,7 @@ def test_distance_memo_matches_a_fresh_copy_after_every_insert():
         for _ in range(6):
             prior = set(sp.vertices)
             kept = set(sp._dist)
-            kept_parts = {m: list(parts) for m, parts in sp._level_parts.items()}
+            kept_parts = {m: list(parts) for m, parts in sp._parts.items()}
             old_masks = sp._interval_masks()
             if rng.random() < 0.5:
                 flag = rng.choice(FL.enumerate_flags(sp))
@@ -708,7 +708,7 @@ def test_distance_memo_matches_a_fresh_copy_after_every_insert():
             intervals = sp._interval_masks()
             anchors = [BOTTOM, *sp.vertices, TOP]
             if len(sp.vertices) > len(prior):  # an empty word inserts nothing
-                carried_parts += sum(len(sp._level_parts.get(m, ())) for m in set(intervals.values()))
+                carried_parts += sum(len(sp._parts.get(m, ())) for m in set(intervals.values()))
             masks = set(intervals.values())
             masks |= {sp._between(a, b) for a in anchors for b in anchors}
             for within in sorted(masks):
@@ -720,11 +720,11 @@ def test_distance_memo_matches_a_fresh_copy_after_every_insert():
             assert SP.simply_connected_witness(sp) == SP.simply_connected_witness(fresh)
             assert SP.open_pairs(sp, prior) == SP.open_pairs(fresh, prior)
             stale = ColoredSpace.from_json(sp.to_json())
-            stale._level_parts = {
+            stale._parts = {
                 intervals[t]: list(kept_parts[m]) for t, m in old_masks.items() if m in kept_parts
             }
             for region in [prior, *(_random_region(regions_rng, sp) for _ in range(3))]:
-                fresh._level_parts.clear()
+                fresh._parts.clear()
                 witness = SP.nice_witness(sp, region)
                 assert witness == SP.nice_witness(fresh, region), region
                 assert witness == brute.brute_nice_witness(sp, region), region
@@ -758,7 +758,7 @@ def test_interval_components_are_filled_once_per_space(monkeypatch):
         floods.clear()
         assert SP.is_nice(sp, set(sp.vertices))
         assert set(floods) <= multi and not set(floods) & single
-        filled = {m: list(parts) for m, parts in sp._level_parts.items()}
+        filled = {m: list(parts) for m, parts in sp._parts.items()}
         assert set(filled) == multi
         for _ in range(3):
             region = _random_region(rng, sp)
@@ -766,7 +766,7 @@ def test_interval_components_are_filled_once_per_space(monkeypatch):
             floods.clear()
             SP.is_nice(sp, region)
             assert set(floods) <= {inside & m for m in multi}, region
-            assert sp._level_parts == filled
+            assert sp._parts == filled
             second += len(floods)
     assert second > 100, second
 
