@@ -15,6 +15,15 @@ Conventions (letters are closed level intervals):
     levels widened by one on each side.
   * The normal form of a word is the unique commutation-equivalent word in
     which every adjacent commuting pair increases.
+
+Level masks come from one table, ``_MASKS``: it maps a letter key
+``(lo, hi)`` to ``(levels, widened)``, the bitmask of its levels and that
+mask widened by one level on each side, so a letter commutes with ``(lo, hi)``
+iff its levels miss ``widened``.  Like ``letters._LETTERS`` it fills each
+entry on first use, so the kernels stay total and a run keeps only the
+letters it meets (at most 2,016 below the dimension cap).  The scans here,
+``words._prec`` and the mask helpers of ``words.py`` read it instead of
+shifting.
 """
 
 from __future__ import annotations
@@ -28,6 +37,19 @@ RawWord = tuple  # tuple of (lo, hi) pairs
 # calls from one kernel to another are counted too.
 BACKEND = "pure"
 _impl = sys.modules[__name__]
+
+
+class _LetterMasks(dict):
+    """``(levels, widened)`` per letter key, computed on first use."""
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, int]:
+        lo, hi = key
+        own = ((1 << (hi - lo + 1)) - 1) << lo
+        masks = self[key] = (own, own | own << 1 | own >> 1)
+        return masks
+
+
+_MASKS = _LetterMasks()
 
 
 def _commutes(a, b) -> bool:
@@ -68,19 +90,22 @@ def absorbed(word: RawWord) -> int:
     reaches ``x`` iff its levels miss the mask.  ``x`` is absorbed by a letter
     it reaches that contains it, and absorbs every letter inside it that
     reaches it.  Once the mask covers ``x``, no pair with ``x`` is left."""
+    masks = _MASKS
     out = 0
-    for i, (lo, hi) in enumerate(word):
-        levels = ((1 << (hi - lo + 1)) - 1) << lo
+    for i, x in enumerate(word):
+        lo, hi = x
+        levels = masks[x][0]
         mask = 0
         j = i - 1
         while j >= 0 and levels & ~mask:
-            ylo, yhi = word[j]
-            own = ((1 << (yhi - ylo + 1)) - 1) << ylo
+            y = word[j]
+            ylo, yhi = y
+            own, wide = masks[y]
             if ylo <= lo and hi <= yhi and not levels & mask:
                 out |= 1 << i
             if lo <= ylo and yhi <= hi and not own & mask:
                 out |= 1 << j
-            mask |= own | own << 1 | own >> 1
+            mask |= wide
             j -= 1
     return out
 
@@ -104,20 +129,22 @@ def reduce_onto(out: list, word: RawWord) -> list:
     A deleted letter commutes with everything after it, so no deletion
     unblocks another pair and ``out`` stays reduced.  A reduced word appended
     to an empty list therefore comes back unchanged."""
+    masks = _MASKS
     for x in word:
         lo, hi = x
-        levels = ((1 << (hi - lo + 1)) - 1) << lo
+        levels = masks[x][0]
         mask = 0
         j = len(out) - 1
         while j >= 0 and levels & ~mask:
-            ylo, yhi = out[j]
+            y = out[j]
+            ylo, yhi = y
             if ylo <= lo and hi <= yhi and not levels & mask:
                 break
-            own = ((1 << (yhi - ylo + 1)) - 1) << ylo
+            own, wide = masks[y]
             if lo <= ylo and yhi <= hi and not own & mask:
                 del out[j]
             else:
-                mask |= own | own << 1 | own >> 1
+                mask |= wide
             j -= 1
         else:
             out.append(x)

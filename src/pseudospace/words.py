@@ -16,19 +16,23 @@ then says the enumeration is incomplete.
 The order ``prec`` (replace at least one letter by a product of proper
 subletters, up to commutation) is implemented exactly as a one-step relation;
 that relation is already transitive, so no closure is computed.  It is one
-search on keys, memoized in a dict per call: it walks the letters of ``v``
-while a bitmask holds the positions of ``u`` not yet placed, and a position
-may be placed next when no unplaced earlier position holds a letter that does
-not commute with it.
+search on keys, memoized in a dict per call.  It places the positions of
+``u`` block by block, one block per letter of ``v``, while a bitmask holds the
+positions not yet placed; a position is free when no unplaced earlier
+position holds a letter that does not commute with it.  A letter of ``v`` is
+either kept, by its lowest unplaced copy, or replaced by every free
+proper-subletter position, found in one ascending pass, so each letter has
+at most two branches (``_prec`` says why the whole pass is exact).
 
 Stabilizers, final segments, ``split_absorbed``, fine decomposition and left
-division work on keys and level bitmasks; a letter commutes with another iff its levels miss
-the other's levels widened by one on each side.  Left division searches over
-reducts, which are normal forms like its target, so equivalence to the target
-is key equality, and reduction keeps a word's support, so letters outside the
-target's support never enter the search.  Its candidates are the state with
-one letter reduced onto it: a reduced state passes through reduction
-unchanged, so only the new letter is scanned, and the result is normal-formed.
+division work on keys and level bitmasks, read from ``kernels._MASKS``; a
+letter commutes with another iff its levels miss the other's levels widened
+by one on each side.  Left division searches over reducts, which are normal
+forms like its target, so equivalence to the target is key equality, and
+reduction keeps a word's support, so letters outside the target's support
+never enter the search.  Its candidates are the state with one letter reduced
+onto it: a reduced state passes through reduction unchanged, so only the new
+letter is scanned, and the result is normal-formed.
 
 There is one word representation: a ``Word`` stores its dimension and its
 key, the letters as ``(lo, hi)`` pairs, which the kernels in ``kernels.py``
@@ -47,6 +51,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import kernels
+from .kernels import _MASKS
 from .errors import (
     DimensionError,
     NotMonotoneError,
@@ -141,20 +146,7 @@ def parse_word(text: str, n: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# level masks
-
-
-def _levels(s: tuple[int, int]) -> int:
-    """The levels of a letter key as a bitmask."""
-    lo, hi = s
-    return ((1 << (hi - lo + 1)) - 1) << lo
-
-
-def _widened(s: tuple[int, int]) -> int:
-    """The levels of a letter key, widened by one on each side: a letter
-    commutes with ``s`` iff its levels miss this mask."""
-    own = _levels(s)
-    return own | own << 1 | own >> 1
+# level masks, read from ``kernels._MASKS``
 
 
 def _index_set(mask: int) -> IndexSet:
@@ -164,7 +156,7 @@ def _index_set(mask: int) -> IndexSet:
 def _support(key: tuple) -> int:
     out = 0
     for s in key:
-        out |= _levels(s)
+        out |= _MASKS[s][0]
     return out
 
 
@@ -212,11 +204,12 @@ def final_segment(u: Word) -> tuple[Word, Word]:
     segment: list[tuple[int, int]] = []
     later = 0
     for s in reversed(u.key):
-        if _levels(s) & later:
+        own, wide = _MASKS[s]
+        if own & later:
             remainder.append(s)
         else:
             segment.append(s)
-        later |= _widened(s)
+        later |= wide
     return _from_key(tuple(remainder[::-1]), u.n), _from_key(tuple(segment[::-1]), u.n)
 
 
@@ -230,8 +223,9 @@ def _left_stabilizer(key: tuple) -> int:
     out = 0
     cent = -1
     for s in key:
-        out |= cent & _levels(s)
-        cent &= ~_widened(s)
+        own, wide = _MASKS[s]
+        out |= cent & own
+        cent &= ~wide
     return out
 
 
@@ -255,6 +249,7 @@ def properly_absorbs_left(v: Word, u: Word) -> bool:
     """Every letter ``s`` of ``u`` is absorbed by a strictly larger letter of
     ``v``: in ``s.v`` the absorber of ``s``, at position ``j``, is the letter
     ``j - 1`` of ``v``, and it is not ``s`` itself."""
+    _same_dimension(u, v)
     for s in u.key:
         j = kernels.absorber((s,) + v.key, 0)
         if j is None or v.key[j - 1] == s:
@@ -279,12 +274,12 @@ def _split_absorbed(key: tuple, absorbed: int) -> tuple[tuple, tuple]:
     moved: list[tuple[int, int]] = []
     kept = 0
     for s in reversed(key):
-        own = _levels(s)
+        own, wide = _MASKS[s]
         if not own & ~absorbed and not own & kept:
             moved.append(s)
         else:
             stay.append(s)
-            kept |= _widened(s)
+            kept |= wide
     return tuple(reversed(stay)), tuple(reversed(moved))
 
 
@@ -364,10 +359,6 @@ def decompose_symmetric(u: Word, v: Word) -> FineDecomposition:
 # ---------------------------------------------------------------------------
 # the subletter-replacement order
 
-# search states of ``prec``: no letter of v replaced yet, some letter
-# replaced, and the current letter being replaced by a block of subletters
-_KEPT, _REPLACED, _BLOCK = 0, 1, 2
-
 
 def prec(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
     """One parallel replacement step: some permutation of ``u`` is obtained
@@ -382,26 +373,27 @@ def prec(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
 
 
 def _prec(src: tuple, dst: tuple) -> bool:
-    """``prec`` on keys, without the dimension and bound checks."""
+    """``prec`` on keys, without the dimension and bound checks.
+
+    The positions of ``src`` are placed block by block, one block per letter
+    of ``dst``; a position is free once every earlier position whose letter
+    does not commute with it is placed.  Letter ``i`` is either kept, by its
+    lowest unplaced copy (equal letters do not commute, so no later copy can
+    be free), or replaced by every proper-subletter position that one
+    ascending pass finds free.  Taking the whole pass is exact: in any
+    solution, a subletter position free at block ``i`` but placed in a later
+    block can move into block ``i``, since its blockers are placed by then
+    and the letters after it that do not commute with it come later still;
+    a kept block it leaves empty becomes the empty product, still a
+    replacement.  So the search has at most two branches per letter,
+    memoized on the letter index, the unplaced positions and whether a
+    letter was replaced."""
     m, last = len(src), len(dst)
-    # blocked[p]: the earlier positions of u whose letters do not commute
-    # with letter p, i.e. whose levels meet its widened levels; p can come
-    # next iff none of them remains
-    levels = [((1 << (hi - lo + 1)) - 1) << lo for lo, hi in src]
-    blocked = []
-    for p, own in enumerate(levels):
-        wide = own | own << 1 | own >> 1
-        mask = 0
-        bit = 1
-        for q in range(p):
-            if levels[q] & wide:
-                mask |= bit
-            bit <<= 1
-        blocked.append(mask)
-    # same[i], sub[i]: the positions of u holding letter i of v, and holding
-    # a proper subletter of it
+    # same[i], sub[i]: the positions of src holding letter i of dst, and
+    # holding a proper subletter of it
     same = []
     sub = []
+    covered = 0
     for tlo, thi in dst:
         eq = inner = 0
         bit = 1
@@ -414,32 +406,55 @@ def _prec(src: tuple, dst: tuple) -> bool:
             bit <<= 1
         same.append(eq)
         sub.append(inner)
-    memo: dict[tuple[int, int, int], bool] = {}
+        covered |= eq | inner
+    full = (1 << m) - 1
+    if covered != full:  # a letter of src lies inside no letter of dst
+        return False
+    # blocked[p]: the earlier positions of src whose letters do not commute
+    # with letter p, i.e. whose levels meet its widened levels
+    levels = []
+    blocked = []
+    for s in src:
+        own, wide = _MASKS[s]
+        mask = 0
+        bit = 1
+        for earlier in levels:
+            if earlier & wide:
+                mask |= bit
+            bit <<= 1
+        blocked.append(mask)
+        levels.append(own)
+    memo: dict[tuple[int, int, bool], bool] = {}
 
-    def search(i: int, mask: int, state: int) -> bool:
-        # the letters of v before i are matched, and mask holds the
-        # positions of u still to place
-        key = (i, mask, state)
+    def search(i: int, mask: int, replaced: bool) -> bool:
+        # the letters of dst before i are matched, and mask holds the
+        # positions of src still to place
+        key = (i, mask, replaced)
         found = memo.get(key)
         if found is not None:
             return found
         if i == last:
-            found = mask == 0 and state == _REPLACED
+            found = not mask and replaced
         else:
-            block = state == _BLOCK
-            found = block and search(i + 1, mask, _REPLACED)
-            free = mask & (sub[i] if block else same[i])
-            while free and not found:
-                bit = free & -free
-                free ^= bit
+            found = False
+            copies = mask & same[i]
+            if copies:
+                bit = copies & -copies
                 if not blocked[bit.bit_length() - 1] & mask:
-                    found = search(i if block else i + 1, mask ^ bit, state)
-            if not (found or block):
-                found = search(i, mask, _BLOCK)
+                    found = search(i + 1, mask ^ bit, replaced)
+            if not found:
+                rest = mask
+                free = mask & sub[i]
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    if not blocked[bit.bit_length() - 1] & rest:
+                        rest ^= bit
+                found = search(i + 1, rest, True)
         memo[key] = found
         return found
 
-    return search(0, (1 << m) - 1, _KEPT)
+    return search(0, full, False)
 
 
 def preceq(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
@@ -536,7 +551,7 @@ def _strong_successors(
     # first letter whose levels meet its widened levels; a later twin lies
     # behind either.
     for i in positions:
-        wide = _widened(key[i])
+        wide = _MASKS[key[i]][1]
         for j in range(i + 1, n):
             if key[j] == key[i]:
                 if _split_candidates(key[i], max_split_len) > max_steps:
@@ -547,7 +562,7 @@ def _strong_successors(
                             key[:i] + product + key[i + 1 : j] + key[j + 1 :]
                         )
                 break
-            if _levels(key[j]) & wide:
+            if _MASKS[key[j]][0] & wide:
                 break
 
 
@@ -622,7 +637,7 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
     target = kernels.normal_form(v.key)
     inside = _support(target)
     alphabet = [
-        ((lo, hi), not _levels((lo, hi)) & ~inside)
+        ((lo, hi), not _MASKS[lo, hi][0] & ~inside)
         for lo in range(n + 1)
         for hi in range(lo, n + 1)
     ]

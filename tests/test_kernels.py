@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from brute import absorbing_positions, bubble_normal_form, restart_reduce, swap_closure
 from pseudospace import BACKEND, kernels
-from pseudospace.letters import Letter
+from pseudospace.letters import MAX_DIMENSION, Letter
 from pseudospace.words import Word
 
 raw_words = st.lists(
@@ -175,3 +175,30 @@ def test_normal_form_sorted(word):
     for a, b in zip(nf, nf[1:]):
         # no adjacent commuting inversion remains
         assert not (a[0] >= b[1] + 2)
+
+
+def test_mask_table_matches_the_level_sets():
+    """Every letter below the dimension cap: its table entry holds the mask
+    of its levels and of its levels widened by one on each side."""
+    for lo in range(MAX_DIMENSION + 1):
+        for hi in range(lo, MAX_DIMENSION + 1):
+            levels = sum(1 << i for i in range(lo, hi + 1))
+            widened = sum(1 << i for i in range(max(lo - 1, 0), hi + 2))
+            assert kernels._MASKS[lo, hi] == (levels, widened), (lo, hi)
+
+
+def test_kernels_on_words_that_reach_the_top_level():
+    """Words at N = 62 whose letters lie in the top eight levels, each with a
+    letter ending at level 62: ``reduce_word`` and ``absorbed`` match the
+    plain references there too."""
+    rng = random.Random(62)
+    absorbed = 0
+    for _ in range(400):
+        word = list(_random_word(rng, 7, rng.randint(0, 14)))
+        word.insert(rng.randint(0, len(word)), (rng.randint(0, 7), 7))
+        word = tuple((lo + MAX_DIMENSION - 7, hi + MAX_DIMENSION - 7) for lo, hi in word)
+        assert kernels.reduce_word(word) == restart_reduce(word), word
+        expected = sum(1 << i for i in range(len(word)) if absorbing_positions(word, i))
+        assert kernels.absorbed(word) == expected, word
+        absorbed += expected != 0
+    assert absorbed > 300

@@ -131,3 +131,51 @@ def test_divides_matches_brute_force():
     assert outcomes["witness"] > 0 and outcomes["none"] > 0, outcomes
     assert sum(outcomes.values()) == 3482
     assert explored == 24_143
+
+
+def _grown_reduced(rng, n, length):
+    """A reduced word of up to ``length`` letters, grown one letter at a time:
+    a drawn letter is appended when the word stays reduced."""
+    alphabet = all_letters(n)
+    word = Word.one(n)
+    for _ in range(4 * length):
+        if len(word) == length:
+            break
+        longer = word.concat(Word((rng.choice(alphabet),), n))
+        if W.is_reduced(longer):
+            word = longer
+    return word
+
+
+def test_division_at_the_workload_shape():
+    """2,000 seeded calls shaped like the benchmark's: N = 2 or 3, ``u`` of up
+    to 4 letters, the default length bound, and targets ``reduce(u.w)`` with
+    ``|w| <= 2`` (a witness exists) or, one call in four, random reduced
+    words.  The totals of each outcome and of ``explored`` pin the states
+    that the pruning by ``prec`` lets through; they were computed with a
+    ``_prec`` that placed subletters one position at a time, so they show
+    that the block search prunes the same states."""
+    rng = random.Random(2300)
+    outcomes = {"witness": 0, "none": 0, "inconclusive": 0}
+    explored = 0
+    for i in range(2000):
+        n = rng.randint(2, 3)
+        u = _grown_reduced(rng, n, rng.randint(0, 4))
+        divisible = i % 4 != 3
+        if divisible:
+            w = Word(tuple(rng.choice(all_letters(n)) for _ in range(rng.randint(0, 2))), n)
+            v = W.concat_reduce(u, w)
+        else:
+            v = _grown_reduced(rng, n, rng.randint(0, 4))
+        res = W.divides_left_bounded(u, v)
+        explored += res.explored
+        if res.witness is not None:
+            assert W.equivalent(W.concat_reduce(u, res.witness), v), (str(u), str(v))
+            outcomes["witness"] += 1
+        elif res.conclusive:
+            assert not divisible, (str(u), str(v))
+            outcomes["none"] += 1
+        else:
+            outcomes["inconclusive"] += 1
+    assert outcomes == {"witness": 1682, "none": 298, "inconclusive": 20}
+    assert explored == 147_320

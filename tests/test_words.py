@@ -24,7 +24,7 @@ from pseudospace.errors import (
     ParseError,
     SearchBoundExceededError,
 )
-from pseudospace.letters import _LETTERS, Letter, all_letters, commutes
+from pseudospace.letters import _LETTERS, Letter, all_letters, commutes, proper_subletters
 from pseudospace.oracle import _random_swaps, random_reduced_word, random_script
 from pseudospace.space import ColoredSpace
 from pseudospace.words import Word, parse_word
@@ -187,6 +187,18 @@ def test_proper_absorption_matches_plain_scan():
     assert min(held.values()) > 1000, held
 
 
+def test_absorption_rejects_mixed_dimensions():
+    """``[0]`` lies inside ``[0,5]``, and the empty word inside anything, yet
+    words of different dimensions are no instance of either side."""
+    v = parse_word("[0,5]", 5)
+    for u in (parse_word("[0]", 2), Word.one(2)):
+        for absorbs in (W.absorbs_left, W.properly_absorbs_left, W.properly_absorbs_right):
+            with pytest.raises(DimensionError):
+                absorbs(v, u)
+            with pytest.raises(DimensionError):
+                absorbs(u, v)
+
+
 def test_split_absorbed_examples():
     u1, u2 = W.split_absorbed(pw("[2].[0,1]"), frozenset({0, 1}))
     assert (str(u1), str(u2)) == ("[2]", "[0,1]")
@@ -264,6 +276,40 @@ def test_prec_matches_brute_force():
                 holds += result
     assert (pairs, holds, pairs - holds) == (81_002, 26_440, 54_562)
     assert tangled == 75_662
+
+
+def test_prec_matches_brute_force_on_longer_pairs():
+    """1,500 seeded pairs of combined length 9 to 12 (the default bound),
+    N = 2 to 6, beyond the lengths of the exhaustive sweep.  Every other
+    pair is built to hold: one letter of v is replaced by a product of its
+    proper subletters, and commuting letters of the result are swapped at
+    random.  The rest are random pairs, of which 282 hold."""
+    rng = random.Random(2301)
+    holds = 0
+    for i in range(1500):
+        n = rng.randint(2, 6)
+        total = rng.randint(9, W.PREC_DEFAULT_BOUND)
+        alphabet = all_letters(n)
+        if i % 2 == 0:
+            # v has k letters and the product total + 1 - 2k
+            k = rng.randint(1, (total + 1) // 2)
+            v = [rng.choice(alphabet) for _ in range(k)]
+            j = rng.randrange(k)
+            while total + 1 - 2 * k and v[j].size == 1:
+                v[j] = rng.choice(alphabet)
+            product = [rng.choice(proper_subletters(v[j])) for _ in range(total + 1 - 2 * k)]
+            keys = _random_swaps(rng, [s.key for s in v[:j] + product + v[j + 1 :]], 3 * total)
+            u = [_LETTERS[key] for key in keys]
+        else:
+            k = rng.randint(0, total)
+            u = [rng.choice(alphabet) for _ in range(k)]
+            v = [rng.choice(alphabet) for _ in range(total - k)]
+        u, v = Word(u, n), Word(v, n)
+        result = W.prec(u, v)
+        assert result == brute_prec(u, v), (str(u), str(v))
+        assert result or i % 2, (str(u), str(v))
+        holds += result
+    assert (holds, 1500 - holds) == (1032, 468)
 
 
 def test_prec_bound():
