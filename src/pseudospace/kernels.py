@@ -16,6 +16,11 @@ Conventions (letters are closed level intervals):
   * The normal form of a word is the unique commutation-equivalent word in
     which every adjacent commuting pair increases.
 
+Reduction keeps a reduced normal form as it goes: ``reduce_onto`` inserts
+each letter it keeps as ``normal_form`` does, and the letters it deletes
+leave no adjacent pair out of order, so neither ``reduce_word`` nor a caller
+that reduces one letter onto a normal form needs a second pass.
+
 Level masks come from one table, ``_MASKS``: it maps a letter key
 ``(lo, hi)`` to ``(levels, widened)``, the bitmask of its levels and that
 mask widened by one level on each side, so a letter commutes with ``(lo, hi)``
@@ -115,20 +120,25 @@ def is_reduced(word: RawWord) -> bool:
 
 
 def reduce_onto(out: list, word: RawWord) -> list:
-    """Append the letters of ``word`` to ``out``, a reduced word held as a
-    list, keeping it reduced; returns ``out``.
+    """Append the letters of ``word`` to ``out``, a reduced normal form held
+    as a list, keeping it a reduced normal form; returns ``out``.
 
     Each new letter ``x`` scans back over ``out`` with the widened mask of
     the kept letters passed, as in ``absorbed``.  ``x`` is dropped if a
     letter it reaches contains it.  Otherwise every letter inside ``x`` that
-    reaches it is deleted.  One scan never does both: a letter inside ``x``
-    commutes neither with ``x`` nor with a letter containing ``x``, so it
-    cannot reach ``x`` while ``x`` reaches a container; and a drop found past
-    deleted letters would mean that the one nearest the container reached
-    it in ``out``, which is reduced.
+    reaches it is deleted, and ``x`` is inserted leftwards past the letters
+    that lie entirely above it, as ``normal_form`` does.  One scan never does
+    both: a letter inside ``x`` commutes neither with ``x`` nor with a letter
+    containing ``x``, so it cannot reach ``x`` while ``x`` reaches a
+    container; and a drop found past deleted letters would mean that the one
+    nearest the container reached it in ``out``, which is reduced.
     A deleted letter commutes with everything after it, so no deletion
-    unblocks another pair and ``out`` stays reduced.  A reduced word appended
-    to an empty list therefore comes back unchanged."""
+    unblocks another pair and ``out`` stays reduced.  Nor does a deletion
+    leave an adjacent pair out of order: the deleted letter lies below the
+    letter after it, as they commute in a normal form, and the letter before
+    it either lies below it too or touches its levels, so it cannot lie
+    above the letter after it.  A reduced word appended to an empty list
+    therefore comes back in normal form."""
     masks = _MASKS
     for x in word:
         lo, hi = x
@@ -147,14 +157,17 @@ def reduce_onto(out: list, word: RawWord) -> list:
                 mask |= wide
             j -= 1
         else:
-            out.append(x)
+            j = len(out)
+            while j and out[j - 1][0] >= hi + 2:
+                j -= 1
+            out.insert(j, x)
     return out
 
 
 def reduce_word(word: RawWord) -> RawWord:
     """The reduct of ``word`` in normal form: its letters reduced one at a
-    time onto an empty prefix."""
-    return normal_form(tuple(reduce_onto([], word)))
+    time onto an empty prefix, which keeps a reduced normal form."""
+    return tuple(reduce_onto([], word))
 
 
 def normal_form(word: RawWord) -> RawWord:

@@ -31,8 +31,9 @@ by one on each side.  Left division searches over reducts, which are normal
 forms like its target, so equivalence to the target is key equality, and
 reduction keeps a word's support, so letters outside the target's support
 never enter the search.  Its candidates are the state with one letter reduced
-onto it: a reduced state passes through reduction unchanged, so only the new
-letter is scanned, and the result is normal-formed.
+onto it: only the new letter is scanned, and the result is a normal form
+already.  A state is tested against the target in ``prec`` only when the
+search expands it.
 
 There is one word representation: a ``Word`` stores its dimension and its
 key, the letters as ``(lo, hi)`` pairs, which the kernels in ``kernels.py``
@@ -625,10 +626,19 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
     ``v`` in the replacement order.
 
     States are reducts, hence normal forms, and so is the target, so
-    equivalence to it is key equality.  Reduction keeps a word's support, and
-    every state lies inside the target's, so a letter outside it is counted
-    as explored but never multiplied in.  Ranks are compared as ``_rank``
-    lists."""
+    equivalence to it is key equality; ``kernels.reduce_onto`` keeps the
+    normal form, so a candidate is the state with one letter reduced onto
+    it.  Reduction keeps a word's support, and every state lies inside the
+    target's, so a letter outside it is counted as explored but never
+    multiplied in.  Ranks are compared as ``_rank`` lists.
+
+    A state is tested against the target when its turn to be expanded
+    comes, not when it is made: when the witness turns up, the states of the
+    last level are never tested.  A state that fails stays in ``visited``,
+    so it is neither made nor tested again.  When the length bound ends the
+    search, the answer is conclusive iff no state of the last level passes
+    the test: a state that passes is one a longer search would expand, and
+    no extension of one that fails reaches the target."""
     n = _same_dimension(u, v)
     if not kernels.is_reduced(u.key) or not kernels.is_reduced(v.key):
         raise NotReducedError("divides_left_bounded requires reduced inputs")
@@ -651,35 +661,34 @@ def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> Divisi
         # beyond the bound ``prec`` cannot prune soundly: keep exploring
         return len(x) > bounded or _prec(x, target)
 
-    start = kernels.reduce_word(u.key)
+    start = kernels.normal_form(u.key)
     if start == target:
         return DivisionResult(Word.one(n), True, 1)
-    if _support(start) & ~inside or not below_target(start):
+    if _support(start) & ~inside:
         return DivisionResult(None, True, 0)
     frontier: list[tuple[tuple, tuple]] = [(start, ())]
     visited = {start}
     explored = 0
-    for depth in range(1, max_len + 1):
+    for _ in range(max_len):
         next_frontier: list[tuple[tuple, tuple]] = []
         for state, path in frontier:
+            if not below_target(state):
+                continue
             for t, fits in alphabet:
                 explored += 1
                 if not fits:
                     continue
-                candidate = kernels.normal_form(
-                    tuple(kernels.reduce_onto(list(state), (t,)))
-                )
+                candidate = tuple(kernels.reduce_onto(list(state), (t,)))
                 if candidate in visited:
                     continue
                 new_path = path + (t,)
                 if candidate == target:
                     witness = _from_key(kernels.reduce_word(new_path), n)
                     return DivisionResult(witness, True, explored)
-                if not below_target(candidate):
-                    continue
                 visited.add(candidate)
                 next_frontier.append((candidate, new_path))
         frontier = next_frontier
         if not frontier:
             return DivisionResult(None, True, explored)
-    return DivisionResult(None, False, explored)
+    conclusive = not any(below_target(state) for state, _ in frontier)
+    return DivisionResult(None, conclusive, explored)

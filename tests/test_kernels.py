@@ -125,8 +125,9 @@ def _reduced_normal_forms(n, max_len):
 
 
 def test_reduce_onto_a_reduced_prefix_matches_reduce_word():
-    # every reduced normal form of N <= 3 and length <= 3 with every letter;
-    # the counts show that both the drop and the deletion branch ran
+    # every reduced normal form of N <= 3 and length <= 3 with every letter,
+    # whose reduct comes back in normal form; the counts show that both the
+    # drop and the deletion branch ran
     cases = dropped = deleting = 0
     for n in (1, 2, 3):
         alphabet, states = _reduced_normal_forms(n, 3)
@@ -135,7 +136,7 @@ def test_reduce_onto_a_reduced_prefix_matches_reduce_word():
             for t in alphabet:
                 out = kernels.reduce_onto(list(state), (t,))
                 expected = kernels.reduce_word(state + (t,))
-                assert kernels.normal_form(tuple(out)) == expected, (state, t)
+                assert tuple(out) == expected, (state, t)
                 assert expected == restart_reduce(state + (t,)), (state, t)
                 cases += 1
                 if out == list(state):
@@ -143,6 +144,19 @@ def test_reduce_onto_a_reduced_prefix_matches_reduce_word():
                 elif len(out) <= len(state):
                     deleting += 1
     assert (cases, dropped > 500, deleting > 500) == (1924, True, True), (cases, dropped, deleting)
+    # random unreduced words, where deletions happen mid-word: the output is
+    # already a normal form and needs no second pass
+    rng = random.Random(2400)
+    deleted = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        alphabet = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+        word = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        out = tuple(kernels.reduce_onto([], word))
+        assert kernels.normal_form(out) == out, word
+        assert out == restart_reduce(word), word
+        deleted += len(word) - len(out)
+    assert deleted > 5000, deleted
 
 
 def test_normal_form_matches_bubble_sort():

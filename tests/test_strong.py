@@ -106,9 +106,10 @@ def test_divides_matches_brute_force():
     """Every pair of reduced words: N = 1 with u, v and max_len up to 3,
     N = 2 with u up to 2, v up to 3 and max_len 2, and N = 3 with u, v and
     max_len up to 2.  A witness must divide, and a conclusive negative must
-    have no divisor within max_len; both outcomes must occur.  The total of
-    ``explored`` pins what the search counts: one step per letter tried on
-    each state, inside the target's support or not."""
+    have no divisor within max_len.  The split of outcomes pins when a search
+    that hits max_len is conclusive, and the total of ``explored`` pins what
+    the search counts: one step per letter tried on each state, inside the
+    target's support or not."""
     outcomes = {"witness": 0, "none": 0, "inconclusive": 0}
     explored = 0
     for n, u_len, v_len, max_len in ((1, 3, 3, 3), (2, 2, 3, 2), (3, 2, 2, 2)):
@@ -128,9 +129,17 @@ def test_divides_matches_brute_force():
                     outcomes["none"] += 1
                 else:
                     outcomes["inconclusive"] += 1
-    assert outcomes["witness"] > 0 and outcomes["none"] > 0, outcomes
-    assert sum(outcomes.values()) == 3482
+    assert outcomes == {"witness": 729, "none": 2431, "inconclusive": 322}
     assert explored == 24_143
+
+
+@pytest.mark.parametrize("v", ["[1,2].[0]", "[1].[0].[1]"])
+def test_division_concludes_when_the_last_level_is_pruned(v):
+    """Every state the search makes at the last level fails the test against
+    the target, so no longer search could find a witness either: the answer
+    is a conclusive negative, though those states were never expanded."""
+    res = W.divides_left_bounded(parse_word("[0]", 2), parse_word(v, 2), 2)
+    assert (res.witness, res.conclusive, res.explored) == (None, True, 12)
 
 
 def _grown_reduced(rng, n, length):
