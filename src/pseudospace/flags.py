@@ -195,8 +195,14 @@ def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
         raise DifferenceMismatchError(
             f"flags differ at {sorted(diff)}, not at the levels of {s}"
         )
-    part = space._part(space._between(*_anchors_for(space, f, s)), f[s.lo])
+    part = _step_part(space, f, s)
     return not any(part >> v & 1 for v in g.levels_of(s))
+
+
+def _step_part(space: ColoredSpace, f: Flag, s: Letter) -> int:
+    """The component of ``f``'s s-part inside the between-set of the step's
+    anchors, as a vertex mask."""
+    return space._part(space._between(*_anchors_for(space, f, s)), f[s.lo])
 
 
 def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> list[int] | None:
@@ -209,13 +215,11 @@ def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> list[i
     is global when that component misses ``g``'s s-part; otherwise the
     search runs inside it, where it visits what it would visit in the whole
     between-set."""
-    lo, hi = s.lo, s.hi
-    between = space._between(f[lo - 1] if lo else BOTTOM, f[hi + 1] if hi < space.n else TOP)
-    part = space._part(between, f[lo])
-    targets = g[lo : hi + 1]
+    part = _step_part(space, f, s)
+    targets = g.levels_of(s)
     for v in targets:
         if part >> v & 1:
-            return space.shortest_path(f[lo : hi + 1], set(targets), part)
+            return space.shortest_path(f.levels_of(s), set(targets), part)
     return None
 
 

@@ -4,8 +4,8 @@ Each suite checks the laws of one area against brute-force evidence:
 independently randomized reduction strategies, swap-closure enumerations,
 exhaustive small-domain scans and constructed model configurations.  Suites
 are deterministic given their configuration; bounded-only checks (triangle,
-divisibility, strong-reduct enumeration) are labeled "sampled/bounded" in the
-report notes.  Failure records carry the serialized inputs so any failure
+strong-reduct enumeration, prec instances) are labeled "sampled/bounded" in
+the report notes.  Failure records carry the serialized inputs so any failure
 re-runs standalone.
 """
 
@@ -368,10 +368,13 @@ def _suite_words_order(config: SuiteConfig, report: SuiteReport) -> None:
             if W.preceq(wv, w.concat(v2), bound=40) and not W.preceq(v, v2, bound=40):
                 _fail(report, "cancellation-order",
                       {"n": n, "w": str(w), "v": str(v), "v2": str(v2)}, None)
-        # left division: u divides reduce(u.w) with a bounded witness
+        # left division: u divides reduce(u.w), and the least witness has
+        # no more letters than reduce(w)
         prod = W.concat_reduce(u, w)
-        res = W.divides_left_bounded(u, prod, max_len=len(w) + 2)
-        if res.witness is None and res.conclusive:
+        res = W.divides_left_bounded(u, prod)
+        if (res.witness is None
+                or not W.equivalent(W.concat_reduce(u, res.witness), prod)
+                or len(res.witness) > len(W.reduce(w))):
             _fail(report, "divides-own-product", {"n": n, "u": str(u), "w": str(w)},
                   str(prod))
         if not W.preceq(u, prod, bound=40):

@@ -27,13 +27,11 @@ at most two branches (``_prec`` says why the whole pass is exact).
 Stabilizers, final segments, ``split_absorbed``, fine decomposition and left
 division work on keys and level bitmasks, read from ``kernels._MASKS``; a
 letter commutes with another iff its levels miss the other's levels widened
-by one on each side.  Left division searches over reducts, which are normal
-forms like its target, so equivalence to the target is key equality, and
-reduction keeps a word's support, so letters outside the target's support
-never enter the search.  Its candidates are the state with one letter reduced
-onto it: only the new letter is scanned, and the result is a normal form
-already.  A state is tested against the target in ``prec`` only when the
-search expands it.
+by one on each side.  Left division is exact and needs no search: one pass
+splits off the greatest common left factor of ``u`` and ``v``, and ``u``
+divides ``v`` iff what is left of ``v`` absorbs what is left of ``u``
+(``divides_left_bounded`` gives the proof); what is left of ``v`` is then
+the least witness.
 
 There is one word representation: a ``Word`` stores its dimension and its
 key, the letters as ``(lo, hi)`` pairs, which the kernels in ``kernels.py``
@@ -606,89 +604,67 @@ def strong_reducts_bounded(
 
 
 # ---------------------------------------------------------------------------
-# bounded left division
+# left division
 
 
 @dataclass(frozen=True)
 class DivisionResult:
-    """Outcome of the bounded divisor search.  ``witness`` is a reduced word
-    with ``u . witness -> v`` when found; otherwise ``conclusive`` tells a
-    proven non-existence apart from an exhausted length bound."""
+    """Outcome of left division.  ``witness`` is the least reduced word with
+    ``u . witness -> v``, or ``None`` when there is none.  ``conclusive`` is
+    always ``True``: the pass is exact.  ``explored`` counts the letters of
+    ``v`` the pass scanned."""
 
     witness: Word | None
     conclusive: bool
     explored: int
 
 
-def divides_left_bounded(u: Word, v: Word, max_len: int | None = None) -> DivisionResult:
-    """Search for reduced ``w`` with ``concat_reduce(u, w) ~ v`` by BFS over
-    right multiplication by single letters, pruning states that are not below
-    ``v`` in the replacement order.
+def divides_left_bounded(u: Word, v: Word) -> DivisionResult:
+    """The least reduced ``w`` with ``concat_reduce(u, w) ~ v``, if any, in
+    one pass over the keys.
 
-    States are reducts, hence normal forms, and so is the target, so
-    equivalence to it is key equality; ``kernels.reduce_onto`` keeps the
-    normal form, so a candidate is the state with one letter reduced onto
-    it.  Reduction keeps a word's support, and every state lies inside the
-    target's, so a letter outside it is counted as explored but never
-    multiplied in.  Ranks are compared as ``_rank`` lists.
+    The pass walks ``u`` left to right and splits off the greatest common
+    left factor ``u1`` of ``u`` and ``v``; ``kept`` is the widened mask of
+    the letters of ``u`` left over so far.  A letter whose levels miss
+    ``kept`` commutes to the front of what is left of ``u``; it joins ``u1``
+    when it can come first in what is left of ``v``, that is when it occurs
+    there and its levels miss the widened levels of the letters before it
+    (equal letters do not commute, so only the first copy can).  Otherwise
+    it is left over, as is every letter whose levels meet ``kept``.  With
+    ``u ~ u1.u'`` and ``v ~ u1.w1``, ``u`` divides ``v`` iff the support of
+    ``u'`` lies inside ``sL(w1)``, and the least witness is ``w1``:
 
-    A state is tested against the target when its turn to be expanded
-    comes, not when it is made: when the witness turns up, the states of the
-    last level are never tested.  A state that fails stays in ``visited``,
-    so it is neither made nor tested again.  When the length bound ends the
-    search, the answer is conclusive iff no state of the last level passes
-    the test: a state that passes is one a longer search would expand, and
-    no extension of one that fails reaches the target."""
+    - sufficiency is the absorption law: ``w1`` absorbs ``u'``, so
+      ``u.w1 ~ u1.u'.w1 -> u1.w1 ~ v``;
+    - necessity is the fine decomposition of ``u.w`` for a witness ``w``:
+      ``u ~ a.a'``, ``w ~ b'.b`` and ``v ~ a.b`` with ``b`` absorbing ``a'``;
+    - splitting at the greatest common left factor loses nothing.  Suppose
+      it extends ``a`` by a letter ``x`` of ``a'``, so ``b ~ x.b''``.  Every
+      letter of ``a'`` after ``x`` lies inside ``sL(x.b'')``, which is
+      contained in ``levels(x) | (sL(b'') - widened(x))``.  The first such
+      letter that does not commute with ``x`` is no subletter of ``x``,
+      since reduced ``u`` would cancel it, and it does not lie in the other
+      part, since it meets ``widened(x)``.  So all of them commute with ``x``
+      and lie inside ``sL(b'')``, and ``b''`` absorbs what is left of ``a'``.
+
+    No witness has fewer letters than ``w1``: the common left factor ``a``
+    has at most ``|u1|`` letters, so ``|w| >= |b| >= |w1|``."""
     n = _same_dimension(u, v)
     if not kernels.is_reduced(u.key) or not kernels.is_reduced(v.key):
         raise NotReducedError("divides_left_bounded requires reduced inputs")
-    if max_len is None:
-        max_len = len(v) + 4
-    target = kernels.normal_form(v.key)
-    inside = _support(target)
-    alphabet = [
-        ((lo, hi), not _MASKS[lo, hi][0] & ~inside)
-        for lo in range(n + 1)
-        for hi in range(lo, n + 1)
-    ]
-    target_rank = _rank(target, n)
-    bounded = PREC_DEFAULT_BOUND - len(target)
-
-    def below_target(x: tuple) -> bool:
-        # x lies inside the target's support
-        if _rank(x, n) > target_rank:
-            return False
-        # beyond the bound ``prec`` cannot prune soundly: keep exploring
-        return len(x) > bounded or _prec(x, target)
-
-    start = kernels.normal_form(u.key)
-    if start == target:
-        return DivisionResult(Word.one(n), True, 1)
-    if _support(start) & ~inside:
-        return DivisionResult(None, True, 0)
-    frontier: list[tuple[tuple, tuple]] = [(start, ())]
-    visited = {start}
-    explored = 0
-    for _ in range(max_len):
-        next_frontier: list[tuple[tuple, tuple]] = []
-        for state, path in frontier:
-            if not below_target(state):
+    rest = list(kernels.normal_form(v.key))
+    left = kept = explored = 0
+    for x in u.key:
+        own, wide = _MASKS[x]
+        if not own & kept:
+            # the first letter of rest that does not commute with x
+            j = next((j for j, t in enumerate(rest) if _MASKS[t][0] & wide), len(rest))
+            explored += min(j + 1, len(rest))
+            if j < len(rest) and rest[j] == x:
+                del rest[j]
                 continue
-            for t, fits in alphabet:
-                explored += 1
-                if not fits:
-                    continue
-                candidate = tuple(kernels.reduce_onto(list(state), (t,)))
-                if candidate in visited:
-                    continue
-                new_path = path + (t,)
-                if candidate == target:
-                    witness = _from_key(kernels.reduce_word(new_path), n)
-                    return DivisionResult(witness, True, explored)
-                visited.add(candidate)
-                next_frontier.append((candidate, new_path))
-        frontier = next_frontier
-        if not frontier:
-            return DivisionResult(None, True, explored)
-    conclusive = not any(below_target(state) for state, _ in frontier)
-    return DivisionResult(None, conclusive, explored)
+        left |= own
+        kept |= wide
+    if left & ~_left_stabilizer(rest):
+        return DivisionResult(None, True, explored)
+    return DivisionResult(_from_key(kernels.normal_form(rest), n), True, explored)

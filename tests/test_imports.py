@@ -42,6 +42,7 @@ WORD_REFERENCES = (
 )
 FLAG_PATH_SEARCHES = (
     "_connecting_path",
+    "_step_part",
     "_subletter_bridge",
     "shortest_path",
     "_monotone_chain",
