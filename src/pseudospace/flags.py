@@ -30,6 +30,18 @@ a step may admit no proper-subletter replacement; such steps are reported on
 the path as ``stuck`` instead of being silently accepted, and nothing is
 merged.  Public functions check the flags they are given once.
 
+The loop itself, ``_refine``, takes any weak path and a ``start`` before
+which every step is known to be global; absorption is looked for across the
+whole path.  On a built space every weak path from f to g refines to the
+same word up to commutation, so a caller that holds a reduced path refines
+from it instead of from the weak difference word: ``basepoint`` appends the
+weak step from one region flag to the next to the reduced path to the first,
+and ``indep`` refines w(f,g).w(g,h), whose steps are all global, to w(f,h).
+A hand-made graph need not be simply connected, and there a path through
+another flag may refine to another reduced word; so on a space whose
+vertices ``apply_alpha`` did not all make (``_built``), and whenever a step
+is stuck, the caller computes the path from scratch.
+
 A basepoint over a nice region is reached by the ``preceq``-least connecting
 word, which exists on spaces built by ``apply_alpha`` (Baudisch,
 Martin-Pizarro and Ziegler, *Ample hierarchy*).  ``prec`` lowers the rank, so
@@ -94,11 +106,12 @@ class Flag(tuple):
 def check_flag(space: ColoredSpace, flag: Flag) -> Flag:
     if len(flag) != space.n + 1:
         raise ParseError(f"flag needs {space.n + 1} vertices, got {len(flag)}")
+    level, adj = space._level, space._adj
     for i, v in enumerate(flag):
-        if v not in space._level or space.level(v) != i:
+        if level.get(v) != i:
             raise ParseError(f"vertex {v} is not at level {i}")
     for a, b in zip(flag, flag[1:]):
-        if b not in space.neighbors(a):
+        if b not in adj[a]:
             raise ParseError(f"flag vertices {a}, {b} are not adjacent")
     return flag
 
@@ -236,18 +249,30 @@ def flag_path(space: ColoredSpace, f: Flag, g: Flag) -> FlagPath:
 
 def _flag_path(space: ColoredSpace, f: Flag, g: Flag) -> FlagPath:
     flags, keys = _interval_steps([f, g], 0, space.n)
+    stuck_pairs = _refine(space, flags, keys, 0)
+    _reorder(flags, keys, kernels.normal_form(tuple(keys)))
+    stuck = tuple(k for k in range(len(keys)) if (flags[k], flags[k + 1]) in stuck_pairs)
+    return FlagPath(tuple(flags), W._from_key(tuple(keys), space.n), stuck)
+
+
+def _refine(space: ColoredSpace, flags: list[Flag], keys: list, start: int) -> set:
+    """Refine the weak path ``flags`` with step keys ``keys`` in place to a
+    reduced one, taking the steps before ``start`` as global, as those of a
+    reduced path are (a swap keeps a step global and a merge rescans from
+    the merged step); return the pairs of flags of the steps found stuck,
+    with which nothing was merged."""
     stuck_pairs: set[tuple[Flag, Flag]] = set()
-    i = 0  # every step before i is global or stuck
+    i = start  # every step before i is global or stuck
     for _ in range(10_000):
         i, mids = _next_bridge(space, flags, keys, i, stuck_pairs)
         if mids is not None:
             _rewrite(flags, keys, i, i + 1, mids, keys[i])
             continue
         if stuck_pairs:
-            break
+            return stuck_pairs
         absorbed = kernels.absorbed(keys)
         if not absorbed:
-            break
+            return stuck_pairs
         k = (absorbed & -absorbed).bit_length() - 1
         j = kernels.absorber(keys, k)
         # move the leftmost absorbed step k next to its absorber j, then
@@ -261,11 +286,7 @@ def _flag_path(space: ColoredSpace, f: Flag, g: Flag) -> FlagPath:
                 _swap_steps(flags, keys, p)
             _rewrite(flags, keys, j, j + 2, [], keys[j])
         i = min(k, j)
-    else:
-        raise PreconditionError("flag path refinement failed to converge")
-    _reorder(flags, keys, kernels.normal_form(tuple(keys)))
-    stuck = tuple(k for k in range(len(keys)) if (flags[k], flags[k + 1]) in stuck_pairs)
-    return FlagPath(tuple(flags), W._from_key(tuple(keys), space.n), stuck)
+    raise PreconditionError("flag path refinement failed to converge")
 
 
 def _next_bridge(
@@ -369,7 +390,10 @@ def basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Wor
     """The region's flag whose connecting word from ``f`` has least rank,
     ties to the least vertex-id tuple, with that word: the ``preceq``-minimum
     on built spaces.  On a hand-made graph without a minimum the word may be
-    incomparable with another minimal one."""
+    incomparable with another minimal one.  The region's flags come in
+    vertex-tuple order, and on a built space each word is refined from the
+    reduced path to the flag before, extended by one weak step; on a
+    hand-made graph, or past a stuck step, from scratch."""
     check_flag(space, f)
     return _basepoint(space, f, region)
 
@@ -377,13 +401,19 @@ def basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Wor
 def _basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Word]:
     if not is_nice(space, region):
         raise PreconditionError("basepoint requires a nice region")
+    built = _built(space)
     best = best_rank = None
+    flags, keys = [f], []  # a reduced path from f to the last candidate
     # candidates come in vertex-tuple order, so the first of least rank wins
     for g in enumerate_flags(space, within=region):
-        u = _flag_path(space, f, g).word
-        rank = W._rank(u.key, space.n)
+        if built and _extend(space, flags, keys, g):
+            key = tuple(keys)
+        else:
+            key = _flag_path(space, f, g).word.key
+            flags, keys = [f], []
+        rank = W._rank(key, space.n)
         if best is None or rank < best_rank:
-            best, best_rank = (g, u), rank
+            best, best_rank = (g, W._from_key(kernels.normal_form(key), space.n)), rank
     if best is None:
         raise NoFlagError("region contains no flag")
     return best
@@ -394,10 +424,32 @@ def indep(space: ColoredSpace, f: Flag, g: Flag, h: Flag) -> bool:
     compose without splitting."""
     for x in (f, g, h):
         check_flag(space, x)
-    u = _flag_path(space, f, g).word
-    v = _flag_path(space, g, h).word
-    w = _flag_path(space, f, h).word
-    return W.equivalent(W.concat_reduce(u, v), w)
+    u = _flag_path(space, f, g)
+    v = _flag_path(space, g, h)
+    # the path from f to h through g: every step is global, so refining it
+    # only merges across g, and bridges the steps merging makes
+    flags, keys = [*u.flags, *v.flags[1:]], [*u.word.key, *v.word.key]
+    if not _built(space) or u.stuck or v.stuck or _refine(space, flags, keys, len(keys)):
+        keys = _flag_path(space, f, h).word.key
+    return W.equivalent(W.concat_reduce(u.word, v.word), W._from_key(tuple(keys), space.n))
+
+
+def _built(space: ColoredSpace) -> bool:
+    """True iff ``apply_alpha`` made every vertex, so that every reduced path
+    between two flags has one word up to commutation.  Ids are dense and a
+    hand-made graph holds the lowest ones, so vertex 0 comes from the log."""
+    return bool(space.build_log) and space.build_log[0].created[0] == 0
+
+
+def _extend(space: ColoredSpace, flags: list[Flag], keys: list, g: Flag) -> bool:
+    """Extend the reduced path ``flags``, with step keys ``keys``, in place by
+    the weak step from its last flag to ``g``, and refine it.  True when no
+    step is stuck: the path is then a reduced path to ``g``."""
+    start = len(keys)
+    more_flags, more_keys = _interval_steps([flags[-1], g], 0, space.n)
+    flags += more_flags[1:]
+    keys += more_keys
+    return not _refine(space, flags, keys, start)
 
 
 def indep_over_set(space: ColoredSpace, f: Flag, g: Flag, region: set[int]) -> bool:

@@ -660,6 +660,11 @@ def _suite_flags_forking(config: SuiteConfig, report: SuiteReport) -> None:
         if word_indep != set_indep:
             _fail(report, "forking-criteria-agree", inputs,
                   {"word": word_indep, "set": set_indep})
+        # a flag forks with itself over any other flag, and forking is symmetric
+        if FL.indep(space, f, base, f) != (f == base):
+            _fail(report, "indep-with-itself", inputs, str(f))
+        if FL.indep(space, h, base, f) != word_indep:
+            _fail(report, "indep-symmetric", inputs, {"f-over-h": word_indep})
         # independence from the whole witness path
         if word_indep:
             for mid in path_gh.flags:

@@ -51,19 +51,21 @@ through the levels below the upper one's, stops there, and fills no memo.
 Regions are masks inside the library and become ``set[int]`` only at the
 public API (``upward_closure``, ``downward_closure`` and ``between``).  A
 restriction to a level interval is a region too: the searches that need one
-build the masks of the level intervals once per call (``_interval_masks``)
-rather than keep an index that every insert would have to update.
+read the masks of all level intervals from ``_interval_masks``, kept for
+one vertex count at a time rather than as an index that every insert would
+have to update.
 
-``ColoredSpace`` keeps five memos, filled on demand from ``_adj``, so a space
-made by ``from_graph`` needs no rebuild.  ``_up`` and ``_down`` hold each
-vertex's strict up-set and down-set; ``apply_alpha`` clears ``_up`` only when
-its lower anchor is a vertex and ``_down`` only when its upper anchor is one,
-since a chain hung from ``BOTTOM`` is reached from below by no old vertex,
-and likewise for ``TOP``.  The other three follow one rule: their key fixes
-their answer, so no insert clears them.  An insert adds vertices with ids
-above every old one and edges that touch a new vertex only, between anchors
-that lie over each other, so the subgraph induced on a mask of old vertices
-never changes, nor does the set of old vertices beneath or over an old one.
+``ColoredSpace`` keeps six memos, filled on demand from ``_adj`` and
+``_level``, so a space made by ``from_graph`` needs no rebuild.  ``_up`` and
+``_down`` hold each vertex's strict up-set and down-set; ``apply_alpha``
+clears ``_up`` only when its lower anchor is a vertex and ``_down`` only when
+its upper anchor is one, since a chain hung from ``BOTTOM`` is reached from
+below by no old vertex, and likewise for ``TOP``.  The other four follow one
+rule: their key fixes their answer, so no insert clears them.  An insert adds
+vertices with ids above every old one and edges that touch a new vertex
+only, between anchors that lie over each other, so the subgraph induced on a
+mask of old vertices never changes, nor does the set of old vertices beneath
+or over an old one.
 ``_dist`` maps ``(x, within)`` to the BFS distances from ``x`` inside the
 mask, and ``_parts`` maps a region mask to the masks of its components found
 so far (``_part(within, x)``, one ``_component`` fill per miss); a mask that
@@ -71,9 +73,12 @@ holds a new vertex is a new key.  The flag layer and ``open_pairs`` read
 ``_parts`` under the between-set mask of two anchors, and non-exact niceness
 under a level-interval mask.  ``_chains`` maps an anchor pair to its
 ``_monotone_chain``, whose least-id choice at each level no new id can
-displace; a missing chain is not kept, as an insert may make one.  Code that
-writes ``_adj`` between existing vertices breaks the rule and must clear
-every memo.
+displace; a missing chain is not kept, as an insert may make one.
+``_intervals`` holds one entry, the interval masks under the vertex count
+they were built for: ids are dense and an insert only appends vertices, so
+the count fixes every level's mask, and an insert changes the count.  Code
+that writes ``_adj`` between existing vertices breaks the rule and must clear
+every memo but ``_intervals``, which reads levels only.
 
 The oracle measures every level interval after each insert, so the exact
 niceness of the prior vertex set reads its BFS back from ``_dist``.
@@ -128,13 +133,15 @@ class ColoredSpace:
         self._adj: dict[int, set[int]] = {}
         self._up: dict[int, int] = {}  # vertex -> mask of its strict up-set
         self._down: dict[int, int] = {}  # vertex -> mask of its strict down-set
-        # no insert clears these three (module docstring)
+        # no insert clears these four (module docstring)
         # region mask -> masks of its components found so far
         self._parts: dict[int, list[int]] = {}
         # anchor pair -> its _monotone_chain, once one is found
         self._chains: dict[tuple[Anchor, Anchor], tuple[int, ...]] = {}
         # (x, within) -> BFS distances from x inside the mask
         self._dist: dict[tuple[int, int], dict[int, int]] = {}
+        # vertex count -> the _interval_masks of the space of that size
+        self._intervals: tuple[int, dict[tuple[int, int], int]] = (-1, {})
         self.build_log: list[BuildOp] = []
 
     # -- basic structure ---------------------------------------------------
@@ -305,7 +312,11 @@ class ColoredSpace:
 
     def _interval_masks(self) -> dict[tuple[int, int], int]:
         """Mask of the vertices at levels ``lo..hi`` for every level interval
-        ``(lo, hi)``, in the order ``lo`` ascending, then ``hi`` ascending."""
+        ``(lo, hi)``, in the order ``lo`` ascending, then ``hi`` ascending.
+        Kept for the last vertex count asked about; callers only read it."""
+        count, out = self._intervals
+        if count == len(self._level):
+            return out
         by_level = [0] * (self.n + 1)
         for v, level in self._level.items():
             by_level[level] |= 1 << v
@@ -315,6 +326,7 @@ class ColoredSpace:
             for hi in range(lo, self.n + 1):
                 mask |= by_level[hi]
                 out[(lo, hi)] = mask
+        self._intervals = (len(self._level), out)
         return out
 
     def _part(self, within: int, x: int) -> int:
@@ -633,8 +645,10 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     ``x``, then ``y``, each ascending, and the first violation is returned.
     Condition 1 holds exactly when every anchor's up-set and down-set inside
     the region equal its ambient ones cut to the region, since the pairs
-    ``(a, TOP)`` and ``(BOTTOM, b)`` are among those scanned; so the pair
-    scan runs only to name the first witness.
+    ``(a, TOP)`` and ``(BOTTOM, b)`` are among those scanned.  The imaginary
+    anchors' always do, so the region vertices are tested one by one until
+    one differs, and only then are the anchors' sets listed and the pairs
+    scanned, to name the first witness.
     Without ``exact``, condition 2 asks only that region points joined in the
     ambient interval are joined inside the region.  So for each region
     component one flood fill inside the region and one ambient component,
@@ -646,14 +660,20 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     """
     inside = _mask_of(region)
     ids = _members(inside)
-    anchors: list[Anchor] = [BOTTOM, TOP] + ids
-    # a pair with b not over a has empty between-sets, inside and ambient
+    # an imaginary anchor's closures are the whole region or nothing, inside
+    # and ambient alike, so only region vertices are tested
     up_memo, down_memo = {}, {}
-    up_inside = [space._closure(a, +1, inside, up_memo) for a in anchors]
-    down_inside = [space._closure(b, -1, inside, down_memo) for b in anchors]
-    up_ambient = [space._closure(a, +1) & inside for a in anchors]
-    down_ambient = [space._closure(b, -1) & inside for b in anchors]
-    if up_inside != up_ambient or down_inside != down_ambient:
+    if any(
+        space._reach(v, +1, inside, up_memo) != space._reach(v, +1) & inside
+        or space._reach(v, -1, inside, down_memo) != space._reach(v, -1) & inside
+        for v in ids
+    ):
+        anchors: list[Anchor] = [BOTTOM, TOP] + ids
+        # a pair with b not over a has empty between-sets, inside and ambient
+        up_inside = [space._closure(a, +1, inside, up_memo) for a in anchors]
+        down_inside = [space._closure(b, -1, inside, down_memo) for b in anchors]
+        up_ambient = [space._closure(a, +1) & inside for a in anchors]
+        down_ambient = [space._closure(b, -1) & inside for b in anchors]
         for i, a in enumerate(anchors):
             for j, b in enumerate(anchors):
                 ambient = up_ambient[i] & down_ambient[j]

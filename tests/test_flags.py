@@ -9,6 +9,7 @@ import brute
 import pseudospace.flags as FL
 import pseudospace.space as SP
 import pseudospace.words as W
+from pseudospace import kernels
 from pseudospace.errors import (
     DifferenceMismatchError,
     FlagNotInSetError,
@@ -446,6 +447,94 @@ def test_basepoint_matches_brute_minimum():
             seen["tied"] += least > 1
             seen["unique"] += len(ranks) > 1 and least == 1
     assert min(seen.values()) > 20, seen
+
+
+def _refined_through(sp, f, c, g):
+    """The normal-form word key from ``f`` to ``g`` refined from the reduced
+    paths from ``f`` to ``c`` and from ``c`` to ``g``, past ``c``; None when
+    a step is stuck."""
+    a, b = FL.flag_path(sp, f, c), FL.flag_path(sp, c, g)
+    flags, keys = [*a.flags, *b.flags[1:]], [*a.word.key, *b.word.key]
+    if a.stuck or FL._refine(sp, flags, keys, len(a.word)):
+        return None
+    return kernels.normal_form(tuple(keys))
+
+
+def _weak_path_mismatches(spaces, seed):
+    """Over 40 random triples ``f, c, g`` of flags of each space: how many
+    paths through ``c`` refine with no step stuck, and how many of those give
+    another word than the restart reference from ``f`` to ``g``."""
+    rng = random.Random(seed)
+    checked = mismatched = 0
+    for sp in spaces:
+        flags = FL.enumerate_flags(sp)
+        for _ in range(40 if flags else 0):
+            f, c, g = (rng.choice(flags) for _ in range(3))
+            key = _refined_through(sp, f, c, g)
+            if key is not None:
+                checked += 1
+                mismatched += key != brute.restart_flag_path(sp, f, g).word.key
+    return checked, mismatched
+
+
+def test_any_weak_path_refines_to_the_same_word(monkeypatch):
+    """On built spaces (scripted, and grown by ``realize_type``, N <= 4) the
+    path from f through c to g, reduced up to c and refined past it, gives
+    the restart reference's word from f to g.  On hand-made graphs, which
+    need not be simply connected, it often does not: there ``basepoint`` and
+    ``indep`` compute every path from scratch.  Positive control: a
+    ``_refine`` that leaves a path in hand unrefined gives other words."""
+    built = [sp for _, sp in itertools.islice(brute.random_spaces(50, 30), 30)]
+    built += list(_realized_spaces(51, 30))
+    hand = [sp for _, sp in itertools.islice(brute.random_spaces(52, 30), 30, 60)]
+    assert all(map(FL._built, built)) and not any(map(FL._built, hand))
+    checked, mismatched = _weak_path_mismatches(built, 53)
+    assert checked > 2000 and mismatched == 0, (checked, mismatched)
+    assert _weak_path_mismatches(hand, 54)[1] > 20
+    refine = FL._refine
+
+    def unrefined_past_start(sp, flags, keys, start):
+        return set() if start else refine(sp, flags, keys, start)
+
+    monkeypatch.setattr(FL, "_refine", unrefined_past_start)
+    assert _weak_path_mismatches(built, 53)[1] > 200
+
+
+def test_indep_matches_the_word_criterion_and_falls_back(monkeypatch):
+    """``indep`` equals the word criterion on three restart reference words.
+    On built spaces it refines the path through the middle flag and computes
+    no third path; on hand-made graphs, stuck steps among them, every call
+    computes it from scratch.  Independent and forking triples both occur."""
+    flag_path = FL._flag_path
+    calls = []
+
+    def counted(sp, f, g):
+        calls.append((f, g))
+        return flag_path(sp, f, g)
+
+    monkeypatch.setattr(FL, "_flag_path", counted)
+    rng = random.Random(55)
+    built = [sp for _, sp in itertools.islice(brute.random_spaces(56, 30), 30)]
+    built += list(_realized_spaces(57, 30))
+    hand = [sp for _, sp in itertools.islice(brute.random_spaces(58, 30), 30, 60)]
+    hand.append(_stuck_space())
+    seen = {"built": 0, "hand": 0, "stuck": 0, "indep": 0, "fork": 0}
+    fallbacks = {"built": 0, "hand": 0}
+    for kind, spaces, triples in (("built", built, 20), ("hand", hand, 40)):
+        for sp in spaces:
+            flags = FL.enumerate_flags(sp)
+            for _ in range(triples if flags else 0):
+                f, g, h = (rng.choice(flags) for _ in range(3))
+                u, v, w = (brute.restart_flag_path(sp, *p) for p in ((f, g), (g, h), (f, h)))
+                want = W.equivalent(W.concat_reduce(u.word, v.word), w.word)
+                calls.clear()
+                assert FL.indep(sp, f, g, h) == want, (f, g, h)
+                fallbacks[kind] += len(calls) - 2
+                seen[kind] += 1
+                seen["stuck"] += bool(u.stuck or v.stuck or w.stuck)
+                seen["indep" if want else "fork"] += 1
+    assert fallbacks == {"built": 0, "hand": seen["hand"]}, (fallbacks, seen)
+    assert min(seen.values()) > 10, seen
 
 
 def _new_queries(rng, sp, flags):

@@ -110,6 +110,20 @@ def test_basepoint_support_law_catches_a_wide_support(monkeypatch):
     assert sum(f["law"] == "basepoint-word-support" for f in report.failures) > 20
 
 
+@pytest.mark.parametrize("law", ["indep-with-itself", "indep-symmetric"])
+def test_indep_laws_catch_a_mutant(monkeypatch, law):
+    """An ``indep`` that never forks fails ``indep-with-itself``; one that
+    forks whenever f's ids are not below h's fails ``indep-symmetric``."""
+    indep = FL.indep
+    mutants = {
+        "indep-with-itself": lambda space, f, g, h: True,
+        "indep-symmetric": lambda space, f, g, h: indep(space, f, g, h) and f < h,
+    }
+    monkeypatch.setattr(FL, "indep", mutants[law])
+    report = run_suite(SuiteConfig("flags-forking", seed=0, cases=100))
+    assert sum(f["law"] == law for f in report.failures) > 20
+
+
 def test_reports_are_deterministic():
     for name in ["words-confluence", "space-axioms", "flags-forking"]:
         a = run_suite(SuiteConfig(name, seed=11, cases=20)).to_json()
