@@ -16,13 +16,19 @@ then says the enumeration is incomplete.
 The order ``prec`` (replace at least one letter by a product of proper
 subletters, up to commutation) is implemented exactly as a one-step relation;
 that relation is already transitive, so no closure is computed.  It is one
-search on keys, memoized in a dict per call.  It places the positions of
+depth-first search on keys, on a stack, with a set of the states it has
+seen, so its depth is not bound by Python's recursion limit.  It places the
+positions of
 ``u`` block by block, one block per letter of ``v``, while a bitmask holds the
 positions not yet placed; a position is free when no unplaced earlier
 position holds a letter that does not commute with it.  A letter of ``v`` is
 either kept, by its lowest unplaced copy, or replaced by every free
 proper-subletter position, found in one ascending pass, so each letter has
-at most two branches (``_prec`` says why the whole pass is exact).
+at most two branches (``_prec`` says why the whole pass is exact).  The
+branches can still compound: a family of pairs makes the search store
+``2^(k+1) + 1`` states at ``2k + 2`` letters of ``u``.  So the search runs on
+a budget of stored states, not on a bound on word length, and only a search
+that passes the budget raises ``SearchBoundExceededError``.
 
 Stabilizers, final segments, ``split_absorbed``, fine decomposition and left
 division work on keys and level bitmasks, read from ``kernels._MASKS``; a
@@ -68,7 +74,7 @@ from .letters import (
 )
 from .ordinals import CnfOrdinal, cnf_from_counts
 
-PREC_DEFAULT_BOUND = 12
+_PREC_STATES = 1 << 16  # states one ``_prec`` search may store
 SPLIT_LEN_DEFAULT = 3
 SPLIT_STEPS_DEFAULT = 50_000
 
@@ -359,20 +365,17 @@ def decompose_symmetric(u: Word, v: Word) -> FineDecomposition:
 # the subletter-replacement order
 
 
-def prec(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
+def prec(u: Word, v: Word) -> bool:
     """One parallel replacement step: some permutation of ``u`` is obtained
     from ``v`` by replacing at least one letter by a (possibly empty) product
-    of its proper subletters."""
+    of its proper subletters.  Raises ``SearchBoundExceededError`` when the
+    search would store more than ``_PREC_STATES`` states."""
     _same_dimension(u, v)
-    if len(u) + len(v) > bound:
-        raise SearchBoundExceededError(
-            f"prec instance of combined length {len(u) + len(v)} exceeds bound {bound}"
-        )
     return _prec(u.key, v.key)
 
 
 def _prec(src: tuple, dst: tuple) -> bool:
-    """``prec`` on keys, without the dimension and bound checks.
+    """``prec`` on keys, without the dimension check.
 
     The positions of ``src`` are placed block by block, one block per letter
     of ``dst``; a position is free once every earlier position whose letter
@@ -384,9 +387,24 @@ def _prec(src: tuple, dst: tuple) -> bool:
     block can move into block ``i``, since its blockers are placed by then
     and the letters after it that do not commute with it come later still;
     a kept block it leaves empty becomes the empty product, still a
-    replacement.  So the search has at most two branches per letter,
-    memoized on the letter index, the unplaced positions and whether a
-    letter was replaced."""
+    replacement.  So the search has at most two branches per letter.  Its
+    state is the letter index, the unplaced positions and whether a letter
+    was replaced; a state is stored when first seen, and a state seen again
+    has failed, since one that reaches the end answers at once.
+
+    That allows ``2(|dst| + 1) * 2^|src|`` states, at most 8,192 for a
+    pair of 12 letters or fewer in all, and the branches do compound.  Take
+    ``F_k`` at ``N = 3k + 4``: ``dst = [0,1].[3,4]...[3k-3,3k-2].[0,3k].
+    [3k+1,3k+3]`` and ``src = [0,1].[0].[3,4].[3]...[3k-3,3k-2].[3k-3].
+    [3k+1,3k+2].[3k]``.  Each of the first ``k`` letters of ``dst`` is kept
+    or replaced by the empty product (its subletter ``[3j]`` is blocked by
+    ``[3j,3j+1]``), which gives ``2^k`` distinct masks, and ``[3k]`` is
+    blocked by ``[3k+1,3k+2]`` under every one of them, so the search stores
+    ``2^(k+1) + 1`` states before it answers ``False``.  With no polynomial
+    bound, the search stops with ``SearchBoundExceededError`` once it has
+    stored ``_PREC_STATES`` states: 2^16 answers every pair of 12 letters or
+    fewer, ``F_14`` (32,769 states) and pairs of 160 letters built to hold
+    (``|dst| + 1`` states each), and refuses ``F_16``."""
     m, last = len(src), len(dst)
     # same[i], sub[i]: the positions of src holding letter i of dst, and
     # holding a proper subletter of it
@@ -423,41 +441,41 @@ def _prec(src: tuple, dst: tuple) -> bool:
             bit <<= 1
         blocked.append(mask)
         levels.append(own)
-    memo: dict[tuple[int, int, bool], bool] = {}
-
-    def search(i: int, mask: int, replaced: bool) -> bool:
+    # depth first; keep is pushed last, so it is tried first
+    seen: set[tuple[int, int, bool]] = set()
+    stack = [(0, full, False)]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        if len(seen) >= _PREC_STATES:
+            raise SearchBoundExceededError(f"prec search stores over {_PREC_STATES} states")
+        seen.add(state)
         # the letters of dst before i are matched, and mask holds the
         # positions of src still to place
-        key = (i, mask, replaced)
-        found = memo.get(key)
-        if found is not None:
-            return found
+        i, mask, replaced = state
         if i == last:
-            found = not mask and replaced
-        else:
-            found = False
-            copies = mask & same[i]
-            if copies:
-                bit = copies & -copies
-                if not blocked[bit.bit_length() - 1] & mask:
-                    found = search(i + 1, mask ^ bit, replaced)
-            if not found:
-                rest = mask
-                free = mask & sub[i]
-                while free:
-                    bit = free & -free
-                    free ^= bit
-                    if not blocked[bit.bit_length() - 1] & rest:
-                        rest ^= bit
-                found = search(i + 1, rest, True)
-        memo[key] = found
-        return found
-
-    return search(0, full, False)
+            if not mask and replaced:
+                return True
+            continue
+        rest = mask
+        free = mask & sub[i]
+        while free:
+            bit = free & -free
+            free ^= bit
+            if not blocked[bit.bit_length() - 1] & rest:
+                rest ^= bit
+        stack.append((i + 1, rest, True))
+        copies = mask & same[i]
+        if copies:
+            bit = copies & -copies
+            if not blocked[bit.bit_length() - 1] & mask:
+                stack.append((i + 1, mask ^ bit, replaced))
+    return False
 
 
-def preceq(u: Word, v: Word, bound: int = PREC_DEFAULT_BOUND) -> bool:
-    return equivalent(u, v) or prec(u, v, bound)
+def preceq(u: Word, v: Word) -> bool:
+    return equivalent(u, v) or prec(u, v)
 
 
 # ---------------------------------------------------------------------------

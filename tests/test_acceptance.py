@@ -89,7 +89,7 @@ def test_criterion_04_splitting_penalty():
             if W.equivalent(x, plain):
                 continue
             try:
-                assert W.prec(x, plain, bound=40)
+                assert W.prec(x, plain)
             except SearchBoundExceededError:
                 undecided += 1
     assert undecided == 0

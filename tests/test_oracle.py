@@ -124,6 +124,25 @@ def test_indep_laws_catch_a_mutant(monkeypatch, law):
     assert sum(f["law"] == law for f in report.failures) > 20
 
 
+def test_division_law_catches_a_missing_gate(monkeypatch):
+    """A ``_left_stabilizer`` that claims every level switches off the
+    left-over gate of ``divides_left_bounded``, which then finds a witness
+    for pairs that do not divide; ``divides-own-product`` asks only pairs
+    that do, so ``divides-random-pair`` is the law that fails."""
+    monkeypatch.setattr(W, "_left_stabilizer", lambda key: -1)
+    report = run_suite(SuiteConfig("words-order", seed=0, cases=100))
+    assert sum(f["law"] == "divides-random-pair" for f in report.failures) > 20
+
+
+def test_words_strong_notes_the_reducts_it_leaves_unchecked(monkeypatch):
+    """A reduct whose ``prec`` search passes the state budget is counted in a
+    note, not dropped silently; at the real budget there are none."""
+    assert len(run_suite(SuiteConfig("words-strong", seed=0, cases=50)).notes) == 1
+    monkeypatch.setattr(W, "_PREC_STATES", 0)
+    notes = run_suite(SuiteConfig("words-strong", seed=0, cases=50)).notes
+    assert len(notes) == 2 and "reducts unchecked" in notes[1]
+
+
 def test_reports_are_deterministic():
     for name in ["words-confluence", "space-axioms", "flags-forking"]:
         a = run_suite(SuiteConfig(name, seed=11, cases=20)).to_json()

@@ -76,7 +76,7 @@ def test_splitting_penalty_sampled():
         result = W.strong_reducts_bounded(u.concat(v), 3, 50_000)
         for x in result.words:
             if not W.equivalent(x, plain):
-                assert W.prec(x, plain, bound=40)
+                assert W.prec(x, plain)
 
 
 def test_inverse_cancellation():

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import sys
+import time
 
 import pytest
 
@@ -279,8 +281,7 @@ def test_prec_matches_brute_force():
 
 
 def test_prec_matches_brute_force_on_longer_pairs():
-    """1,500 seeded pairs of combined length 9 to 12 (the default bound),
-    N = 2 to 6, beyond the lengths of the exhaustive sweep.  Every other
+    """1,500 seeded pairs of combined length 9 to 12, N = 2 to 6, beyond the lengths of the exhaustive sweep.  Every other
     pair is built to hold: one letter of v is replaced by a product of its
     proper subletters, and commuting letters of the result are swapped at
     random.  The rest are random pairs, of which 282 hold."""
@@ -288,7 +289,7 @@ def test_prec_matches_brute_force_on_longer_pairs():
     holds = 0
     for i in range(1500):
         n = rng.randint(2, 6)
-        total = rng.randint(9, W.PREC_DEFAULT_BOUND)
+        total = rng.randint(9, 12)
         alphabet = all_letters(n)
         if i % 2 == 0:
             # v has k letters and the product total + 1 - 2k
@@ -312,11 +313,61 @@ def test_prec_matches_brute_force_on_longer_pairs():
     assert (holds, 1500 - holds) == (1032, 468)
 
 
-def test_prec_bound():
-    long = Word(tuple(all_letters(3)[:1]) * 7, 3)
+def _prec_family(k: int) -> tuple[Word, Word]:
+    """``F_k`` at N = 3k + 4: ``u = [0,1].[0]...[3k-3,3k-2].[3k-3].[3k+1,3k+2].[3k]``
+    and ``v = [0,1]...[3k-3,3k-2].[0,3k].[3k+1,3k+3]``.  Each ``[3j,3j+1]``
+    of v is kept or emptied, and ``[3k]`` never gets free."""
+    n = 3 * k + 4
+    u = [s for j in range(k) for s in (Letter(3 * j, 3 * j + 1), Letter(3 * j, 3 * j))]
+    u += [Letter(3 * k + 1, 3 * k + 2), Letter(3 * k, 3 * k)]
+    v = [Letter(3 * j, 3 * j + 1) for j in range(k)]
+    v += [Letter(0, 3 * k), Letter(3 * k + 1, 3 * k + 3)]
+    return Word(u, n), Word(v, n)
+
+
+def test_prec_budget(monkeypatch):
+    """``prec`` answers any pair whose search stores at most ``_PREC_STATES``
+    states, however long, and refuses only a search that passes it.  ``F_k``
+    stores exactly ``2^(k+1) + 1`` states before it answers False, so ``F_14``
+    answers and ``F_16`` is refused.  Pairs of 160 letters built to hold, as
+    in the test above, store exactly ``|v| + 1``, and the search needs no
+    stack frame per letter."""
+    for k in (2, 3):
+        u, v = _prec_family(k)
+        assert W.prec(u, v) is brute_prec(u, v) is False
+    assert W.prec(*_prec_family(14)) is False
+    started = time.perf_counter()
     with pytest.raises(SearchBoundExceededError):
-        W.prec(long, long)
-    assert W.prec(long, long, bound=20) is False
+        W.prec(*_prec_family(16))
+    assert time.perf_counter() - started < 1.0
+    rng = random.Random(2302)
+    built = []
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        alphabet = all_letters(n)
+        v = [rng.choice(alphabet) for _ in range(160)]
+        j = rng.randrange(160)
+        while v[j].size == 1:
+            v[j] = rng.choice(alphabet)
+        product = [rng.choice(proper_subletters(v[j])) for _ in range(rng.randint(0, 3))]
+        keys = _random_swaps(rng, [s.key for s in v[:j] + product + v[j + 1 :]], 3 * 160)
+        u, v = Word([_LETTERS[key] for key in keys], n), Word(v, n)
+        assert W.prec(u, v), (str(u), str(v))
+        built.append((u, v))
+    # a search deeper than the interpreter's recursion limit
+    depth = sys.getrecursionlimit() + 100
+    long = [Letter(0, 1)] * depth
+    assert W.prec(Word(long[1:] + [Letter(0, 0)], 2), Word(long, 2))
+    # the state counts, pinned by budgets that just fit
+    for k in range(2, 7):
+        u, v = _prec_family(k)
+        monkeypatch.setattr(W, "_PREC_STATES", 2 ** (k + 1) + 1)
+        assert W.prec(u, v) is False
+        monkeypatch.setattr(W, "_PREC_STATES", 2 ** (k + 1))
+        with pytest.raises(SearchBoundExceededError):
+            W.prec(u, v)
+    monkeypatch.setattr(W, "_PREC_STATES", 161)
+    assert all(W.prec(u, v) for u, v in built)
 
 
 def test_absorption_law_exhaustive_n1():
