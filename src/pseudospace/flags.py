@@ -8,39 +8,36 @@ to commutation, and composing connecting words in the letter monoid decides
 independence: two flags are independent over a third iff the words compose
 without splitting.
 
-``flag_path`` computes the reduced path constructively on a list of flags
-with one ``(lo, hi)`` key per step, set where a step is made and updated
-where steps are rewritten.  Starting from the weak difference word it scans
-the steps: a non-global step is replaced by proper-subletter steps, lifted
-from a vertex-level shortest path between the anchors; once every step is
-global, the leftmost absorbed step (the lowest bit of one ``kernels.absorbed``
-mask) is swapped next to its absorber (``kernels.absorber``) and merged into
-it.  Only the rewritten steps are split into intervals and rid of
-identities, and the scan resumes where the path changed.
-Whether a step is global is a lookup: the space keeps, per between-set
-mask, the components of that between-set found so far, and a step whose old
-s-part's component misses the new s-part is global without a search;
-otherwise the shortest path is searched inside that component.  The lifts of
-a bridge take their monotone chains from the space's memo too.  Both
-rewrites strictly decrease the word's ordinal rank, so the loop terminates;
-the path ends in the order of ``kernels.normal_form``.  Vertex ids break the
-search ties and so choose the path's flags; its word, up to commutation,
-does not depend on them.  On hand-made graphs (``ColoredSpace.from_graph``)
-a step may admit no proper-subletter replacement; such steps are reported on
-the path as ``stuck`` instead of being silently accepted, and nothing is
-merged.  Public functions check the flags they are given once.
+Every query rests on one core, ``_reduced_path``: the weak difference path,
+a list of flags with one ``(lo, hi)`` key per step, refined in place by
+``_refine``.  That loop replaces a non-global step by proper-subletter
+steps, lifted from a vertex-level shortest path between the anchors; once
+every step is global, it swaps the leftmost absorbed step (the lowest bit of
+one ``kernels.absorbed`` mask) next to its absorber (``kernels.absorber``)
+and merges the two.  Only rewritten steps are split into intervals, and the
+scan resumes where the path changed.  A step is global when its old s-part's
+component inside the anchors' between-set, kept by the space per mask,
+misses the new s-part; otherwise the shortest path is searched inside that
+component.  Both rewrites lower the word's ordinal rank, so the loop ends.
+Vertex ids break the search ties and so choose the path's flags, not its
+word up to commutation.  On hand-made graphs (``ColoredSpace.from_graph``) a
+step may admit no proper-subletter replacement; it comes back as a stuck
+pair, and nothing is merged.
 
-The loop itself, ``_refine``, takes any weak path and a ``start`` before
-which every step is known to be global; absorption is looked for across the
-whole path.  On a built space every weak path from f to g refines to the
-same word up to commutation, so a caller that holds a reduced path refines
-from it instead of from the weak difference word: ``basepoint`` appends the
-weak step from one region flag to the next to the reduced path to the first,
-and ``indep`` refines w(f,g).w(g,h), whose steps are all global, to w(f,h).
-A hand-made graph need not be simply connected, and there a path through
-another flag may refine to another reduced word; so on a space whose
-vertices ``apply_alpha`` did not all make (``_built``), and whenever a step
-is stuck, the caller computes the path from scratch.
+Each query builds only what it returns.  ``flag_path`` reorders the steps
+once, to ``kernels.normal_form`` of the keys, which is its word's key, and
+marks ``stuck`` steps only when there are any; ``indep``, ``indep_over_set``
+and ``basepoint`` compare and rank keys, with no ``FlagPath``.  On a built
+space every weak path from f to g refines to the same word up to
+commutation, so a caller holding a reduced path refines from it, passing
+``_refine`` a ``start`` before which every step is global: ``basepoint``
+appends the weak step from one region flag to the next to the reduced path
+to the first, and ``indep`` refines w(f,g).w(g,h) to w(f,h).  A hand-made
+graph need not be simply connected, and there a path through another flag
+may refine to another reduced word; so on a space whose vertices
+``apply_alpha`` did not all make (``_built``), and past a stuck step, the
+caller computes the path from scratch.  Public functions check the flags
+they are given once.
 
 A basepoint over a nice region is reached by the ``preceq``-least connecting
 word, which exists on spaces built by ``apply_alpha`` (Baudisch,
@@ -244,15 +241,20 @@ def flag_path(space: ColoredSpace, f: Flag, g: Flag) -> FlagPath:
     """The reduced flag path from ``f`` to ``g`` with its normal-form word."""
     check_flag(space, f)
     check_flag(space, g)
-    return _flag_path(space, f, g)
+    flags, keys, stuck_pairs = _reduced_path(space, f, g)
+    key = kernels.normal_form(tuple(keys))
+    _reorder(flags, keys, key)
+    stuck = ()
+    if stuck_pairs:
+        stuck = tuple(k for k in range(len(keys)) if (flags[k], flags[k + 1]) in stuck_pairs)
+    return FlagPath(tuple(flags), W._from_key(key, space.n), stuck)
 
 
-def _flag_path(space: ColoredSpace, f: Flag, g: Flag) -> FlagPath:
+def _reduced_path(space: ColoredSpace, f: Flag, g: Flag) -> tuple[list[Flag], list, set]:
+    """The weak path from ``f`` to ``g`` refined, in the order ``_refine``
+    leaves it: its flags, step keys and stuck pairs."""
     flags, keys = _interval_steps([f, g], 0, space.n)
-    stuck_pairs = _refine(space, flags, keys, 0)
-    _reorder(flags, keys, kernels.normal_form(tuple(keys)))
-    stuck = tuple(k for k in range(len(keys)) if (flags[k], flags[k + 1]) in stuck_pairs)
-    return FlagPath(tuple(flags), W._from_key(tuple(keys), space.n), stuck)
+    return flags, keys, _refine(space, flags, keys, 0)
 
 
 def _refine(space: ColoredSpace, flags: list[Flag], keys: list, start: int) -> set:
@@ -391,9 +393,7 @@ def basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Wor
     ties to the least vertex-id tuple, with that word: the ``preceq``-minimum
     on built spaces.  On a hand-made graph without a minimum the word may be
     incomparable with another minimal one.  The region's flags come in
-    vertex-tuple order, and on a built space each word is refined from the
-    reduced path to the flag before, extended by one weak step; on a
-    hand-made graph, or past a stuck step, from scratch."""
+    vertex-tuple order, each word refined as the module docstring says."""
     check_flag(space, f)
     return _basepoint(space, f, region)
 
@@ -409,7 +409,7 @@ def _basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Wo
         if built and _extend(space, flags, keys, g):
             key = tuple(keys)
         else:
-            key = _flag_path(space, f, g).word.key
+            key = tuple(_reduced_path(space, f, g)[1])
             flags, keys = [f], []
         rank = W._rank(key, space.n)
         if best is None or rank < best_rank:
@@ -421,17 +421,18 @@ def _basepoint(space: ColoredSpace, f: Flag, region: set[int]) -> tuple[Flag, Wo
 
 def indep(space: ColoredSpace, f: Flag, g: Flag, h: Flag) -> bool:
     """Independence of ``f`` from ``h`` over ``g``: the connecting words
-    compose without splitting."""
+    compose without splitting.  It compares keys: the reduct of
+    w(f,g).w(g,h), in normal form, with the normal form of w(f,h)."""
     for x in (f, g, h):
         check_flag(space, x)
-    u = _flag_path(space, f, g)
-    v = _flag_path(space, g, h)
+    u_flags, u, u_stuck = _reduced_path(space, f, g)
+    v_flags, v, v_stuck = _reduced_path(space, g, h)
     # the path from f to h through g: every step is global, so refining it
     # only merges across g, and bridges the steps merging makes
-    flags, keys = [*u.flags, *v.flags[1:]], [*u.word.key, *v.word.key]
-    if not _built(space) or u.stuck or v.stuck or _refine(space, flags, keys, len(keys)):
-        keys = _flag_path(space, f, h).word.key
-    return W.equivalent(W.concat_reduce(u.word, v.word), W._from_key(tuple(keys), space.n))
+    flags, keys = [*u_flags, *v_flags[1:]], [*u, *v]
+    if not _built(space) or u_stuck or v_stuck or _refine(space, flags, keys, len(keys)):
+        keys = _reduced_path(space, f, h)[1]
+    return kernels.reduce_word((*u, *v)) == kernels.normal_form(tuple(keys))
 
 
 def _built(space: ColoredSpace) -> bool:
@@ -446,9 +447,7 @@ def _extend(space: ColoredSpace, flags: list[Flag], keys: list, g: Flag) -> bool
     the weak step from its last flag to ``g``, and refine it.  True when no
     step is stuck: the path is then a reduced path to ``g``."""
     start = len(keys)
-    more_flags, more_keys = _interval_steps([flags[-1], g], 0, space.n)
-    flags += more_flags[1:]
-    keys += more_keys
+    flags[-1:], keys[start:] = _interval_steps([flags[-1], g], 0, space.n)
     return not _refine(space, flags, keys, start)
 
 
@@ -458,8 +457,8 @@ def indep_over_set(space: ColoredSpace, f: Flag, g: Flag, region: set[int]) -> b
     check_flag(space, g)
     if not set(g) <= set(region):
         raise FlagNotInSetError("flag lies outside the region")
-    base_word = _basepoint(space, f, region)[1]
-    return W.equivalent(_flag_path(space, f, g).word, base_word)
+    base_key = _basepoint(space, f, region)[1].key
+    return kernels.normal_form(tuple(_reduced_path(space, f, g)[1])) == base_key
 
 
 def canonical_base(space: ColoredSpace, f: Flag, region: set[int]) -> FlagClass:

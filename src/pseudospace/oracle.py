@@ -681,6 +681,7 @@ def _suite_flags_forking(config: SuiteConfig, report: SuiteReport) -> None:
         if word_indep != set_indep:
             _fail(report, "forking-criteria-agree", inputs,
                   {"word": word_indep, "set": set_indep})
+        _check_canonical_base(report, space, f, region, inputs)
         # a flag forks with itself over any other flag, and forking is symmetric
         if FL.indep(space, f, base, f) != (f == base):
             _fail(report, "indep-with-itself", inputs, str(f))
@@ -697,6 +698,18 @@ def _suite_flags_forking(config: SuiteConfig, report: SuiteReport) -> None:
         _check_transitivity(report, space, rng, n, inputs)
     _check_counterexample(report, config)
     _check_two_realizations(report, config)
+
+
+def _check_canonical_base(report, space, f, region, inputs) -> None:
+    """The region flags in the class ``canonical_base(f, region)`` are
+    exactly those whose word from f is equivalent to the basepoint word."""
+    word = FL.basepoint(space, f, region)[1]
+    cls = FL.canonical_base(space, f, region)
+    for g in FL.enumerate_flags(space, within=region):
+        in_class = all(g[i] == v for i, v in cls.fixed)
+        if in_class != W.equivalent(FL.flag_path(space, f, g).word, word):
+            _fail(report, "canonical-base-describes-basepoints", inputs,
+                  {"flag": str(g), "in-class": in_class})
 
 
 def _check_basepoint_chain(report, space, path, base, inputs) -> None:

@@ -43,8 +43,8 @@ standing for vertex ``v`` (ids are dense).  ``_reach`` is one recursion over
 the level DAG: ``up(v)`` is the union over the upper neighbours ``w`` (inside
 the region, if any) of ``w`` and ``up(w)``.  With a region its memo lives for
 one call: a caller that asks about many vertices of one region
-(``nice_witness``, ``is_complete``) keeps one memo per direction for all of
-them.  A caller that asks whether many anchors lie over one reads that
+(``is_complete``, and ``nice_witness`` when it names a witness) keeps one
+memo per direction for all of them.  A caller that asks whether many anchors lie over one reads that
 anchor's up-set once.  ``lies_over`` between two vertices is a bit test when
 the lower one's up-set is memoized; otherwise it searches up from it only
 through the levels below the upper one's, stops there, and fills no memo.
@@ -646,9 +646,11 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     Condition 1 holds exactly when every anchor's up-set and down-set inside
     the region equal its ambient ones cut to the region, since the pairs
     ``(a, TOP)`` and ``(BOTTOM, b)`` are among those scanned.  The imaginary
-    anchors' always do, so the region vertices are tested one by one until
-    one differs, and only then are the anchors' sets listed and the pairs
-    scanned, to name the first witness.
+    anchors' always do.  ``w`` lies over ``v`` inside the region iff ``v``
+    lies beneath ``w`` inside it, so the up-sets agree for every region
+    vertex iff the down-sets do, and ``_up_sets_agree`` tests up-sets only;
+    only on a failure are the anchors' sets listed and the pairs scanned, to
+    name the first witness.
     Without ``exact``, condition 2 asks only that region points joined in the
     ambient interval are joined inside the region.  So for each region
     component one flood fill inside the region and one ambient component,
@@ -660,14 +662,8 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     """
     inside = _mask_of(region)
     ids = _members(inside)
-    # an imaginary anchor's closures are the whole region or nothing, inside
-    # and ambient alike, so only region vertices are tested
-    up_memo, down_memo = {}, {}
-    if any(
-        space._reach(v, +1, inside, up_memo) != space._reach(v, +1) & inside
-        or space._reach(v, -1, inside, down_memo) != space._reach(v, -1) & inside
-        for v in ids
-    ):
+    if not _up_sets_agree(space, inside, ids):
+        up_memo, down_memo = {}, {}
         anchors: list[Anchor] = [BOTTOM, TOP] + ids
         # a pair with b not over a has empty between-sets, inside and ambient
         up_inside = [space._closure(a, +1, inside, up_memo) for a in anchors]
@@ -699,6 +695,23 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
                 return ("distance", tuple(range(lo, hi + 1)), x, y, dm, INF)
             todo &= ~joined
     return None
+
+
+def _up_sets_agree(space: ColoredSpace, inside: int, ids: list[int]) -> bool:
+    """True iff each vertex of ``ids``, the ``inside`` mask's, has its
+    ambient up-set cut to the mask as up-set inside it: by induction from the
+    top level, iff that cut is the union over its upper neighbours ``w`` in
+    the mask of ``w`` and ``w``'s cut, in one pass over the ambient memo."""
+    cut = {v: space._reach(v, +1) & inside for v in ids}
+    level, adj = space._level, space._adj
+    for v in ids:
+        lw, joined = level[v] + 1, 0
+        for w in adj[v]:
+            if w in cut and level[w] == lw:
+                joined |= 1 << w | cut[w]
+        if joined != cut[v]:
+            return False
+    return True
 
 
 def is_nice(space: ColoredSpace, region: set[int]) -> bool:

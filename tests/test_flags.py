@@ -503,16 +503,17 @@ def test_any_weak_path_refines_to_the_same_word(monkeypatch):
 def test_indep_matches_the_word_criterion_and_falls_back(monkeypatch):
     """``indep`` equals the word criterion on three restart reference words.
     On built spaces it refines the path through the middle flag and computes
-    no third path; on hand-made graphs, stuck steps among them, every call
-    computes it from scratch.  Independent and forking triples both occur."""
-    flag_path = FL._flag_path
+    no third reduced path; on hand-made graphs, stuck steps among them, every
+    call computes it from scratch.  Independent and forking triples both
+    occur."""
+    reduced_path = FL._reduced_path
     calls = []
 
     def counted(sp, f, g):
         calls.append((f, g))
-        return flag_path(sp, f, g)
+        return reduced_path(sp, f, g)
 
-    monkeypatch.setattr(FL, "_flag_path", counted)
+    monkeypatch.setattr(FL, "_reduced_path", counted)
     rng = random.Random(55)
     built = [sp for _, sp in itertools.islice(brute.random_spaces(56, 30), 30)]
     built += list(_realized_spaces(57, 30))

@@ -41,6 +41,7 @@ WORD_REFERENCES = (
     "brute_final_segment",
 )
 FLAG_PATH_SEARCHES = (
+    "_reduced_path",
     "_connecting_path",
     "_step_part",
     "_subletter_bridge",
@@ -50,7 +51,7 @@ FLAG_PATH_SEARCHES = (
 )
 BASEPOINT_SEARCHES = (
     "flag_path",
-    "_flag_path",
+    "_reduced_path",
     "prec",
     "_prec",
     "ord_rank",

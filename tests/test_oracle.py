@@ -124,6 +124,21 @@ def test_indep_laws_catch_a_mutant(monkeypatch, law):
     assert sum(f["law"] == law for f in report.failures) > 20
 
 
+@pytest.mark.parametrize("modulus, failed", [("empty", 31), ("every level", 71)])
+def test_canonical_base_law_catches_a_wrong_modulus(monkeypatch, modulus, failed):
+    """A ``canonical_base`` whose modulus is empty leaves out the region
+    flags that differ from the basepoint inside the right stabilizer; one
+    whose modulus holds every level takes in every region flag."""
+    def wrong(space, f, region):
+        levels = frozenset() if modulus == "empty" else frozenset(range(space.n + 1))
+        return FL.FlagClass(FL.basepoint(space, f, region)[0], levels)
+
+    monkeypatch.setattr(FL, "canonical_base", wrong)
+    report = run_suite(SuiteConfig("flags-forking", seed=0, cases=100))
+    law = "canonical-base-describes-basepoints"
+    assert sum(f["law"] == law for f in report.failures) == failed
+
+
 def test_division_law_catches_a_missing_gate(monkeypatch):
     """A ``_left_stabilizer`` that claims every level switches off the
     left-over gate of ``divides_left_bounded``, which then finds a witness
