@@ -5,8 +5,17 @@ independently randomized reduction strategies, swap-closure enumerations,
 exhaustive small-domain scans and constructed model configurations.  Suites
 are deterministic given their configuration; bounded-only checks (triangle,
 strong-reduct enumeration) are labeled "sampled/bounded" in the report
-notes.  Failure records carry the serialized inputs so any failure
-re-runs standalone.
+notes.
+
+A suite opens one case per case it counts, with ``report.case(**inputs)``:
+the inputs are what the suite drew for the case (a script, or a dimension
+and words), and the ``fail(law, observed=None)`` it returns records each
+failure of the case as the law, the inputs (words and flags as text) and
+what the law observed.  Three ``words-absorption`` laws count no case and
+call ``report.record`` directly.  A case whose checks draw more from the
+suite's random stream (``words-confluence`` reduces and shuffles at random,
+``flags-paths`` and ``flags-forking`` sample flags) can be re-checked only
+within its seed's run; every other case from its inputs alone.
 """
 
 from __future__ import annotations
@@ -55,6 +64,18 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def case(self, **inputs):
+        """Count one case; return ``fail(law, observed=None)``, which records
+        a failure of ``law`` on these inputs."""
+        self.cases_run += 1
+        return functools.partial(self.record, inputs)
+
+    def record(self, inputs: dict, law: str, observed=None) -> None:
+        """Record a failure of ``law``: ints and scripts in ``inputs`` stay as
+        they are, and words and flags become text."""
+        text = {k: v if isinstance(v, (int, dict)) else str(v) for k, v in inputs.items()}
+        self.failures.append({"law": law, "inputs": text, "observed": observed})
 
     def to_json(self) -> dict:
         return {
@@ -141,10 +162,6 @@ def random_strategy_reduce(rng: random.Random, u: Word) -> Word:
         del key[rng.choice(candidates)]
 
 
-def _fail(report: SuiteReport, law: str, inputs, observed) -> None:
-    report.failures.append({"law": law, "inputs": inputs, "observed": observed})
-
-
 # ---------------------------------------------------------------------------
 # word suites
 
@@ -154,26 +171,25 @@ def _suite_words_confluence(config: SuiteConfig, report: SuiteReport) -> None:
     for _ in range(config.cases):
         n = random_dimension(rng, config.n_max)
         u = random_word(rng, n, WORD_LEN_MAX)
-        report.cases_run += 1
+        fail = report.case(n=n, u=u)
         r1 = random_strategy_reduce(rng, u)
         r2 = random_strategy_reduce(rng, u)
         det = W.reduce(u)
         if not (r1 == r2 == det):
-            _fail(report, "reduct-uniqueness", {"n": n, "u": str(u)},
-                  {"r1": str(r1), "r2": str(r2), "det": str(det)})
+            fail("reduct-uniqueness", {"r1": str(r1), "r2": str(r2), "det": str(det)})
         if not W.is_reduced(det):
-            _fail(report, "reduce-is-reduced", {"n": n, "u": str(u)}, str(det))
+            fail("reduce-is-reduced", str(det))
         nf = W.normal_form(u)
         if W.normal_form(nf) != nf:
-            _fail(report, "normal-form-idempotent", {"n": n, "u": str(u)}, str(nf))
+            fail("normal-form-idempotent", str(nf))
         if not W.equivalent(u, nf):
-            _fail(report, "normal-form-equivalent", {"n": n, "u": str(u)}, str(nf))
+            fail("normal-form-equivalent", str(nf))
         shuffled = W._from_key(tuple(_random_swaps(rng, list(u.key), 3 * len(u))), n)
         if W.normal_form(shuffled) != nf:
-            _fail(report, "normal-form-class-invariant",
-                  {"n": n, "u": str(u), "perm": str(shuffled)}, str(W.normal_form(shuffled)))
+            fail("normal-form-class-invariant",
+                 {"perm": str(shuffled), "nf": str(W.normal_form(shuffled))})
         if W.parse_word(str(u), n) != u:
-            _fail(report, "parse-print-roundtrip", {"n": n, "u": str(u)}, None)
+            fail("parse-print-roundtrip")
 
 
 def _random_swaps(rng: random.Random, key: list, rounds: int) -> list:
@@ -201,32 +217,30 @@ def _suite_words_absorption(config: SuiteConfig, report: SuiteReport) -> None:
         reduced = [u for u in _enumerate_words(n, 3) if W.is_reduced(u)]
         for u in reduced:
             for v in reduced:
-                report.cases_run += 1
+                fail = report.case(n=n, u=u, v=v)
                 lhs = W.equivalent(W.concat_reduce(u, v), v)
                 rhs = W.absorbs_left(v, u)
                 if lhs != rhs:
-                    _fail(report, "absorption-law", {"n": n, "u": str(u), "v": str(v)},
-                          {"uv=v": lhs, "absorbs": rhs})
+                    fail("absorption-law", {"uv=v": lhs, "absorbs": rhs})
                 w = W.concat_reduce(u, v)
                 if not W.right_stabilizer(v) <= W.right_stabilizer(w):
-                    _fail(report, "sr-monotone", {"n": n, "u": str(u), "v": str(v)},
-                          {"sr(v)": sorted(W.right_stabilizer(v)),
-                           "sr(w)": sorted(W.right_stabilizer(w))})
+                    fail("sr-monotone", {"sr(v)": sorted(W.right_stabilizer(v)),
+                                         "sr(w)": sorted(W.right_stabilizer(w))})
                 if W.is_reduced(u.concat(v)):
                     wob = W.wobbling(u, v)
                     for s in index_set_to_letters(wob):
                         if not (W.properly_absorbs_right(u, Word((s,), n))
                                 and W.properly_absorbs_left(v, Word((s,), n))):
-                            _fail(report, "wobbling-proper", {"n": n, "u": str(u), "v": str(v)},
-                                  str(s))
+                            fail("wobbling-proper", str(s))
         for u in reduced:
             commuting = all(
                 commutes(a, b) for a, b in itertools.combinations(u.letters, 2)
             )
             if W.absorbs_left(u, u) != commuting:
-                _fail(report, "commuting-idempotent", {"n": n, "u": str(u)},
-                      {"absorbs-self": W.absorbs_left(u, u), "commuting": commuting})
-        # absorption witnesses are unique; non-commuting absorbed letters share one
+                report.record({"n": n, "u": u}, "commuting-idempotent",
+                              {"absorbs-self": W.absorbs_left(u, u), "commuting": commuting})
+        # absorption witnesses are unique; non-commuting absorbed letters share
+        # one; these laws and the one above count no case
         for v in _enumerate_words(n, 3):
             absorbed = []
             letters = v.letters
@@ -239,12 +253,12 @@ def _suite_words_absorption(config: SuiteConfig, report: SuiteReport) -> None:
                 if witnesses:
                     absorbed.append((s, witnesses[0]))
                 if len(witnesses) > 1:
-                    _fail(report, "absorption-witness-unique",
-                          {"n": n, "v": str(v), "s": str(s)}, witnesses)
+                    report.record({"n": n, "v": v, "s": s}, "absorption-witness-unique",
+                                  witnesses)
             for (s, js), (t, jt) in itertools.combinations(absorbed, 2):
                 if not commutes(s, t) and js != jt:
-                    _fail(report, "absorption-shared-witness",
-                          {"n": n, "v": str(v), "s": str(s), "t": str(t)}, [js, jt])
+                    report.record({"n": n, "v": v, "s": s, "t": t}, "absorption-shared-witness",
+                                  [js, jt])
 
 
 def check_fine_decomposition(u: Word, v: Word) -> list[str]:
@@ -296,10 +310,10 @@ def _suite_words_decomposition(config: SuiteConfig, report: SuiteReport) -> None
         n = random_dimension(rng, config.n_max)
         u = random_reduced_word(rng, n, WORD_LEN_MAX)
         v = random_reduced_word(rng, n, WORD_LEN_MAX)
-        report.cases_run += 1
+        fail = report.case(n=n, u=u, v=v)
         bad = check_fine_decomposition(u, v)
         if bad:
-            _fail(report, "decomposition", {"n": n, "u": str(u), "v": str(v)}, bad)
+            fail("decomposition", bad)
 
 
 def _suite_words_strong(config: SuiteConfig, report: SuiteReport) -> None:
@@ -310,7 +324,7 @@ def _suite_words_strong(config: SuiteConfig, report: SuiteReport) -> None:
         n = random_dimension(rng, config.n_max)
         u = random_reduced_word(rng, n, 3)
         v = random_reduced_word(rng, n, 3)
-        report.cases_run += 1
+        fail = report.case(n=n, u=u, v=v)
         plain = W.concat_reduce(u, v)
         result = W.strong_reducts_bounded(u.concat(v), SPLIT_LEN_MAX, 50_000)
         for x in sorted(result.words, key=str):
@@ -322,15 +336,14 @@ def _suite_words_strong(config: SuiteConfig, report: SuiteReport) -> None:
                 skipped += 1
                 continue
             if not ok:
-                _fail(report, "splitting-penalty", {"n": n, "u": str(u), "v": str(v)},
-                      {"reduct": str(x), "plain": str(plain)})
+                fail("splitting-penalty", {"reduct": str(x), "plain": str(plain)})
         # inverse cancellation
         inv = W.strong_reducts_bounded(u.concat(W.inverse(u)), SPLIT_LEN_MAX, 50_000)
         if Word.one(n) not in inv.words and not inv.exhausted:
-            _fail(report, "inverse-cancellation", {"n": n, "u": str(u)}, inv.as_strings())
+            fail("inverse-cancellation", inv.as_strings())
         if Word.one(n) in result.words:
             if not W.equivalent(v, W.inverse(u)):
-                _fail(report, "inverse-uniqueness", {"n": n, "u": str(u), "v": str(v)}, None)
+                fail("inverse-uniqueness")
         # triangle, widened by one splitting width
         tri = W.strong_reducts_bounded(u.concat(v), SPLIT_LEN_MAX, 20_000)
         for r in sorted(tri.words, key=str)[:3]:
@@ -339,8 +352,7 @@ def _suite_words_strong(config: SuiteConfig, report: SuiteReport) -> None:
             if W.normal_form(W.inverse(v)) not in {
                 W.normal_form(x) for x in back.words
             } and not back.exhausted:
-                _fail(report, "triangle", {"n": n, "a": str(u), "b": str(v), "c": str(c)},
-                      back.as_strings())
+                fail("triangle", {"c": str(c), "back": back.as_strings()})
     if skipped:
         report.notes.append(f"sampled/bounded: {skipped} reducts unchecked, "
                             "their prec search over its state budget")
@@ -354,25 +366,26 @@ def _suite_words_order(config: SuiteConfig, report: SuiteReport) -> None:
         u = random_reduced_word(rng, n, 4)
         v = random_reduced_word(rng, n, 4)
         w = random_reduced_word(rng, n, 3)
-        report.cases_run += 1
+        v2 = random_reduced_word(rng, n, 4)
+        pair_n = random_dimension(pairs, config.n_max)
+        pair_u = random_reduced_word(pairs, pair_n, 4)
+        pair_v = random_reduced_word(pairs, pair_n, 4)
+        fail = report.case(n=n, u=u, v=v, w=w, v2=v2,
+                           pair_n=pair_n, pair_u=pair_u, pair_v=pair_v)
         if W.prec(u, v):
             if not W.ord_rank(u) < W.ord_rank(v):
-                _fail(report, "prec-implies-ord", {"n": n, "u": str(u), "v": str(v)},
-                      {"ord(u)": str(W.ord_rank(u)), "ord(v)": str(W.ord_rank(v))})
+                fail("prec-implies-ord",
+                     {"ord(u)": str(W.ord_rank(u)), "ord(v)": str(W.ord_rank(v))})
             # compatibility with the product
             left_u = W.concat_reduce(w, u)
             left_v = W.concat_reduce(w, v)
             if not W.preceq(left_u, left_v):
-                _fail(report, "prec-product-compatible",
-                      {"n": n, "u": str(u), "v": str(v), "w": str(w)},
-                      {"wu": str(left_u), "wv": str(left_v)})
-        # cancellation order: w.v reduced and w.v <= w.v' implies v <= v'
-        v2 = random_reduced_word(rng, n, 4)
+                fail("prec-product-compatible", {"wu": str(left_u), "wv": str(left_v)})
+        # cancellation order: w.v reduced and w.v <= w.v2 implies v <= v2
         wv = w.concat(v)
         if W.is_reduced(wv):
             if W.preceq(wv, w.concat(v2)) and not W.preceq(v, v2):
-                _fail(report, "cancellation-order",
-                      {"n": n, "w": str(w), "v": str(v), "v2": str(v2)}, None)
+                fail("cancellation-order")
         # left division: u divides reduce(u.w), and the least witness has
         # no more letters than reduce(w)
         prod = W.concat_reduce(u, w)
@@ -380,26 +393,22 @@ def _suite_words_order(config: SuiteConfig, report: SuiteReport) -> None:
         if (res.witness is None
                 or not W.equivalent(W.concat_reduce(u, res.witness), prod)
                 or len(res.witness) > len(W.reduce(w))):
-            _fail(report, "divides-own-product", {"n": n, "u": str(u), "w": str(w)},
-                  str(prod))
+            fail("divides-own-product", str(prod))
         if not W.preceq(u, prod):
-            _fail(report, "u-below-uv", {"n": n, "u": str(u), "w": str(w)}, str(prod))
-        # left division of a random pair, which need not divide: a witness
+            fail("u-below-uv", str(prod))
+        # left division of the random pair, which need not divide: a witness
         # must divide, and a None at N <= 2, |v| <= 3 is checked against all
         # words of at most len(v) letters, among which the least witness lies
-        n = random_dimension(pairs, config.n_max)
-        u = random_reduced_word(pairs, n, 4)
-        v = random_reduced_word(pairs, n, 4)
-        witness = W.divides_left_bounded(u, v).witness
+        witness = W.divides_left_bounded(pair_u, pair_v).witness
         if witness is not None:
-            ok = W.equivalent(W.concat_reduce(u, witness), v)
+            ok = W.equivalent(W.concat_reduce(pair_u, witness), pair_v)
         else:
-            ok = n > 2 or len(v) > 3 or not any(
-                W.equivalent(W.concat_reduce(u, x), v) for x in _enumerate_words(n, len(v))
+            ok = pair_n > 2 or len(pair_v) > 3 or not any(
+                W.equivalent(W.concat_reduce(pair_u, x), pair_v)
+                for x in _enumerate_words(pair_n, len(pair_v))
             )
         if not ok:
-            _fail(report, "divides-random-pair", {"n": n, "u": str(u), "v": str(v)},
-                  str(witness))
+            fail("divides-random-pair", str(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +419,11 @@ def _suite_space_axioms(config: SuiteConfig, report: SuiteReport) -> None:
     rng = random.Random(config.seed)
     for _ in range(config.cases):
         script = random_script(rng, config.n_max)
-        report.cases_run += 1
-        _check_one_space(report, script)
+        _check_one_space(report.case(script=script), script)
 
 
-def _check_one_space(report: SuiteReport, script: dict) -> None:
+def _check_one_space(fail, script: dict) -> None:
     space = ColoredSpace(script["n"])
-    inputs = {"script": script}
     distances = _all_distances(space)
     for op in script["ops"]:
         before_vertices = list(space.vertices)
@@ -424,19 +431,19 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
         after = _all_distances(space)
         for (x, y, t), d in distances.items():
             if after[(x, y, t)] != d:
-                _fail(report, "distance-stability", inputs, {"x": x, "y": y, "t": t})
+                fail("distance-stability", {"x": x, "y": y, "t": t})
         distances = after
         if before_vertices and (prior := SP.nice_witness(space, set(before_vertices), exact=True)):
-            _fail(report, "prior-set-wunderbar", inputs, prior)
+            fail("prior-set-wunderbar", prior)
     witness = SP.simply_connected_witness(space)
     if witness is not None:
-        _fail(report, "simply-connected", inputs, repr(witness))
+        fail("simply-connected", repr(witness))
     if not SP.is_complete(space):
-        _fail(report, "complete", inputs, None)
+        fail("complete")
     intervals = space._interval_masks()
     for level in range(space.n):
         if not _is_forest(space, intervals[(level, level + 1)]):
-            _fail(report, "adjacent-level-forest", inputs, level)
+            fail("adjacent-level-forest", level)
     # amalgam on the first two ops applicable after the script's first op
     if script["ops"]:
         base = ColoredSpace(script["n"])
@@ -448,7 +455,7 @@ def _check_one_space(report: SuiteReport, script: dict) -> None:
             if not SP.amalgam_isomorphic(
                 base, SP.BuildOp(o1[0], o1[1], o1[2], ()), SP.BuildOp(o2[0], o2[1], o2[2], ())
             ):
-                _fail(report, "amalgam", inputs, None)
+                fail("amalgam")
 
 
 def _all_distances(space: ColoredSpace) -> dict:
@@ -482,11 +489,10 @@ def _suite_flags_paths(config: SuiteConfig, report: SuiteReport) -> None:
     report.notes.append("flag enumeration capped at 24 flags per space")
     for _ in range(config.cases):
         script = random_script(rng, config.n_max)
-        report.cases_run += 1
+        fail = report.case(script=script)
         space = ColoredSpace.from_script(script)
         every_flag = FL.enumerate_flags(space)
         all_flags = every_flag[:24]
-        inputs = {"script": script}
         ends = None  # the path from the first flag to the last
         scaffolds: dict = {}
         mirror, mirrored = _reversed_copy(space, all_flags)
@@ -496,26 +502,23 @@ def _suite_flags_paths(config: SuiteConfig, report: SuiteReport) -> None:
                 if f is all_flags[0] and g is all_flags[-1]:
                     ends = path
                 if path.stuck:
-                    _fail(report, "path-stuck-on-built-space", inputs,
-                          {"f": str(f), "g": str(g)})
+                    fail("path-stuck-on-built-space", {"f": str(f), "g": str(g)})
                 if not W.is_reduced(path.word):
-                    _fail(report, "path-word-reduced", inputs,
-                          {"f": str(f), "g": str(g), "word": str(path.word)})
+                    fail("path-word-reduced", {"f": str(f), "g": str(g), "word": str(path.word)})
                 if f == g and len(path.word) > 0:
-                    _fail(report, "closed-path-trivial", inputs, str(f))
+                    fail("closed-path-trivial", str(f))
                 if f != g and len(path.word) == 0:
-                    _fail(report, "distinct-flags-nontrivial-word", inputs,
-                          {"f": str(f), "g": str(g)})
+                    fail("distinct-flags-nontrivial-word", {"f": str(f), "g": str(g)})
                 alt = FL.flag_path(mirror, mirrored[f], mirrored[g])
                 if not W.equivalent(alt.word, path.word):
-                    _fail(report, "path-word-invariance", inputs,
-                          {"f": str(f), "g": str(g), "w1": str(path.word), "w2": str(alt.word)})
-                _check_scaffold(report, space, path, inputs, scaffolds)
+                    fail("path-word-invariance",
+                         {"f": str(f), "g": str(g), "w1": str(path.word), "w2": str(alt.word)})
+                _check_scaffold(fail, space, path, scaffolds)
         # flags inside a path's vertex set occur in some permutation of it
         if len(all_flags) >= 2:
-            _check_flags_in_path(report, space, ends, inputs)
-            _check_wobbling(report, space, ends, every_flag, inputs)
-        _check_nice_characterization(report, space, all_flags, rng, inputs)
+            _check_flags_in_path(fail, space, ends)
+            _check_wobbling(fail, space, ends, every_flag)
+        _check_nice_characterization(fail, space, all_flags, rng)
 
 
 def _reversed_copy(space: ColoredSpace, flags) -> tuple[ColoredSpace, dict]:
@@ -527,7 +530,7 @@ def _reversed_copy(space: ColoredSpace, flags) -> tuple[ColoredSpace, dict]:
     return copy, {f: FL.Flag(tuple(top - v for v in f.vertices)) for f in flags}
 
 
-def _check_scaffold(report: SuiteReport, space, path, inputs, scaffolds: dict) -> None:
+def _check_scaffold(fail, space, path, scaffolds: dict) -> None:
     """The path's vertex set is nice, with the open pairs its final segment
     gives.  ``scaffolds`` maps each vertex set already checked in ``space`` to
     its open pairs, or to None when it is not nice: the paths f to g and g to f
@@ -540,7 +543,7 @@ def _check_scaffold(report: SuiteReport, space, path, inputs, scaffolds: dict) -
         scaffolds[vertex_set] = SP.open_pairs(space, vertex_set) if nice else None
     pairs = scaffolds[vertex_set]
     if pairs is None:
-        _fail(report, "scaffold-nice", inputs, sorted(vertex_set))
+        fail("scaffold-nice", sorted(vertex_set))
         return
     last = path.flags[-1]
     _, segment = W.final_segment(path.word)
@@ -548,13 +551,12 @@ def _check_scaffold(report: SuiteReport, space, path, inputs, scaffolds: dict) -
     anchors = set(last.vertices) | {BOTTOM, TOP}
     observed = {(a, b) for a, b in pairs if a in anchors and b in anchors}
     if observed != expected_pairs:
-        _fail(report, "scaffold-open-pairs", inputs,
-              {"expected": sorted(map(str, expected_pairs)),
-               "observed": sorted(map(str, observed)),
-               "word": str(path.word)})
+        fail("scaffold-open-pairs", {"expected": sorted(map(str, expected_pairs)),
+                                     "observed": sorted(map(str, observed)),
+                                     "word": str(path.word)})
 
 
-def _check_flags_in_path(report: SuiteReport, space, path, inputs) -> None:
+def _check_flags_in_path(fail, space, path) -> None:
     vertex_set = path.vertex_set()
     inside = FL.enumerate_flags(space, within=vertex_set)
     # the flags of every permuted path, each permutation made once
@@ -563,7 +565,7 @@ def _check_flags_in_path(report: SuiteReport, space, path, inputs) -> None:
         covered.update(FL.permute_path(space, path, perm).flags)
     for k in inside:
         if k not in covered:
-            _fail(report, "flags-in-path", inputs, {"flag": str(k), "word": str(path.word)})
+            fail("flags-in-path", {"flag": str(k), "word": str(path.word)})
 
 
 def _word_class(u: Word) -> list[Word]:
@@ -581,7 +583,7 @@ def _word_class(u: Word) -> list[Word]:
     return [Word(ls, u.n) for ls in sorted(seen)]
 
 
-def _check_wobbling(report: SuiteReport, space, path, every_flag, inputs) -> None:
+def _check_wobbling(fail, space, path, every_flag) -> None:
     """Mid flags of equal-word paths agree outside the wobbling set; the
     candidates are ``every_flag``, all flags of the space."""
     word = path.word
@@ -606,12 +608,11 @@ def _check_wobbling(report: SuiteReport, space, path, every_flag, inputs) -> Non
                 j for j in range(space.n + 1) if candidate[j] != reference[j]
             }
             if not diff <= set(wob):
-                _fail(report, "wobbling-determines-midflags", inputs,
-                      {"word": str(word), "i": i, "diff": sorted(diff),
-                       "wob": sorted(wob)})
+                fail("wobbling-determines-midflags",
+                     {"word": str(word), "i": i, "diff": sorted(diff), "wob": sorted(wob)})
 
 
-def _check_nice_characterization(report, space, all_flags, rng, inputs) -> None:
+def _check_nice_characterization(fail, space, all_flags, rng) -> None:
     if not all_flags:
         return
     sample = rng.sample(all_flags, min(len(all_flags), 3))
@@ -626,8 +627,8 @@ def _check_nice_characterization(report, space, all_flags, rng, inputs) -> None:
         for g in sample
     )
     if nice != connected:
-        _fail(report, "nice-iff-flag-connected", inputs,
-              {"union": sorted(union), "nice": nice, "connected": connected})
+        fail("nice-iff-flag-connected",
+             {"union": sorted(union), "nice": nice, "connected": connected})
 
 
 def _reduced_path_inside(space, inside: list, f, g) -> bool:
@@ -659,48 +660,64 @@ def _walk_word(space, inside, current, goal, letters) -> bool:
 
 def _suite_flags_forking(config: SuiteConfig, report: SuiteReport) -> None:
     rng = random.Random(config.seed)
+    pairs = random.Random(config.seed + 1)  # the two-realization words
     for _ in range(config.cases):
         n = random_dimension(rng, config.n_max)
-        report.cases_run += 1
         space = ColoredSpace(n)
         base = FL.Flag(tuple(space.apply_alpha(Letter(0, n))))
         u = random_reduced_word(rng, n, 3)
         v = random_reduced_word(rng, n, 3)
-        inputs = {"n": n, "u": str(u), "v": str(v)}
+        fail = report.case(n=n, u=u, v=v)
         f = FL.realize_type(space, base, u)
         h = FL.realize_type(space, base, v)
         # the connecting words are what realize_type promises
         path_fb = FL.flag_path(space, f, base)
         if not W.equivalent(path_fb.word, u):
-            _fail(report, "realize-word-roundtrip", inputs, str(path_fb.word))
+            fail("realize-word-roundtrip", str(path_fb.word))
         # independence via the word criterion matches the basepoint criterion
         path_gh = FL.flag_path(space, base, h)
         region = set(base.vertices) | path_gh.vertex_set()
         word_indep = FL.indep(space, f, base, h)
         set_indep = FL.indep_over_set(space, f, base, region)
         if word_indep != set_indep:
-            _fail(report, "forking-criteria-agree", inputs,
-                  {"word": word_indep, "set": set_indep})
-        _check_canonical_base(report, space, f, region, inputs)
+            fail("forking-criteria-agree", {"word": word_indep, "set": set_indep})
+        _check_canonical_base(fail, space, f, region)
         # a flag forks with itself over any other flag, and forking is symmetric
         if FL.indep(space, f, base, f) != (f == base):
-            _fail(report, "indep-with-itself", inputs, str(f))
+            fail("indep-with-itself", str(f))
         if FL.indep(space, h, base, f) != word_indep:
-            _fail(report, "indep-symmetric", inputs, {"f-over-h": word_indep})
+            fail("indep-symmetric", {"f-over-h": word_indep})
         # independence from the whole witness path
         if word_indep:
             for mid in path_gh.flags:
                 if not FL.indep(space, f, base, mid):
-                    _fail(report, "indep-from-path", inputs, str(mid))
+                    fail("indep-from-path", str(mid))
         if FL.indep_over_set(space, f, base, set(base.vertices)):
-            _check_basepoint_chain(report, space, path_fb, base, inputs)
-            _check_basepoint_support(report, space, path_fb, base, inputs)
-        _check_transitivity(report, space, rng, n, inputs)
-    _check_counterexample(report, config)
-    _check_two_realizations(report, config)
+            _check_basepoint_chain(fail, space, path_fb, base)
+            _check_basepoint_support(fail, space, path_fb, base)
+        _check_transitivity(fail, space, rng)
+        # over the region, no flag is reached from a realization of u over h
+        # by a word of lower rank than its basepoint word; f itself would not
+        # do, as base is both its basepoint and the region's first flag
+        x = FL.realize_type(space, h, u)
+        least = W._rank(FL.basepoint(space, x, region)[1].key, n)
+        for g in FL.enumerate_flags(space, within=region):
+            if W._rank(FL.flag_path(space, x, g).word.key, n) < least:
+                fail("basepoint-least-rank", {"x": str(x), "flag": str(g)})
+        # symmetry on a triple that can fork: k hangs off f's path to base
+        k = FL.realize_type(space, path_fb.flags[len(path_fb.flags) // 2], v)
+        if FL.indep(space, f, base, k) != FL.indep(space, k, base, f):
+            fail("indep-symmetric", {"k": str(k)})
+        # two realizations of a word from the second stream, a case of its own
+        m = random_dimension(pairs, config.n_max)
+        w = random_reduced_word(pairs, m, 3)
+        if len(w) > 0:
+            _check_two_realizations(report.case(n=m, u=w), w)
+    s, t = W.parse_word("[1,2]", 2), W.parse_word("[1]", 2)
+    _check_counterexample(report.case(n=2, s=s, t=t), s, t)
 
 
-def _check_canonical_base(report, space, f, region, inputs) -> None:
+def _check_canonical_base(fail, space, f, region) -> None:
     """The region flags in the class ``canonical_base(f, region)`` are
     exactly those whose word from f is equivalent to the basepoint word."""
     word = FL.basepoint(space, f, region)[1]
@@ -708,11 +725,10 @@ def _check_canonical_base(report, space, f, region, inputs) -> None:
     for g in FL.enumerate_flags(space, within=region):
         in_class = all(g[i] == v for i, v in cls.fixed)
         if in_class != W.equivalent(FL.flag_path(space, f, g).word, word):
-            _fail(report, "canonical-base-describes-basepoints", inputs,
-                  {"flag": str(g), "in-class": in_class})
+            fail("canonical-base-describes-basepoints", {"flag": str(g), "in-class": in_class})
 
 
-def _check_basepoint_chain(report, space, path, base, inputs) -> None:
+def _check_basepoint_chain(fail, space, path, base) -> None:
     """``path`` runs from a flag f to ``base``; the caller has checked that f
     is independent from base over base's own vertices."""
     region = set(base.vertices)
@@ -725,16 +741,16 @@ def _check_basepoint_chain(report, space, path, base, inputs) -> None:
         lo, hi = FL._anchors_for(space, path.flags[i], s)
         between, tail_mask = space._between(lo, hi), SP._mask_of(tail)
         if any(space._component(v, between) & tail_mask for v in new_vertices):
-            _fail(report, "basepoint-chain-global", inputs, {"step": i})
+            fail("basepoint-chain-global", {"step": i})
             return
     union = set(region)
     for g in path.flags:
         union.update(g.vertices)
     if SP.nice_witness(space, union) is not None:
-        _fail(report, "basepoint-chain-nice", inputs, sorted(union))
+        fail("basepoint-chain-nice", sorted(union))
 
 
-def _check_basepoint_support(report, space, path, base, inputs) -> None:
+def _check_basepoint_support(fail, space, path, base) -> None:
     """``path`` runs from a flag f to ``base``, and f is independent from base
     over base's own vertices.  A modulus under which a mid flag's class meets
     a region flag g's holds the levels where the two differ, so only that least
@@ -747,11 +763,11 @@ def _check_basepoint_support(report, space, path, base, inputs) -> None:
         for g in region_flags:
             modulus = [j for j in range(space.n + 1) if mid[j] != g[j]]
             if not support <= set(modulus):
-                _fail(report, "basepoint-word-support", inputs,
-                      {"i": i, "modulus": modulus, "support": sorted(support)})
+                fail("basepoint-word-support",
+                     {"i": i, "modulus": modulus, "support": sorted(support)})
 
 
-def _check_transitivity(report, space, rng, n, inputs) -> None:
+def _check_transitivity(fail, space, rng) -> None:
     flags = FL.enumerate_flags(space)
     if len(flags) > 8:
         flags = rng.sample(flags, 8)
@@ -776,23 +792,21 @@ def _check_transitivity(report, space, rng, n, inputs) -> None:
     for f, f0, h0, h in itertools.islice(quadruples, 512):
         if ind(f, f0, h0) and ind(f, h0, h):
             if not ind(f, f0, h):
-                _fail(report, "transitivity-forward", inputs, observed(f, f0, h0, h))
+                fail("transitivity-forward", observed(f, f0, h0, h))
         # converse along reduced two-step paths
         if reduced_two_step(f0, h0, h) and ind(f0, h0, h) and ind(f, f0, h):
             if not (ind(f, f0, h0) and ind(f, h0, h)):
-                _fail(report, "transitivity-converse", inputs, observed(f, f0, h0, h))
+                fail("transitivity-converse", observed(f, f0, h0, h))
 
 
-def _check_counterexample(report: SuiteReport, config: SuiteConfig) -> None:
-    """The proper-subletter diagram rejecting the unreduced converse."""
-    n = 2
-    space = ColoredSpace(n)
-    h0 = FL.Flag(tuple(space.apply_alpha(Letter(0, n))))
-    s_word = W.parse_word("[1,2]", n)
-    t_word = W.parse_word("[1]", n)
-    f0 = FL.realize_type(space, h0, s_word)
-    h = FL.realize_type(space, f0, t_word)
-    f = FL.realize_type(space, h0, t_word)
+def _check_counterexample(fail, s: Word, t: Word) -> None:
+    """The proper-subletter diagram rejecting the unreduced converse, for
+    ``s = [1,2]`` and ``t = [1]`` at N = 2."""
+    space = ColoredSpace(s.n)
+    h0 = FL.Flag(tuple(space.apply_alpha(Letter(0, s.n))))
+    f0 = FL.realize_type(space, h0, s)
+    h = FL.realize_type(space, f0, t)
+    f = FL.realize_type(space, h0, t)
     expect = {
         ("w(F0,H0)", str(FL.flag_path(space, f0, h0).word), "[1,2]"),
         ("w(H0,H)", str(FL.flag_path(space, h0, h).word), "[1,2]"),
@@ -801,47 +815,33 @@ def _check_counterexample(report: SuiteReport, config: SuiteConfig) -> None:
         ("indep(F,F0,H0)", FL.indep(space, f, f0, h0), False),
         ("indep(F,H0,H)", FL.indep(space, f, h0, h), True),
     }
-    report.cases_run += 1
     for name, got, want in sorted(expect, key=lambda x: x[0]):
         if got != want:
-            _fail(report, "unreduced-converse-counterexample",
-                  {"check": name}, {"got": got, "want": want})
+            fail("unreduced-converse-counterexample", {"check": name, "got": got, "want": want})
 
 
-def _check_two_realizations(report: SuiteReport, config: SuiteConfig) -> None:
-    """Two independent realizations determine the mid flag modulo sr(u)."""
-    rng = random.Random(config.seed + 1)
-    for _ in range(config.cases):
-        n = random_dimension(rng, config.n_max)
-        space = ColoredSpace(n)
-        g = FL.Flag(tuple(space.apply_alpha(Letter(0, n))))
-        u = random_reduced_word(rng, n, 3)
-        if len(u) == 0:
-            continue
-        report.cases_run += 1
-        f1 = FL.realize_type(space, g, u)
-        f2 = FL.realize_type(space, g, u)
-        if not FL.indep(space, f1, g, f2):
-            # two fresh realizations are independent over the basepoint
-            _fail(report, "two-realizations-indep", {"n": n, "u": str(u)}, None)
-            continue
-        between = FL.flag_path(space, f1, f2).word
-        expected = W.concat_reduce(u, W.inverse(u))
-        if not W.equivalent(between, expected):
-            _fail(report, "two-realizations-word", {"n": n, "u": str(u)},
-                  {"between": str(between), "expected": str(expected)})
-        sr = W.right_stabilizer(u)
-        remainder, segment = W.final_segment(u)
-        split_order = remainder.concat(segment)
-        mid1 = FL.permute_path(
-            space, FL.flag_path(space, f1, g), split_order
-        ).flags[len(remainder)]
-        mid2 = FL.permute_path(
-            space, FL.flag_path(space, f2, g), split_order
-        ).flags[len(remainder)]
-        if FL.FlagClass(mid1, sr) != FL.FlagClass(mid2, sr):
-            _fail(report, "two-realizations-midflag", {"n": n, "u": str(u)},
-                  {"mid1": str(mid1), "mid2": str(mid2), "sr": sorted(sr)})
+def _check_two_realizations(fail, u: Word) -> None:
+    """Two independent realizations of ``u`` over one flag determine the mid
+    flag modulo sr(u)."""
+    space = ColoredSpace(u.n)
+    g = FL.Flag(tuple(space.apply_alpha(Letter(0, u.n))))
+    f1 = FL.realize_type(space, g, u)
+    f2 = FL.realize_type(space, g, u)
+    if not FL.indep(space, f1, g, f2):
+        # two fresh realizations are independent over the basepoint
+        fail("two-realizations-indep")
+        return
+    between = FL.flag_path(space, f1, f2).word
+    expected = W.concat_reduce(u, W.inverse(u))
+    if not W.equivalent(between, expected):
+        fail("two-realizations-word", {"between": str(between), "expected": str(expected)})
+    sr = W.right_stabilizer(u)
+    remainder, segment = W.final_segment(u)
+    split_order = remainder.concat(segment)
+    mid1 = FL.permute_path(space, FL.flag_path(space, f1, g), split_order).flags[len(remainder)]
+    mid2 = FL.permute_path(space, FL.flag_path(space, f2, g), split_order).flags[len(remainder)]
+    if FL.FlagClass(mid1, sr) != FL.FlagClass(mid2, sr):
+        fail("two-realizations-midflag", {"mid1": str(mid1), "mid2": str(mid2), "sr": sorted(sr)})
 
 
 # ---------------------------------------------------------------------------
@@ -857,37 +857,36 @@ def _suite_ranks(config: SuiteConfig, report: SuiteReport) -> None:
         ("rd_closed_form", "[0,2].[2,3].[1]", 3, "w^2+w+1"),
     ]
     for fn, text, n, expected in fixed:
-        report.cases_run += 1
         u = W.parse_word(text, n)
+        fail = report.case(n=n, u=u)
         value = W.ord_rank(u) if fn == "ord_rank" else W.rd_closed_form(u)
         if str(value) != expected:
-            _fail(report, f"{fn}-pinned-value", {"u": text, "n": n},
-                  {"got": str(value), "want": expected})
-    report.cases_run += 1
-    tr = FL.type_rank(W.parse_word("[0,1].[1,3]", 3))
+            fail(f"{fn}-pinned-value", {"got": str(value), "want": expected})
+    u = W.parse_word("[0,1].[1,3]", 3)
+    fail = report.case(n=3, u=u)
+    tr = FL.type_rank(u)
     if tr.u_rank is not None or str(tr.ord_bound) != "w^2+w":
-        _fail(report, "nonmonotone-type-rank", {"u": "[0,1].[1,3]"},
-              {"u_rank": str(tr.u_rank), "ord": str(tr.ord_bound)})
+        fail("nonmonotone-type-rank", {"u_rank": str(tr.u_rank), "ord": str(tr.ord_bound)})
     for _ in range(config.cases):
         n = random_dimension(rng, config.n_max)
         u = random_reduced_word(rng, n, WORD_LEN_MAX)
-        report.cases_run += 1
+        v = random_reduced_word(rng, n, WORD_LEN_MAX)
+        fail = report.case(n=n, u=u, v=v)
         sizes = [s.size for s in u.letters]
         if sizes == sorted(sizes, reverse=True):
             if W.rd_closed_form(u) != W.ord_rank(u):
-                _fail(report, "monotone-rd-equals-ord", {"n": n, "u": str(u)},
-                      {"rd": str(W.rd_closed_form(u)), "ord": str(W.ord_rank(u))})
-        v = random_reduced_word(rng, n, WORD_LEN_MAX)
+                fail("monotone-rd-equals-ord",
+                     {"rd": str(W.rd_closed_form(u)), "ord": str(W.ord_rank(u))})
         if W.prec(u, v) and not W.ord_rank(u) < W.ord_rank(v):
-            _fail(report, "prec-ord-strict", {"n": n, "u": str(u), "v": str(v)}, None)
+            fail("prec-ord-strict")
 
 
 def _suite_ample(config: SuiteConfig, report: SuiteReport) -> None:
     for n in range(1, max(2, config.n_max) + 1):
-        report.cases_run += 1
+        fail = report.case(n=n)
         for check in FL.ample_report(n):
             if not check["pass"]:
-                _fail(report, "ample-identity", {"n": n}, check)
+                fail("ample-identity", check)
 
 
 _SUITES = {

@@ -42,10 +42,11 @@ Vertex sets travel through these searches as Python-int bitmasks, bit ``v``
 standing for vertex ``v`` (ids are dense).  ``_reach`` is one recursion over
 the level DAG: ``up(v)`` is the union over the upper neighbours ``w`` (inside
 the region, if any) of ``w`` and ``up(w)``.  With a region its memo lives for
-one call: a caller that asks about many vertices of one region
-(``is_complete``, and ``nice_witness`` when it names a witness) keeps one
-memo per direction for all of them.  A caller that asks whether many anchors lie over one reads that
-anchor's up-set once.  ``lies_over`` between two vertices is a bit test when
+one call: a caller that asks about many vertices of one region keeps its
+memos for all of them, ``is_complete`` one per direction and
+``nice_witness``, when it names a witness, one for the down-sets.  A caller
+that asks whether many anchors lie over one reads that anchor's up-set
+once.  ``lies_over`` between two vertices is a bit test when
 the lower one's up-set is memoized; otherwise it searches up from it only
 through the levels below the upper one's, stops there, and fills no memo.
 Regions are masks inside the library and become ``set[int]`` only at the
@@ -648,9 +649,13 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     ``(a, TOP)`` and ``(BOTTOM, b)`` are among those scanned.  The imaginary
     anchors' always do.  ``w`` lies over ``v`` inside the region iff ``v``
     lies beneath ``w`` inside it, so the up-sets agree for every region
-    vertex iff the down-sets do, and ``_up_sets_agree`` tests up-sets only;
-    only on a failure are the anchors' sets listed and the pairs scanned, to
-    name the first witness.
+    vertex iff the down-sets do, and ``_up_sets_agree`` tests up-sets only.
+    On a failure some down-set differs, and the first pair scanned whose
+    between-sets differ is ``(BOTTOM, b)``, ``b`` the least region vertex
+    whose down-set inside the region misses part of its ambient one cut to
+    the region: ``BOTTOM`` comes first, and ``(BOTTOM, BOTTOM)`` and
+    ``(BOTTOM, TOP)`` never differ.  So the witness is named from the
+    down-sets alone, with one memo for the region.
     Without ``exact``, condition 2 asks only that region points joined in the
     ambient interval are joined inside the region.  So for each region
     component one flood fill inside the region and one ambient component,
@@ -663,19 +668,11 @@ def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):
     inside = _mask_of(region)
     ids = _members(inside)
     if not _up_sets_agree(space, inside, ids):
-        up_memo, down_memo = {}, {}
-        anchors: list[Anchor] = [BOTTOM, TOP] + ids
-        # a pair with b not over a has empty between-sets, inside and ambient
-        up_inside = [space._closure(a, +1, inside, up_memo) for a in anchors]
-        down_inside = [space._closure(b, -1, inside, down_memo) for b in anchors]
-        up_ambient = [space._closure(a, +1) & inside for a in anchors]
-        down_ambient = [space._closure(b, -1) & inside for b in anchors]
-        for i, a in enumerate(anchors):
-            for j, b in enumerate(anchors):
-                ambient = up_ambient[i] & down_ambient[j]
-                missing = ambient & ~(up_inside[i] & down_inside[j])
-                if missing:
-                    return ("between-sets", a, b, _members(missing))
+        memo: dict = {}
+        for b in ids:
+            missing = space._reach(b, -1) & inside & ~space._reach(b, -1, inside, memo)
+            if missing:
+                return ("between-sets", BOTTOM, b, _members(missing))
     # a single-level interval has no edges, so it holds no witness
     intervals = [(t, levels) for t, levels in space._interval_masks().items() if t[0] < t[1]]
     if exact:

@@ -3,7 +3,6 @@ import json
 
 import pytest
 
-from pseudospace import flags as FL
 from pseudospace import oracle
 from pseudospace import space as SP
 from pseudospace import words as W
@@ -32,12 +31,6 @@ def test_all_suites_pass_smoke():
     for name in SUITE_NAMES:
         report = run_suite(SuiteConfig(name, seed=3, cases=25))
         assert report.passed, (name, report.failures[:3])
-
-
-def test_space_axioms_runs_the_amalgam_law(monkeypatch):
-    monkeypatch.setattr(SP, "amalgam_isomorphic", lambda space, op1, op2: False)
-    report = run_suite(SuiteConfig("space-axioms", seed=0, cases=20))
-    assert sum(f["law"] == "amalgam" for f in report.failures) == report.cases_run
 
 
 def test_space_axioms_checks_distance_stability(monkeypatch):
@@ -75,78 +68,14 @@ def test_flags_paths_reports_every_scaffold(monkeypatch):
     check_scaffold = oracle._check_scaffold
     paths = []
 
-    def counting(report, space, path, inputs, scaffolds):
+    def counting(fail, space, path, scaffolds):
         paths.append(len(path.word) > 0)
-        check_scaffold(report, space, path, inputs, scaffolds)
+        check_scaffold(fail, space, path, scaffolds)
 
     monkeypatch.setattr(oracle, "_check_scaffold", counting)
     monkeypatch.setattr(SP, "nice_witness", lambda space, region, exact=False: ("between-sets",))
     report = run_suite(SuiteConfig("flags-paths", seed=0, cases=10))
     assert sum(f["law"] == "scaffold-nice" for f in report.failures) == sum(paths) > 50
-
-
-def test_path_word_invariance_catches_an_id_dependent_fault(monkeypatch):
-    """A step of two or more levels taken for global whenever the least id of
-    the old s-part lies below the new one's: the word then depends on how the
-    vertices are numbered, which the copy with reversed ids shows."""
-    connecting_path = FL._connecting_path
-
-    def id_dependent(space, f, g, s):
-        if s.size > 1 and min(f.levels_of(s)) < min(g.levels_of(s)):
-            return None
-        return connecting_path(space, f, g, s)
-
-    monkeypatch.setattr(FL, "_connecting_path", id_dependent)
-    report = run_suite(SuiteConfig("flags-paths", seed=0, cases=20))
-    assert sum(f["law"] == "path-word-invariance" for f in report.failures) > 50
-
-
-def test_basepoint_support_law_catches_a_wide_support(monkeypatch):
-    """A ``support`` that also claims level 0 leaves the least modulus of
-    many mid flags without it."""
-    support = W.support
-    monkeypatch.setattr(W, "support", lambda u: support(u) | {0})
-    report = run_suite(SuiteConfig("flags-forking", seed=0, cases=300))
-    assert sum(f["law"] == "basepoint-word-support" for f in report.failures) > 20
-
-
-@pytest.mark.parametrize("law", ["indep-with-itself", "indep-symmetric"])
-def test_indep_laws_catch_a_mutant(monkeypatch, law):
-    """An ``indep`` that never forks fails ``indep-with-itself``; one that
-    forks whenever f's ids are not below h's fails ``indep-symmetric``."""
-    indep = FL.indep
-    mutants = {
-        "indep-with-itself": lambda space, f, g, h: True,
-        "indep-symmetric": lambda space, f, g, h: indep(space, f, g, h) and f < h,
-    }
-    monkeypatch.setattr(FL, "indep", mutants[law])
-    report = run_suite(SuiteConfig("flags-forking", seed=0, cases=100))
-    assert sum(f["law"] == law for f in report.failures) > 20
-
-
-@pytest.mark.parametrize("modulus, failed", [("empty", 31), ("every level", 71)])
-def test_canonical_base_law_catches_a_wrong_modulus(monkeypatch, modulus, failed):
-    """A ``canonical_base`` whose modulus is empty leaves out the region
-    flags that differ from the basepoint inside the right stabilizer; one
-    whose modulus holds every level takes in every region flag."""
-    def wrong(space, f, region):
-        levels = frozenset() if modulus == "empty" else frozenset(range(space.n + 1))
-        return FL.FlagClass(FL.basepoint(space, f, region)[0], levels)
-
-    monkeypatch.setattr(FL, "canonical_base", wrong)
-    report = run_suite(SuiteConfig("flags-forking", seed=0, cases=100))
-    law = "canonical-base-describes-basepoints"
-    assert sum(f["law"] == law for f in report.failures) == failed
-
-
-def test_division_law_catches_a_missing_gate(monkeypatch):
-    """A ``_left_stabilizer`` that claims every level switches off the
-    left-over gate of ``divides_left_bounded``, which then finds a witness
-    for pairs that do not divide; ``divides-own-product`` asks only pairs
-    that do, so ``divides-random-pair`` is the law that fails."""
-    monkeypatch.setattr(W, "_left_stabilizer", lambda key: -1)
-    report = run_suite(SuiteConfig("words-order", seed=0, cases=100))
-    assert sum(f["law"] == "divides-random-pair" for f in report.failures) > 20
 
 
 def test_words_strong_notes_the_reducts_it_leaves_unchecked(monkeypatch):
