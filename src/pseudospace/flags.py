@@ -16,9 +16,11 @@ every step is global, it swaps the leftmost absorbed step (the lowest bit of
 one ``kernels.absorbed`` mask) next to its absorber (``kernels.absorber``)
 and merges the two.  Only rewritten steps are split into intervals, and the
 scan resumes where the path changed.  A step is global when its old s-part's
-component inside the anchors' between-set, kept by the space per mask,
-misses the new s-part; otherwise the shortest path is searched inside that
-component.  Both rewrites lower the word's ordinal rank, so the loop ends.
+component inside the anchors' between-set misses the new s-part; otherwise
+the shortest path is searched inside that component.  The space answers the
+component by one lookup keyed by the two anchors and the vertex, kept for
+one vertex count (``ColoredSpace._anchor_part``).  Both rewrites lower the
+word's ordinal rank, so the loop ends.
 Vertex ids break the search ties and so choose the path's flags, not its
 word up to commutation.  On hand-made graphs (``ColoredSpace.from_graph``) a
 step may admit no proper-subletter replacement; it comes back as a stuck
@@ -104,12 +106,14 @@ def check_flag(space: ColoredSpace, flag: Flag) -> Flag:
     if len(flag) != space.n + 1:
         raise ParseError(f"flag needs {space.n + 1} vertices, got {len(flag)}")
     level, adj = space._level, space._adj
+    gap = None  # the first pair that is not adjacent, raised after every level
     for i, v in enumerate(flag):
         if level.get(v) != i:
             raise ParseError(f"vertex {v} is not at level {i}")
-    for a, b in zip(flag, flag[1:]):
-        if b not in adj[a]:
-            raise ParseError(f"flag vertices {a}, {b} are not adjacent")
+        if i and gap is None and v not in adj[flag[i - 1]]:
+            gap = flag[i - 1], v
+    if gap is not None:
+        raise ParseError(f"flag vertices {gap[0]}, {gap[1]} are not adjacent")
     return flag
 
 
@@ -212,7 +216,10 @@ def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
 def _step_part(space: ColoredSpace, f: Flag, s: Letter) -> int:
     """The component of ``f``'s s-part inside the between-set of the step's
     anchors, as a vertex mask."""
-    return space._part(space._between(*_anchors_for(space, f, s)), f[s.lo])
+    lo, hi = s.lo, s.hi
+    return space._anchor_part(
+        f[lo - 1] if lo else BOTTOM, f[hi + 1] if hi < space.n else TOP, f[lo]
+    )
 
 
 def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> list[int] | None:
@@ -221,8 +228,8 @@ def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> list[i
     monotone paths change the level at each edge), or None when global.
 
     Both s-parts lie between the anchors, and ``f``'s in one component of
-    that between-set, which the space keeps per between-set mask.  The step
-    is global when that component misses ``g``'s s-part; otherwise the
+    that between-set, which the space keeps per anchors and vertex.  The
+    step is global when that component misses ``g``'s s-part; otherwise the
     search runs inside it, where it visits what it would visit in the whole
     between-set."""
     part = _step_part(space, f, s)

@@ -56,13 +56,13 @@ read the masks of all level intervals from ``_interval_masks``, kept for
 one vertex count at a time rather than as an index that every insert would
 have to update.
 
-``ColoredSpace`` keeps six memos, filled on demand from ``_adj`` and
+``ColoredSpace`` keeps seven memos, filled on demand from ``_adj`` and
 ``_level``, so a space made by ``from_graph`` needs no rebuild.  ``_up`` and
 ``_down`` hold each vertex's strict up-set and down-set; ``apply_alpha``
 clears ``_up`` only when its lower anchor is a vertex and ``_down`` only when
 its upper anchor is one, since a chain hung from ``BOTTOM`` is reached from
-below by no old vertex, and likewise for ``TOP``.  The other four follow one
-rule: their key fixes their answer, so no insert clears them.  An insert adds
+below by no old vertex, and likewise for ``TOP``.  Three follow one rule:
+their key fixes their answer, so no insert clears them.  An insert adds
 vertices with ids above every old one and edges that touch a new vertex
 only, between anchors that lie over each other, so the subgraph induced on a
 mask of old vertices never changes, nor does the set of old vertices beneath
@@ -70,16 +70,21 @@ or over an old one.
 ``_dist`` maps ``(x, within)`` to the BFS distances from ``x`` inside the
 mask, and ``_parts`` maps a region mask to the masks of its components found
 so far (``_part(within, x)``, one ``_component`` fill per miss); a mask that
-holds a new vertex is a new key.  The flag layer and ``open_pairs`` read
+holds a new vertex is a new key.  ``_anchor_part`` and ``open_pairs`` read
 ``_parts`` under the between-set mask of two anchors, and non-exact niceness
 under a level-interval mask.  ``_chains`` maps an anchor pair to its
 ``_monotone_chain``, whose least-id choice at each level no new id can
 displace; a missing chain is not kept, as an insert may make one.
-``_intervals`` holds one entry, the interval masks under the vertex count
-they were built for: ids are dense and an insert only appends vertices, so
-the count fixes every level's mask, and an insert changes the count.  Code
-that writes ``_adj`` between existing vertices breaks the rule and must clear
-every memo but ``_intervals``, which reads levels only.
+``_intervals`` and ``_anchor_parts`` are kept for one vertex count: ids are
+dense and an insert only appends vertices, so an insert changes the count,
+and each is rebuilt on the first read under a new count.  ``_intervals``
+holds the interval masks, which the count fixes.  ``_anchor_parts`` maps
+``(a, b, x)`` to ``_anchor_part(a, b, x)``, the component of vertex ``x``
+inside the between-set of anchors ``a`` and ``b``, which the flag layer asks
+for at every step; an insert can grow a between-set and so a component,
+hence the count.  Code that writes ``_adj`` between existing vertices breaks
+the rules and must clear every memo but ``_intervals``, which reads levels
+only.
 
 The oracle measures every level interval after each insert, so the exact
 niceness of the prior vertex set reads its BFS back from ``_dist``.
@@ -134,15 +139,18 @@ class ColoredSpace:
         self._adj: dict[int, set[int]] = {}
         self._up: dict[int, int] = {}  # vertex -> mask of its strict up-set
         self._down: dict[int, int] = {}  # vertex -> mask of its strict down-set
-        # no insert clears these four (module docstring)
+        # no insert clears these three (module docstring)
         # region mask -> masks of its components found so far
         self._parts: dict[int, list[int]] = {}
         # anchor pair -> its _monotone_chain, once one is found
         self._chains: dict[tuple[Anchor, Anchor], tuple[int, ...]] = {}
         # (x, within) -> BFS distances from x inside the mask
         self._dist: dict[tuple[int, int], dict[int, int]] = {}
-        # vertex count -> the _interval_masks of the space of that size
+        # these two hold one vertex count and the answers under it:
+        # the _interval_masks of the space of that size
         self._intervals: tuple[int, dict[tuple[int, int], int]] = (-1, {})
+        # and (a, b, x) -> _anchor_part(a, b, x)
+        self._anchor_parts: tuple[int, dict[tuple[Anchor, Anchor, int], int]] = (-1, {})
         self.build_log: list[BuildOp] = []
 
     # -- basic structure ---------------------------------------------------
@@ -290,8 +298,8 @@ class ColoredSpace:
 
     def _between(self, a: Anchor, b: Anchor) -> int:
         """Mask of the vertices strictly between the anchors, the key of
-        their between-set in ``_parts``.  The flag layer asks for it at every
-        step, so a memoized up- or down-set is read directly and an
+        their between-set in ``_parts``.  ``_anchor_part`` asks for it on
+        every miss, so a memoized up- or down-set is read directly and an
         imaginary anchor's side constrains nothing."""
         if a == BOTTOM:
             return self._closure(b, -1)
@@ -344,6 +352,20 @@ class ColoredSpace:
         part = self._component(x, within)
         if part:
             parts.append(part)
+        return part
+
+    def _anchor_part(self, a: Anchor, b: Anchor, x: int) -> int:
+        """``_part(_between(a, b), x)``, kept in ``_anchor_parts`` for the
+        current vertex count only: an insert can grow the between-set, while
+        ``_parts`` keys a component by the mask it lies in."""
+        count, parts = self._anchor_parts
+        if count != len(self._level):
+            parts = {}
+            self._anchor_parts = (len(self._level), parts)
+        key = (a, b, x)
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = self._part(self._between(a, b), x)
         return part
 
     def _component(self, x: int, within: int) -> int:

@@ -511,6 +511,31 @@ def random_spaces(seed, count):
         yield rng, ColoredSpace.from_graph(n, levels, edges)
 
 
+def stuck_spaces(seed, count):
+    """``from_graph`` copies of built spaces with one to three dead ends
+    added, each a vertex joined to two vertices of the built space one level
+    below it and to nothing above.  A dead end can join two s-parts between
+    a step's anchors while no flag runs through it, so these graphs hold the
+    stuck steps that the graphs of ``random_spaces`` seldom do.  Built
+    spaces with no level below N over two vertices are drawn again."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        space = ColoredSpace.from_script(random_script(rng, 3))
+        levels = [space.level(v) for v in space.vertices]
+        below = {lv: [v for v in space.vertices if levels[v] == lv - 1] for lv in range(1, space.n)}
+        open_levels = [lv for lv, vs in below.items() if len(vs) > 1]
+        if not open_levels:
+            continue
+        edges = space.edges()
+        for _ in range(rng.randint(1, 3)):
+            lv = rng.choice(open_levels)
+            edges += [(w, len(levels)) for w in rng.sample(below[lv], 2)]
+            levels.append(lv)
+        made += 1
+        yield rng, ColoredSpace.from_graph(space.n, levels, edges)
+
+
 def restart_flag_path(space, f, g, counts=None):
     """Reference for ``flags.flag_path``: after every local rewrite it starts
     over from the first step, recomputing each step's letter from a scan of

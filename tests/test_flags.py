@@ -590,12 +590,18 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
     before, and of a fresh copy from its export: the answers must agree.
     More than 2,000 between-set components and more than 300 chains found
     before an insert must be read back after it from the same memo entry,
-    so a memo that an insert had to clear would show.  Positive control: a
-    third copy is given the between-set components of the third copy before
-    the insert (of the grown space at the first insert), each carried to the
-    grown between-set of the same anchor pair, as a memo keyed by anchor
-    pair would carry them if no insert cleared it; more than five of its
-    answers must differ."""
+    so a memo that an insert had to clear would show; the grown space drops
+    its component lookup ``_anchor_parts``, kept for one vertex count,
+    before each query, so that a query asked again reaches ``_parts``.
+    Positive controls: a third copy is given the between-set components of
+    the third copy before the insert (of the grown space at the first
+    insert), each carried to the grown between-set of the same anchor pair,
+    as a memo keyed by anchor pair would carry them if no insert cleared it;
+    more than five of its answers must differ.  A fourth copy is given the
+    fourth copy's ``_anchor_parts`` from before the insert (the grown
+    space's at the first insert) under the new vertex count, as a lookup
+    kept across inserts would have it; more than 20 of its answers must
+    differ."""
     part = ColoredSpace._part
     # between mask -> its list of components in the memo before the insert, and its length then
     kept_parts: dict[int, tuple[list[int], int]] = {}
@@ -610,12 +616,12 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
 
     monkeypatch.setattr(ColoredSpace, "_part", counted)
     rng = random.Random(38)
-    chains_read = stale_differs = 0
+    chains_read = stale_differs = lookup_differs = 0
     for _ in range(16):
         n = rng.randint(2, 4)
         sp = ColoredSpace(n)
         sp.apply_alpha(Letter(0, n))
-        queries, stale = [], sp
+        queries, stale, lookup = [], sp, sp
         for _ in range(8):
             anchors = [BOTTOM, *sp.vertices, TOP]
             between = {(a, b): sp._between(a, b) for a in anchors for b in anchors}
@@ -632,14 +638,19 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
             fresh = ColoredSpace.from_json(sp.to_json())
             stale = ColoredSpace.from_json(sp.to_json())
             stale._parts = {stale._between(*ab): parts for ab, parts in carried.items() if parts}
+            carried_lookup = lookup._anchor_parts[1]
+            lookup = ColoredSpace.from_json(sp.to_json())
+            lookup._anchor_parts = (len(lookup.vertices), carried_lookup)
             queries += _new_queries(rng, sp, FL.enumerate_flags(sp))
             for query in queries:
+                sp._anchor_parts = (-1, {})
                 got = _answer(sp, query)
                 assert got == _answer(fresh, query), query
                 chains_read += query[0] == "chain" and got is kept_chains.get(tuple(query[1:]))
                 stale_differs += _stale_answer(stale, query) != got
-    assert read_back > 2000 and chains_read > 300 and stale_differs > 5, (
-        read_back, chains_read, stale_differs
+                lookup_differs += _stale_answer(lookup, query) != got
+    assert read_back > 2000 and chains_read > 300 and stale_differs > 5 and lookup_differs > 20, (
+        read_back, chains_read, stale_differs, lookup_differs
     )
 
 
@@ -656,3 +667,39 @@ def test_insert_over_a_dead_end_unsticks_a_step():
     got = FL.flag_path(sp, f, g)
     assert got == FL.flag_path(fresh, f, g)
     assert got.stuck == () and W.is_reduced(got.word)
+
+
+def _warm_and_fresh_paths(seed):
+    """Over every ordered pair of the first 20 flags of each graph of
+    ``brute.stuck_spaces(seed, 100)``: the stuck steps of the paths asked
+    of the graph, whose memos are warm from the pairs before, and the number
+    of paths that differ from those of a fresh ``from_graph`` copy."""
+    stuck = differ = 0
+    for _, sp in brute.stuck_spaces(seed, 100):
+        levels, edges = [sp.level(v) for v in sp.vertices], sp.edges()
+        flags = FL.enumerate_flags(sp)[:20]
+        for f in flags:
+            for g in flags:
+                got = FL.flag_path(sp, f, g)
+                differ += got != FL.flag_path(ColoredSpace.from_graph(sp.n, levels, edges), f, g)
+                stuck += len(got.stuck)
+    return stuck, differ
+
+
+def test_warm_memos_answer_stuck_paths_like_a_fresh_copy(monkeypatch):
+    """On hand-made graphs with dead ends, a space's memos, warm from the
+    flag paths asked before, give each flag path the flags, word and stuck
+    steps of a fresh copy; more than 400 stuck steps occur.  Positive
+    control: a component lookup keyed by the anchors alone, not by the
+    vertex too, gives other paths."""
+    stuck, differ = _warm_and_fresh_paths(0)
+    assert stuck > 400 and differ == 0, (stuck, differ)
+
+    def by_anchors(self, a, b, x):  # no graph here grows
+        parts = self._anchor_parts[1]
+        if (a, b) not in parts:
+            parts[a, b] = self._part(self._between(a, b), x)
+        return parts[a, b]
+
+    monkeypatch.setattr(ColoredSpace, "_anchor_part", by_anchors)
+    assert _warm_and_fresh_paths(0)[1] > 10

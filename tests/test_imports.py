@@ -44,6 +44,7 @@ FLAG_PATH_SEARCHES = (
     "_reduced_path",
     "_connecting_path",
     "_step_part",
+    "_anchor_part",
     "_subletter_bridge",
     "shortest_path",
     "_monotone_chain",

@@ -50,6 +50,7 @@ def test_space_axioms_checks_distance_stability(monkeypatch):
                 self._up.clear()
                 self._down.clear()
                 self._parts.clear()
+                self._anchor_parts[1].clear()
                 self._chains.clear()
                 self._dist.clear()
                 joined.append((v, w))
