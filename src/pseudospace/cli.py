@@ -226,7 +226,7 @@ def _read_json(path: str):
             return json.loads(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return json.loads(handle.read())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not JSON: {exc}") from exc
 
 
@@ -234,7 +234,7 @@ def _parse_ids(text: str) -> list[int]:
     """A JSON list of vertex ids."""
     try:
         ids = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad vertex list {text!r}: {exc}") from exc
     if not isinstance(ids, list) or not all(type(v) is int for v in ids):
         raise ParseError(f"bad vertex list {text!r}: expected a list of integer ids")

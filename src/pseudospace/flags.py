@@ -29,9 +29,10 @@ pair, and nothing is merged.
 Each query builds only what it returns.  ``flag_path`` reorders the steps
 once, to ``kernels.normal_form`` of the keys, which is its word's key, and
 marks ``stuck`` steps only when there are any; ``indep``, ``indep_over_set``
-and ``basepoint`` compare and rank keys, with no ``FlagPath``.  On a built
-space every weak path from f to g refines to the same word up to
-commutation, so a caller holding a reduced path refines from it, passing
+and ``basepoint`` compare and rank keys, with no ``FlagPath``, and
+``hull`` joins a region with the flags of the reduced path to the
+basepoint.  On a built space every weak path from f to g refines to the
+same word up to commutation, so a caller holding a reduced path refines from it, passing
 ``_refine`` a ``start`` before which every step is global: ``basepoint``
 appends the weak step from one region flag to the next to the reduced path
 to the first, and ``indep`` refines w(f,g).w(g,h) to w(f,h).  A hand-made
@@ -466,6 +467,22 @@ def indep_over_set(space: ColoredSpace, f: Flag, g: Flag, region: set[int]) -> b
         raise FlagNotInSetError("flag lies outside the region")
     base_key = _basepoint(space, f, region)[1].key
     return kernels.normal_form(tuple(_reduced_path(space, f, g)[1])) == base_key
+
+
+def hull(space: ColoredSpace, region: set[int], f: Flag) -> set[int]:
+    """The nice region joined with the vertices of the reduced path from
+    ``f`` to its basepoint there; the region itself when ``f`` lies in it.
+
+    That the union is nice on a built space is checked, not proved: it held
+    in every case compared with the brute-force niceness reference.  On a
+    hand-made graph (not ``_built``) it need not be, so there the union is
+    checked, and a union that is not nice raises ``PreconditionError``."""
+    check_flag(space, f)
+    g = _basepoint(space, f, region)[0]
+    out = set(region).union(*_reduced_path(space, f, g)[0])
+    if not _built(space) and not is_nice(space, out):
+        raise PreconditionError("the hull of a hand-made graph is not nice")
+    return out
 
 
 def canonical_base(space: ColoredSpace, f: Flag, region: set[int]) -> FlagClass:

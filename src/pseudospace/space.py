@@ -250,16 +250,14 @@ class ColoredSpace:
             memo[v] = mask
         return mask
 
-    def _closure(
-        self, a: Anchor, step: int, within: int | None = None, memo: dict | None = None
-    ) -> int:
+    def _closure(self, a: Anchor, step: int, within: int | None = None) -> int:
         """``_reach`` from an anchor: ``BOTTOM`` reaches everything (inside
         ``within``) upwards and ``TOP`` everything downwards."""
         if not self.is_real(a):
             if (a == BOTTOM) != (step > 0):
                 return 0
             return (1 << len(self._level)) - 1 if within is None else within
-        return self._reach(a, step, within, memo)
+        return self._reach(a, step, within)
 
     def upward_closure(self, a: Anchor) -> set[int]:
         """Vertices lying over the anchor (monotone ascending paths)."""
@@ -756,45 +754,6 @@ def open_pairs(space: ColoredSpace, region: set[int]) -> list[tuple[Anchor, Anch
             if pts & ~space._part(ups[i] & downs[j], _lowest(pts)):
                 out.append((a, b))
     return out
-
-
-def nice_hull(space: ColoredSpace, region: set[int], b: int, _depth: int = 0) -> set[int]:
-    """Smallest-effort nice superset of ``region`` containing ``b``, built by
-    the width/distance induction: adjoin a full fresh connecting chain when
-    the vertex sits at infinite distance between its bounding anchors,
-    otherwise walk a shortest path into the region first."""
-    region = set(region)
-    if b in region:
-        return region
-    if nice_witness(space, region) is not None:
-        raise PreconditionError("nice_hull requires a nice starting region")
-    if _depth > len(space.vertices) ** 2 + 10:
-        raise PreconditionError("nice_hull failed to converge")
-    inside = _mask_of(region)
-    # the region vertices beneath and over b nearest its level, least id first
-    lo_anchor: Anchor = max(
-        _members(space._closure(b, -1) & inside),
-        key=lambda v: (space.level(v), -v), default=BOTTOM,
-    )
-    hi_anchor: Anchor = min(
-        _members(space._closure(b, +1) & inside),
-        key=lambda v: (space.level(v), v), default=TOP,
-    )
-    ambient = space._between(lo_anchor, hi_anchor)
-    dist = space.distances_from(b, within=ambient)
-    reachable = [v for v in _members(ambient & inside) if v in dist]
-    if not reachable:
-        down, up = _monotone_chain(space, lo_anchor, b), _monotone_chain(space, b, hi_anchor)
-        return region | {*down, b, *up}
-    nearest = min(reachable, key=lambda v: (dist[v], v))
-    path = space.shortest_path([nearest], {b}, ambient)
-    neighbor = path[-2]  # last vertex before b on the connecting path
-    if neighbor in region:
-        # ruled out by the anchor maximality: an adjacent region vertex
-        # between the anchors would have moved the anchor itself
-        raise PreconditionError("mis-leveled region passed to nice_hull")
-    bigger = nice_hull(space, region, neighbor, _depth + 1)
-    return nice_hull(space, bigger, b, _depth + 1)
 
 
 def _monotone_chain(space: ColoredSpace, a: Anchor, b: Anchor) -> tuple[int, ...]:

@@ -279,6 +279,10 @@ def test_exit_codes():
         (["flags", "DIR/bool-edge.json"], 1, "parse-error"),
         (["reduce", "--n", "2", "[²]"], 1, "parse-error"),
         (["word", "SPACE", "²", "0"], 1, "parse-error"),
+        # nesting deeper than the JSON decoder's recursion limit
+        (["build", "DIR/deep.json"], 1, "parse-error"),
+        (["basepoint", "SPACE", "0", "--set", "[" * 5000 + "]" * 5000], 1, "parse-error"),
+        (["word", "SPACE", "[" * 5000 + "]" * 5000, "0"], 1, "parse-error"),
     ],
 )
 def test_bad_input_never_tracebacks(tmp_path, args, status, code):
@@ -286,6 +290,7 @@ def test_bad_input_never_tracebacks(tmp_path, args, status, code):
         json.dumps(ColoredSpace.from_script(json.loads(SCRIPT)).to_json())
     )
     (tmp_path / "not-json.json").write_text("{nope")
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
     (tmp_path / "no-letter.json").write_text(json.dumps({"n": 2, "ops": [{"lo": "bottom"}]}))
     (tmp_path / "int-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": 5}]}))
     (tmp_path / "list-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": [0, 1]}]}))

@@ -21,7 +21,7 @@ from pseudospace.errors import (
 )
 from pseudospace.flags import Flag
 from pseudospace.letters import Letter, all_letters
-from pseudospace.oracle import _applicable_ops, _reversed_copy
+from pseudospace.oracle import _applicable_ops, _reversed_copy, random_script
 from pseudospace.space import BOTTOM, TOP, ColoredSpace
 from pseudospace.words import parse_word
 
@@ -237,6 +237,119 @@ def test_canonical_base_class(alpha1_space):
     assert cls2.fixed_vertices() == dict(enumerate(F.vertices))
 
 
+def test_hull_examples(alpha1_space):
+    """A flag through the other level-1 vertex adds that vertex to the
+    region; a flag inside the region adds nothing."""
+    sp, F, G = alpha1_space
+    assert FL.hull(sp, set(F), G) == set(F) | set(G)
+    assert FL.hull(sp, set(F), F) == set(F)
+    assert FL.hull(sp, set(G), F) == set(sp.vertices)
+    assert brute.brute_nice_witness(sp, set(sp.vertices)) is None
+
+
+def test_hull_walks_into_the_region():
+    """A flag two steps from the region, one of its vertices joined to the
+    region: the hull adds the vertices of both steps of the path to the
+    basepoint, and is nice."""
+    sp = ColoredSpace(2)
+    a = Flag(tuple(sp.apply_alpha(Letter(0, 2))))
+    b1 = sp.apply_alpha(Letter(1, 1), a[0], a[2])[0]
+    c0 = sp.apply_alpha(Letter(0, 0), BOTTOM, b1)[0]
+    got = FL.hull(sp, set(a), Flag((c0, b1, a[2])))
+    assert got == set(a) | {b1, c0}
+    assert brute.brute_nice_witness(sp, got) is None
+
+
+def test_hull_refuses_a_region_not_nice_or_without_flag(alpha1_space):
+    sp, F, G = alpha1_space
+    assert brute.brute_nice_witness(sp, {F[1], G[1]}) is not None
+    with pytest.raises(PreconditionError):
+        FL.hull(sp, {F[1], G[1]}, F)
+    for region in (set(), {F[0], F[1]}):
+        with pytest.raises(NoFlagError):
+            FL.hull(sp, region, G)
+
+
+def test_hull_of_a_hull_contains_it():
+    """On seeded built spaces, a flag's vertex set hulled with one flag and
+    then with another: each hull holds its region and its flag, the second
+    holds the first, and both are nice by the per-pair reference.  The
+    second hull must grow in some cases."""
+    rng = random.Random(33)
+    grown = 0
+    for _ in range(60):
+        sp = ColoredSpace.from_script(random_script(rng, 3))
+        g, f, h = (rng.choice(FL.enumerate_flags(sp)) for _ in range(3))
+        first = FL.hull(sp, set(g), f)
+        second = FL.hull(sp, first, h)
+        assert set(g) | set(f) <= first <= second and set(h) <= second, (sp.to_json(), g, f, h)
+        for got in (first, second):
+            assert brute.brute_nice_witness(sp, got) is None, (sp.to_json(), g, f, h)
+        grown += first < second
+    assert grown > 10, grown
+
+
+def test_hull_of_each_flag_with_each_flag_is_nice():
+    """On seeded built spaces, each flag's vertex set hulled with each flag
+    holds both and is nice by the per-pair reference; a random region that
+    is not nice is refused."""
+    rng = random.Random(34)
+    hulls = refused = 0
+    for _ in range(80):
+        sp = ColoredSpace.from_script(random_script(rng, 3))
+        flags = FL.enumerate_flags(sp)
+        for g in flags:
+            for f in flags:
+                got = FL.hull(sp, set(g), f)
+                assert set(g) | set(f) <= got, (sp.to_json(), g, f)
+                assert brute.brute_nice_witness(sp, got) is None, (sp.to_json(), g, f)
+                hulls += 1
+        for _ in range(3):
+            region = {v for v in sp.vertices if rng.random() < 0.6}
+            if brute.brute_nice_witness(sp, region) is not None:
+                with pytest.raises(PreconditionError):
+                    FL.hull(sp, region, rng.choice(flags))
+                refused += 1
+    assert hulls > 2000 and refused > 50, (hulls, refused)
+
+
+def _hand_made_hulls(seed):
+    """Over every ordered pair ``g, f`` of the first 10 flags of each graph
+    of ``brute.stuck_spaces(seed, 60)``: the hull of ``g``'s vertex set with
+    ``f``, or None when refused, next to the union of ``g`` and the vertices
+    of the flag path from ``f`` to ``g``, ``g`` being the region's one flag,
+    and the brute-force niceness of the region and of that union."""
+    for _, sp in brute.stuck_spaces(seed, 60):
+        flags = FL.enumerate_flags(sp)[:10]
+        for g, f in itertools.product(flags, flags):
+            union = set(g) | FL.flag_path(sp, f, g).vertex_set()
+            try:
+                got = FL.hull(sp, set(g), f)
+            except PreconditionError:
+                got = None
+            nice = [brute.brute_nice_witness(sp, r) is None for r in (set(g), union)]
+            yield got, union, nice
+
+
+def test_hull_on_hand_made_graphs_is_nice_or_refused(monkeypatch):
+    """On hand-made graphs with dead ends, a hull is returned exactly when
+    the region and the union with the path to its basepoint are nice by the
+    per-pair reference, and is that union; more than 1,000 are returned and
+    more than 100 refused, more than 100 of them for a union that is not
+    nice.  Positive control: with every graph taken as built, more than 100
+    of the hulls returned are not nice."""
+    counts = {"returned": 0, "refused": 0, "union not nice": 0}
+    for got, union, (region_nice, union_nice) in _hand_made_hulls(0):
+        assert got == (union if region_nice and union_nice else None)
+        counts["returned" if got is not None else "refused"] += 1
+        counts["union not nice"] += region_nice and not union_nice
+    assert counts["returned"] > 1000 and counts["refused"] > 100, counts
+    assert counts["union not nice"] > 100, counts
+    monkeypatch.setattr(FL, "_built", lambda sp: True)
+    not_nice = sum(got is not None and not nice[1] for got, _, nice in _hand_made_hulls(0))
+    assert not_nice > 100, not_nice
+
+
 def test_flag_class_semantics(alpha1_space):
     sp, F, G = alpha1_space
     c1 = FL.FlagClass(F, frozenset({1}))
@@ -342,6 +455,7 @@ def test_swap_middle_flag_is_unique():
         lambda sp, bad, ok: FL.is_global_step(sp, ok, bad, Letter(1, 1)),
         lambda sp, bad, ok: FL.weak_word(sp, bad, ok),
         lambda sp, bad, ok: FL.weak_word(sp, ok, bad),
+        lambda sp, bad, ok: FL.hull(sp, set(ok.vertices), bad),
     ],
 )
 def test_public_flag_functions_reject_bad_flags(alpha1_space, call):
@@ -430,7 +544,7 @@ def test_basepoint_matches_brute_minimum():
         for _ in range(6):
             g = rng.choice(flags)
             if rng.random() < 0.5:
-                region = SP.nice_hull(sp, set(g.vertices), rng.choice(sp.vertices))
+                region = FL.hull(sp, set(g.vertices), rng.choice(flags))
             else:
                 region = set(g.vertices) | FL.flag_path(sp, g, rng.choice(flags)).vertex_set()
             if not SP.is_nice(sp, region):
@@ -542,7 +656,7 @@ def _new_queries(rng, sp, flags):
     """For two flag pairs, the first starting at a flag through the newest
     vertex: the flag paths both ways, and ``is_global_step`` for the step at
     the pair's lowest interval of difference.  Then the hull of one
-    flag's vertices with one vertex, and the monotone chain between two
+    flag's vertices with another flag, and the monotone chain between two
     anchors on one flag at least two levels apart, so it is never empty."""
     last = len(sp.vertices) - 1
     newest = [f for f in flags if last in f.vertices]
@@ -555,7 +669,7 @@ def _new_queries(rng, sp, flags):
         diff = [i for i in range(sp.n + 1) if f[i] != g[i]]
         s = Letter(diff[0], next(i for i in diff if i + 1 not in diff))
         out.append(("global", f, f.replace(s, g.levels_of(s)), s))
-    out.append(("hull", rng.choice(flags), rng.choice(sp.vertices)))
+    out.append(("hull", rng.choice(flags), rng.choice(flags)))
     anchors = [BOTTOM, *rng.choice(flags), TOP]
     i = rng.randrange(len(anchors) - 2)
     j = rng.randrange(i + 2, len(anchors))
@@ -572,8 +686,8 @@ def _answer(sp, query):
         return FL.is_global_step(sp, *args)
     if kind == "chain":
         return SP._monotone_chain(sp, *args)
-    f, b = args
-    return frozenset(SP.nice_hull(sp, set(f.vertices), b))
+    g, f = args
+    return frozenset(FL.hull(sp, set(g.vertices), f))
 
 
 def _stale_answer(sp, query):

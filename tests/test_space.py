@@ -13,7 +13,6 @@ from pseudospace.errors import (
     AnchorsNotOverError,
     DimensionError,
     ParseError,
-    PreconditionError,
     PseudospaceError,
 )
 from pseudospace.letters import MAX_DIMENSION, Letter, all_letters, index_set_to_letters, parse_letter
@@ -220,76 +219,6 @@ def test_open_pairs(flag_space):
     assert SP.open_pairs(sp, set(a)) == []
     assert SP.open_pairs(sp, set(a) | {b1}) == [(a[0], a[2])]
     assert SP.open_pairs(sp, set()) == []
-
-
-def test_nice_hull(flag_space):
-    sp, a, b1 = flag_space
-    hull = SP.nice_hull(sp, set(a), b1)
-    assert hull == set(a) | {b1}
-    assert SP.is_nice(sp, hull)
-    assert SP.nice_hull(sp, set(a), a[1]) == set(a)
-    through = SP.nice_hull(sp, set(), b1)
-    assert b1 in through
-    assert SP.is_nice(sp, through)
-    assert SP.is_complete(sp, through)
-
-
-def test_nice_hull_walks_into_region():
-    # finite-distance case: hulling a vertex two steps from the region
-    sp = ColoredSpace(2)
-    a = sp.apply_alpha(Letter(0, 2))
-    b1 = sp.apply_alpha(Letter(1, 1), a[0], a[2])[0]
-    c0 = sp.apply_alpha(Letter(0, 0), BOTTOM, b1)[0]
-    region = set(a)
-    hull = SP.nice_hull(sp, region, c0)
-    assert c0 in hull and region <= hull
-    assert SP.is_nice(sp, hull)
-
-
-def test_nice_hull_requires_nice_region(flag_space):
-    sp, a, b1 = flag_space
-    with pytest.raises(PreconditionError):
-        SP.nice_hull(sp, {a[1], b1}, a[0])
-
-
-def test_random_hulls_are_nice():
-    rng = random.Random(33)
-    for _ in range(30):
-        sp = ColoredSpace.from_script(random_script(rng, 3))
-        vertices = sp.vertices
-        b = rng.choice(vertices)
-        hull = SP.nice_hull(sp, set(), b)
-        assert b in hull
-        assert SP.is_nice(sp, hull)
-        b2 = rng.choice(vertices)
-        hull2 = SP.nice_hull(sp, hull, b2)
-        assert hull <= hull2 and b2 in hull2
-        assert SP.is_nice(sp, hull2)
-
-
-def test_nice_hull_of_each_flag_and_vertex_is_nice():
-    """On seeded built spaces, the hull of each flag's vertex set with each
-    vertex holds both and is nice by the per-pair reference; a region that
-    is not nice is refused."""
-    rng = random.Random(34)
-    hulls = refused = 0
-    for _ in range(60):
-        sp = ColoredSpace.from_script(random_script(rng, 3))
-        for f in FL.enumerate_flags(sp):
-            region = set(f.vertices)
-            for b in sp.vertices:
-                hull = SP.nice_hull(sp, region, b)
-                assert region | {b} <= hull, (sp.to_json(), f, b)
-                assert brute.brute_nice_witness(sp, hull) is None, (sp.to_json(), f, b)
-                hulls += 1
-        for _ in range(3):
-            region = _random_region(rng, sp)
-            outside = [b for b in sp.vertices if b not in region]
-            if outside and brute.brute_nice_witness(sp, region) is not None:
-                with pytest.raises(PreconditionError):
-                    SP.nice_hull(sp, region, outside[0])
-                refused += 1
-    assert hulls > 2000 and refused > 50, (hulls, refused)
 
 
 def test_amalgam_property():
