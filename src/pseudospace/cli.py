@@ -18,7 +18,7 @@ import click
 from . import flags as FL
 from . import oracle as OR
 from . import words as W
-from .errors import LawFailedError, ParseError, PseudospaceError
+from .errors import LawFailedError, ParseError, PseudospaceError, excerpt
 from .letters import format_index_set
 from .space import ColoredSpace
 from .words import parse_word
@@ -226,7 +226,7 @@ def _read_json(path: str):
             return json.loads(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return json.loads(handle.read())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too many digits
         raise ParseError(f"{path} is not JSON: {exc}") from exc
 
 
@@ -234,10 +234,10 @@ def _parse_ids(text: str) -> list[int]:
     """A JSON list of vertex ids."""
     try:
         ids = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"bad vertex list {text!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, or too many digits
+        raise ParseError(f"bad vertex list {excerpt(text)}: {exc}") from exc
     if not isinstance(ids, list) or not all(type(v) is int for v in ids):
-        raise ParseError(f"bad vertex list {text!r}: expected a list of integer ids")
+        raise ParseError(f"bad vertex list {excerpt(text)}: expected a list of integer ids")
     return ids
 
 
@@ -284,7 +284,7 @@ def _parse_flag(space: ColoredSpace, text: str) -> FL.Flag:
         if index >= len(all_flags):
             raise ParseError(f"flag index {index} out of range ({len(all_flags)} flags)")
         return all_flags[index]
-    raise ParseError(f"bad flag reference {text!r}")
+    raise ParseError(f"bad flag reference {excerpt(text)}")
 
 
 def _parse_region(space: ColoredSpace, text: str) -> set[int]:
@@ -293,7 +293,7 @@ def _parse_region(space: ColoredSpace, text: str) -> set[int]:
     region = set(_parse_ids(text))
     unknown = region - set(space.vertices)
     if unknown:
-        raise ParseError(f"unknown vertex ids {sorted(unknown)}")
+        raise ParseError(f"unknown vertex ids {excerpt(sorted(unknown))}")
     return region
 
 

@@ -1,8 +1,20 @@
 """Exception taxonomy.
 
 Every domain error carries a stable machine-readable ``code`` so the CLI can
-report it uniformly (exit status 1 + the code).
+report it uniformly (exit status 1 + the code).  A message that quotes
+rejected input quotes an ``excerpt`` of it, so its length stays bounded
+whatever the input's.
 """
+
+_EXCERPT_CHARS = 60
+
+
+def excerpt(value) -> str:
+    """``repr(value)``, cut after its first 60 characters, with its length."""
+    text = repr(value)
+    if len(text) <= _EXCERPT_CHARS:
+        return text
+    return f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
 
 
 class PseudospaceError(Exception):

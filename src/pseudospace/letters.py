@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, ParseError, excerpt
 
 MAX_DIMENSION = 62
 
@@ -32,7 +32,7 @@ IndexSet = frozenset  # subsets of [0, N]
 
 def check_dimension(n: int) -> int:
     if type(n) is not int or not 1 <= n <= MAX_DIMENSION:  # JSON true is no dimension
-        raise DimensionError(f"dimension must be in [1, {MAX_DIMENSION}], got {n!r}")
+        raise DimensionError(f"dimension must be in [1, {MAX_DIMENSION}], got {excerpt(n)}")
     return n
 
 
@@ -45,7 +45,9 @@ class Letter:
 
     def __post_init__(self):
         if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
-            raise ParseError(f"letter endpoints must be integers: {self.lo!r}, {self.hi!r}")
+            raise ParseError(
+                f"letter endpoints must be integers: {excerpt(self.lo)}, {excerpt(self.hi)}"
+            )
         if self.lo < 0 or self.lo > self.hi:
             raise ParseError(f"invalid letter [{self.lo},{self.hi}]")
 
@@ -109,7 +111,7 @@ def all_letters(n: int) -> list[Letter]:
 def parse_letter(text: str) -> Letter:
     """Parse ``[a]`` or ``[a,b]``.  Strict: decimal digits, no whitespace."""
     if not isinstance(text, str):
-        raise ParseError(f"letter must be a string: {text!r}")
+        raise ParseError(f"letter must be a string: {excerpt(text)}")
     return _parse_letter_text(text)
 
 
@@ -118,7 +120,7 @@ def _parse_letter_text(text: str) -> Letter:
     """Scripts and exports repeat the few letters of one alphabet many
     times; a ``Letter`` is frozen, so one instance per string serves all."""
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"letter must be bracketed: {text!r}")
+        raise ParseError(f"letter must be bracketed: {excerpt(text)}")
     body = text[1:-1]
     parts = body.split(",")
     if len(parts) == 1:
@@ -127,16 +129,19 @@ def _parse_letter_text(text: str) -> Letter:
         lo = _parse_nat(parts[0], text)
         hi = _parse_nat(parts[1], text)
     else:
-        raise ParseError(f"too many components in letter {text!r}")
+        raise ParseError(f"too many components in letter {excerpt(text)}")
     if lo > hi:
-        raise ParseError(f"descending letter {text!r}")
+        raise ParseError(f"descending letter {excerpt(text)}")
     return Letter(lo, hi)
 
 
 def _parse_nat(part: str, context: str) -> int:
-    if not (part.isascii() and part.isdigit()):  # isdigit alone takes '²' and '٣'
-        raise ParseError(f"bad integer {part!r} in {context!r}")
-    return int(part)
+    if part.isascii() and part.isdigit():  # isdigit alone takes '²' and '٣'
+        try:
+            return int(part)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"bad integer {excerpt(part)} in {excerpt(context)}")
 
 
 def format_index_set(s: IndexSet) -> str:
@@ -145,7 +150,7 @@ def format_index_set(s: IndexSet) -> str:
 
 def parse_index_set(text: str) -> IndexSet:
     if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"index set must be braced: {text!r}")
+        raise ParseError(f"index set must be braced: {excerpt(text)}")
     body = text[1:-1]
     if not body:
         return frozenset()

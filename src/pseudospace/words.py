@@ -45,7 +45,10 @@ work on and which equality and hashing use; its letters are read back from
 the key through the shared table ``_LETTERS``.  Validation happens at the
 boundary only: ``Word(...)`` and ``parse_word`` check the dimension and every
 letter, while results computed from words that are already valid are built
-by ``_from_key``, which sets the two fields without any check.
+by ``_from_key``, which sets the two fields without any check.  An operation
+checks dimensions once, computes on keys and builds only the words it
+returns, each once from its key: ``concat_reduce`` reduces ``u.key + v.key``
+with no product ``Word`` in between.
 """
 
 from __future__ import annotations
@@ -89,7 +92,9 @@ class Word:
     key: tuple[tuple[int, int], ...]
 
     def __init__(self, letters: Iterable[Letter], n: int):
-        self.__dict__.update(n=n, key=tuple(s.key for s in letters))
+        d = self.__dict__
+        d["n"] = n
+        d["key"] = tuple(s.key for s in letters)
         self.__post_init__()
 
     def __post_init__(self):
@@ -134,9 +139,12 @@ def _same_dimension(u: Word, v: Word) -> int:
 def _from_key(key: tuple[tuple[int, int], ...], n: int) -> Word:
     """The unchecked constructor: ``key`` must already be a tuple of valid
     letter keys of dimension ``n``, as every result computed from checked
-    words is.  Skips all validation."""
+    words is.  Skips all validation.  Operations compute on keys and call
+    this once per word they return, so they build no word in between."""
     w = object.__new__(Word)
-    w.__dict__.update(n=n, key=key)
+    d = w.__dict__
+    d["n"] = n
+    d["key"] = key
     return w
 
 
@@ -197,8 +205,8 @@ def support(u: Word) -> IndexSet:
 
 
 def concat_reduce(u: Word, v: Word) -> Word:
-    _same_dimension(u, v)
-    return reduce(u.concat(v))
+    n = _same_dimension(u, v)
+    return _from_key(kernels.reduce_word(u.key + v.key), n)
 
 
 def final_segment(u: Word) -> tuple[Word, Word]:
@@ -315,8 +323,8 @@ class FineDecomposition:
     w: Word | None = None
 
     def reduct(self) -> Word:
-        mid = self.w if self.w is not None else Word.one(self.u1.n)
-        return normal_form(self.u1.concat(mid).concat(self.v1))
+        mid = self.w.key if self.w is not None else ()
+        return _from_key(kernels.normal_form(self.u1.key + mid + self.v1.key), self.u1.n)
 
 
 def decompose_fine(u: Word, v: Word) -> FineDecomposition:
@@ -676,7 +684,11 @@ def divides_left_bounded(u: Word, v: Word) -> DivisionResult:
         own, wide = _MASKS[x]
         if not own & kept:
             # the first letter of rest that does not commute with x
-            j = next((j for j, t in enumerate(rest) if _MASKS[t][0] & wide), len(rest))
+            j = 0
+            for t in rest:
+                if _MASKS[t][0] & wide:
+                    break
+                j += 1
             explored += min(j + 1, len(rest))
             if j < len(rest) and rest[j] == x:
                 del rest[j]

@@ -283,6 +283,18 @@ def test_exit_codes():
         (["build", "DIR/deep.json"], 1, "parse-error"),
         (["basepoint", "SPACE", "0", "--set", "[" * 5000 + "]" * 5000], 1, "parse-error"),
         (["word", "SPACE", "[" * 5000 + "]" * 5000, "0"], 1, "parse-error"),
+        # long rejected inputs are quoted by an excerpt only
+        (["word", "SPACE", json.dumps(["a"] * 3000), "0"], 1, "parse-error"),
+        (["basepoint", "SPACE", "0", "--set", json.dumps(list(range(4000)) + [1.5])], 1,
+         "parse-error"),
+        (["basepoint", "SPACE", "0", "--set", json.dumps(list(range(100, 4100)))], 1,
+         "parse-error"),
+        (["word", "SPACE", "x" * 100_000, "0"], 1, "parse-error"),
+        (["reduce", "--n", "2", "x" * 100_000], 1, "parse-error"),
+        # more digits than int() converts
+        (["reduce", "--n", "2", "[" + "1" * 99_998 + "]"], 1, "parse-error"),
+        (["word", "SPACE", "[" + "9" * 5000 + "]", "0"], 1, "parse-error"),
+        (["flags", "DIR/long-int.json"], 1, "parse-error"),
     ],
 )
 def test_bad_input_never_tracebacks(tmp_path, args, status, code):
@@ -291,6 +303,7 @@ def test_bad_input_never_tracebacks(tmp_path, args, status, code):
     )
     (tmp_path / "not-json.json").write_text("{nope")
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    (tmp_path / "long-int.json").write_text("[" + "7" * 5000 + "]")
     (tmp_path / "no-letter.json").write_text(json.dumps({"n": 2, "ops": [{"lo": "bottom"}]}))
     (tmp_path / "int-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": 5}]}))
     (tmp_path / "list-letter.json").write_text(json.dumps({"n": 2, "ops": [{"letter": [0, 1]}]}))
@@ -315,6 +328,7 @@ def test_bad_input_never_tracebacks(tmp_path, args, status, code):
     assert result.returncode in (1, 2)
     assert "Traceback" not in result.stderr
     assert result.returncode == status, result.stderr
+    assert len(result.stderr) < 500
     if status == 1:
         assert json.loads(result.stderr)["error"] == code
 

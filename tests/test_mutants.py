@@ -45,6 +45,10 @@ def _first_flag(space, f, region):
     return g, W.normal_form(FL.flag_path(space, f, g).word)
 
 
+def _unreduced_product(u, v):
+    return W.normal_form(u.concat(v))
+
+
 MUTANTS = {  # name: (module, attribute, replacement, suite, cases, {law: failures})
     "amalgam-never": (SP, "amalgam_isomorphic", lambda space, op1, op2: False,
                       "space-axioms", 20, {"amalgam": 20}),
@@ -77,6 +81,13 @@ MUTANTS = {  # name: (module, attribute, replacement, suite, cases, {law: failur
                                      "ample", 1, {"ample-identity": 6}),
     "basepoint-first-flag": (FL, "_basepoint", _first_flag,
                              "flags-forking", 100, {"basepoint-least-rank": 76}),
+    # a positive control for the product: the normal form of the joined keys,
+    # which is not reduced.  words-order cannot take it, as its division laws
+    # refuse the unreduced product with NotReducedError
+    "product-without-cancellation": (W, "concat_reduce", _unreduced_product,
+                                     "words-decomposition", 100, {"decomposition": 79}),
+    "product-without-cancellation-absorption": (W, "concat_reduce", _unreduced_product,
+                                                "words-absorption", 1, {"absorption-law": 210}),
 }
 
 

@@ -191,14 +191,21 @@ def test_proper_absorption_matches_plain_scan():
 
 def test_absorption_rejects_mixed_dimensions():
     """``[0]`` lies inside ``[0,5]``, and the empty word inside anything, yet
-    words of different dimensions are no instance of either side."""
+    words of different dimensions are no instance of either side.  The
+    product, equivalence, decomposition, division, order and wobbling refuse
+    them too: each checks the dimension before it works on keys."""
     v = parse_word("[0,5]", 5)
+    binary = (
+        W.absorbs_left, W.properly_absorbs_left, W.properly_absorbs_right,
+        W.concat_reduce, W.equivalent, W.decompose_fine, W.divides_left_bounded,
+        W.prec, W.wobbling,
+    )
     for u in (parse_word("[0]", 2), Word.one(2)):
-        for absorbs in (W.absorbs_left, W.properly_absorbs_left, W.properly_absorbs_right):
+        for op in binary:
             with pytest.raises(DimensionError):
-                absorbs(v, u)
+                op(v, u)
             with pytest.raises(DimensionError):
-                absorbs(u, v)
+                op(u, v)
 
 
 def test_split_absorbed_examples():
