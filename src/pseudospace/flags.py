@@ -18,9 +18,13 @@ and merges the two.  Only rewritten steps are split into intervals, and the
 scan resumes where the path changed.  A step is global when its old s-part's
 component inside the anchors' between-set misses the new s-part; otherwise
 the shortest path is searched inside that component.  The space answers the
-component by one lookup keyed by the two anchors and the vertex, kept for
-one vertex count (``ColoredSpace._anchor_part``).  Both rewrites lower the
-word's ordinal rank, so the loop ends.
+component by one lookup keyed by the two anchors and the vertex
+(``ColoredSpace._anchor_part``), which every insert clears, over components
+keyed by the between-set mask, which no insert changes.  Both rewrites lower
+the word's ordinal rank, so the loop ends.  The step helpers take a step as
+its key ``lo, hi`` (``_anchors`` names its anchors) and build flags by
+slicing; only ``realize_type``, whose inserts record a letter, reads one
+from ``_LETTERS``.
 Vertex ids break the search ties and so choose the path's flags, not its
 word up to commutation.  On hand-made graphs (``ColoredSpace.from_graph``) a
 step may admit no proper-subletter replacement; it comes back as a stuck
@@ -194,10 +198,10 @@ def weak_word(space: ColoredSpace, f: Flag, g: Flag) -> Word:
     return W._from_key(tuple(_interval_steps([f, g], 0, space.n)[1]), space.n)
 
 
-def _anchors_for(space: ColoredSpace, f: Flag, s: Letter) -> tuple[Anchor, Anchor]:
-    lo: Anchor = f[s.lo - 1] if s.lo > 0 else BOTTOM
-    hi: Anchor = f[s.hi + 1] if s.hi < space.n else TOP
-    return lo, hi
+def _anchors(space: ColoredSpace, f: Flag, lo: int, hi: int) -> tuple[Anchor, Anchor]:
+    """The anchors of a step of ``f`` at levels lo..hi: its vertices one
+    level below and above, or ``BOTTOM`` and ``TOP`` past the ends."""
+    return f[lo - 1] if lo else BOTTOM, f[hi + 1] if hi < space.n else TOP
 
 
 def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
@@ -205,39 +209,31 @@ def is_global_step(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> bool:
     two s-parts are disconnected inside the subgraph between the anchors."""
     check_flag(space, f)
     check_flag(space, g)
+    lo, hi = s.key
     diff = {i for i in range(space.n + 1) if f[i] != g[i]}
-    if diff != set(range(s.lo, s.hi + 1)):
+    if diff != set(range(lo, hi + 1)):
         raise DifferenceMismatchError(
             f"flags differ at {sorted(diff)}, not at the levels of {s}"
         )
-    part = _step_part(space, f, s)
-    return not any(part >> v & 1 for v in g.levels_of(s))
+    part = space._anchor_part(*_anchors(space, f, lo, hi), f[lo])
+    return not any(part >> v & 1 for v in g[lo : hi + 1])
 
 
-def _step_part(space: ColoredSpace, f: Flag, s: Letter) -> int:
-    """The component of ``f``'s s-part inside the between-set of the step's
-    anchors, as a vertex mask."""
-    lo, hi = s.lo, s.hi
-    return space._anchor_part(
-        f[lo - 1] if lo else BOTTOM, f[hi + 1] if hi < space.n else TOP, f[lo]
-    )
-
-
-def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, s: Letter) -> list[int] | None:
-    """A shortest vertex path at the levels of ``s`` from the s-part of ``f``
-    to that of ``g`` between the anchors (all at the levels of ``s``, as
+def _connecting_path(space: ColoredSpace, f: Flag, g: Flag, lo: int, hi: int) -> list[int] | None:
+    """A shortest vertex path at levels lo..hi from the part of ``f`` there
+    to that of ``g`` between the step's anchors (all at those levels, as
     monotone paths change the level at each edge), or None when global.
 
-    Both s-parts lie between the anchors, and ``f``'s in one component of
+    Both parts lie between the anchors, and ``f``'s in one component of
     that between-set, which the space keeps per anchors and vertex.  The
-    step is global when that component misses ``g``'s s-part; otherwise the
+    step is global when that component misses ``g``'s part; otherwise the
     search runs inside it, where it visits what it would visit in the whole
     between-set."""
-    part = _step_part(space, f, s)
-    targets = g.levels_of(s)
+    part = space._anchor_part(*_anchors(space, f, lo, hi), f[lo])
+    targets = g[lo : hi + 1]
     for v in targets:
         if part >> v & 1:
-            return space.shortest_path(f.levels_of(s), set(targets), part)
+            return space.shortest_path(f[lo : hi + 1], set(targets), part)
     return None
 
 
@@ -308,11 +304,10 @@ def _next_bridge(
     while i < len(keys):
         f, g = flags[i], flags[i + 1]
         if not stuck_pairs or (f, g) not in stuck_pairs:
-            s = _LETTERS[keys[i]]
-            path = _connecting_path(space, f, g, s)
+            path = _connecting_path(space, f, g, *keys[i])
             if path is not None:
                 try:
-                    return i, _subletter_bridge(space, f, s, path)
+                    return i, _subletter_bridge(space, f, *keys[i], path)
                 except PreconditionError:
                     stuck_pairs.add((f, g))
         i += 1
@@ -355,15 +350,17 @@ def _put(a: Flag, b: Flag, lo: int, hi: int) -> Flag:
     return Flag(a[:lo] + b[lo : hi + 1] + a[hi + 1 :])
 
 
-def _subletter_bridge(space: ColoredSpace, a: Flag, s: Letter, path: list[int]) -> list[Flag]:
-    """Intermediate flags realizing the step as proper-subletter moves,
-    lifted from a vertex path between the two s-parts."""
-    lo, hi = _anchors_for(space, a, s)
+def _subletter_bridge(space: ColoredSpace, a: Flag, lo: int, hi: int, path: list[int]) -> list[Flag]:
+    """Intermediate flags realizing the step of ``a`` at levels lo..hi as
+    proper-subletter moves, lifted from a vertex path between the two parts."""
+    below, above = _anchors(space, a, lo, hi)
+    head, tail = a[:lo], a[hi + 1 :]
+    level = space._level
     mids: list[Flag] = []
     for u, v in zip(path, path[1:]):
-        lower, upper = (u, v) if space.level(u) < space.level(v) else (v, u)
-        down, up = _monotone_chain(space, lo, lower), _monotone_chain(space, upper, hi)
-        mids.append(a.replace(s, (*down, lower, upper, *up)))
+        lower, upper = (u, v) if level[u] < level[v] else (v, u)
+        down, up = _monotone_chain(space, below, lower), _monotone_chain(space, upper, above)
+        mids.append(Flag(head + down + (lower, upper) + up + tail))
     return mids
 
 
@@ -500,11 +497,9 @@ def realize_type(space: ColoredSpace, g: Flag, u: Word) -> Flag:
     if not W.is_reduced(u):
         raise NotReducedError(f"{u} is not reduced")
     current = g
-    for key in reversed(u.key):
-        s = _LETTERS[key]
-        lo, hi = _anchors_for(space, current, s)
-        created = space.apply_alpha(s, lo, hi)
-        current = current.replace(s, created)
+    for lo, hi in reversed(u.key):
+        created = space.apply_alpha(_LETTERS[lo, hi], *_anchors(space, current, lo, hi))
+        current = Flag(current[:lo] + tuple(created) + current[hi + 1 :])
     return current
 
 

@@ -148,15 +148,6 @@ def format_index_set(s: IndexSet) -> str:
     return "{" + ",".join(str(i) for i in sorted(s)) + "}"
 
 
-def parse_index_set(text: str) -> IndexSet:
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"index set must be braced: {excerpt(text)}")
-    body = text[1:-1]
-    if not body:
-        return frozenset()
-    return frozenset(_parse_nat(p, text) for p in body.split(","))
-
-
 def index_set_to_letters(s: IndexSet) -> list[Letter]:
     """Decompose an index set into its maximal intervals, bottom up.
 

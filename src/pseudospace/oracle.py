@@ -327,8 +327,10 @@ def _suite_words_strong(config: SuiteConfig, report: SuiteReport) -> None:
         fail = report.case(n=n, u=u, v=v)
         plain = W.concat_reduce(u, v)
         result = W.strong_reducts_bounded(u.concat(v), SPLIT_LEN_MAX, 50_000)
+        plain_found = False
         for x in sorted(result.words, key=str):
             if W.equivalent(x, plain):
+                plain_found = True
                 continue
             try:
                 ok = W.prec(x, plain)
@@ -337,6 +339,9 @@ def _suite_words_strong(config: SuiteConfig, report: SuiteReport) -> None:
                 continue
             if not ok:
                 fail("splitting-penalty", {"reduct": str(x), "plain": str(plain)})
+        # a completed enumeration reaches the plain reduct too
+        if not plain_found and not result.exhausted:
+            fail("plain-among-strong-reducts", {"plain": str(plain), "reducts": result.as_strings()})
         # inverse cancellation
         inv = W.strong_reducts_bounded(u.concat(W.inverse(u)), SPLIT_LEN_MAX, 50_000)
         if Word.one(n) not in inv.words and not inv.exhausted:
@@ -389,11 +394,14 @@ def _suite_words_order(config: SuiteConfig, report: SuiteReport) -> None:
         # left division: u divides reduce(u.w), and the least witness has
         # no more letters than reduce(w)
         prod = W.concat_reduce(u, w)
-        res = W.divides_left_bounded(u, prod)
-        if (res.witness is None
-                or not W.equivalent(W.concat_reduce(u, res.witness), prod)
-                or len(res.witness) > len(W.reduce(w))):
-            fail("divides-own-product", str(prod))
+        if not W.is_reduced(prod):
+            fail("product-reduced", str(prod))  # divides_left_bounded refuses it
+        else:
+            res = W.divides_left_bounded(u, prod)
+            if (res.witness is None
+                    or not W.equivalent(W.concat_reduce(u, res.witness), prod)
+                    or len(res.witness) > len(W.reduce(w))):
+                fail("divides-own-product", str(prod))
         if not W.preceq(u, prod):
             fail("u-below-uv", str(prod))
         # left division of the random pair, which need not divide: a witness
@@ -547,7 +555,7 @@ def _check_scaffold(fail, space, path, scaffolds: dict) -> None:
         return
     last = path.flags[-1]
     _, segment = W.final_segment(path.word)
-    expected_pairs = {FL._anchors_for(space, last, s) for s in segment.letters}
+    expected_pairs = {FL._anchors(space, last, lo, hi) for lo, hi in segment.key}
     anchors = set(last.vertices) | {BOTTOM, TOP}
     observed = {(a, b) for a, b in pairs if a in anchors and b in anchors}
     if observed != expected_pairs:
@@ -733,13 +741,13 @@ def _check_basepoint_chain(fail, space, path, base) -> None:
     is independent from base over base's own vertices."""
     region = set(base.vertices)
     # every step is a global application over the remaining tail plus region
-    for i, s in enumerate(path.word):
+    for i, (lo, hi) in enumerate(path.word.key):
         tail: set[int] = set(region)
         for g in path.flags[i + 1 :]:
             tail.update(g.vertices)
         new_vertices = set(path.flags[i].vertices) - set(path.flags[i + 1].vertices)
-        lo, hi = FL._anchors_for(space, path.flags[i], s)
-        between, tail_mask = space._between(lo, hi), SP._mask_of(tail)
+        between = space._between(*FL._anchors(space, path.flags[i], lo, hi))
+        tail_mask = SP._mask_of(tail)
         if any(space._component(v, between) & tail_mask for v in new_vertices):
             fail("basepoint-chain-global", {"step": i})
             return

@@ -29,44 +29,52 @@ as the replay's edges.  The stated ``vertices`` are not read.
 Every reachability question goes through one of five searches on
 ``ColoredSpace``: ``_reach(v, step, within=None, memo=None)``, the vertices
 above or beneath a vertex, inside a region when one is given (``_closure``
-adds the imaginary anchors; ``upward_closure``, ``downward_closure`` and
-``between`` wrap it); ``lies_over(a, b)``, whether one anchor lies over
-another; ``_component(x, within)``, the component of a vertex inside a
-region, for "connected or not"; ``distances_from(x, within)``, BFS
-distances inside a region; and ``shortest_path(sources, targets, within)``,
-the shortest path inside a region that ascending ids pick first, or None,
-asked only where the path itself is needed.  Exact niceness and simple
-connectivity compare distances in one scan, ``_shortcut``.
+adds the imaginary anchors and ``upward_closure`` and ``downward_closure``
+wrap it; ``_between`` intersects two closures, and ``between`` wraps that);
+``lies_over(a, b)``, whether one anchor lies over another;
+``_component(x, within)``, the component of a vertex inside a region, for
+"connected or not"; ``distances_from(x, within)``, BFS distances inside a
+region; and ``shortest_path(sources, targets, within)``, the shortest path
+inside a region that ascending ids pick first, or None, asked only where the
+path itself is needed.  Exact niceness and simple connectivity compare
+distances in one scan, ``_shortcut``.
 
 Vertex sets travel through these searches as Python-int bitmasks, bit ``v``
 standing for vertex ``v`` (ids are dense).  ``_reach`` is one recursion over
 the level DAG: ``up(v)`` is the union over the upper neighbours ``w`` (inside
 the region, if any) of ``w`` and ``up(w)``.  With a region its memo lives for
-one call: a caller that asks about many vertices of one region keeps its
-memos for all of them, ``is_complete`` one per direction and
-``nice_witness``, when it names a witness, one for the down-sets.  A caller
-that asks whether many anchors lie over one reads that anchor's up-set
-once.  ``lies_over`` between two vertices is a bit test when
-the lower one's up-set is memoized; otherwise it searches up from it only
-through the levels below the upper one's, stops there, and fills no memo.
-Regions are masks inside the library and become ``set[int]`` only at the
-public API (``upward_closure``, ``downward_closure`` and ``between``).  A
-restriction to a level interval is a region too: the searches that need one
-read the masks of all level intervals from ``_interval_masks``, kept for
-one vertex count at a time rather than as an index that every insert would
-have to update.
+one call: ``nice_witness``, when it names a witness, keeps one for the
+down-sets of every vertex of its region.  A caller that asks whether many
+anchors lie over one reads that anchor's up-set once.  ``lies_over`` between
+two vertices is a bit test when the lower one's up-set is memoized;
+otherwise it searches up from it only through the levels below the upper
+one's, stops there, and fills no memo.  Regions are masks inside the library
+and become ``set[int]`` only at the public API (``upward_closure``,
+``downward_closure`` and ``between``, which take no region).  A restriction
+to a level interval is a region too: the searches that need one read the
+masks of all level intervals from ``_interval_masks``.
 
 ``ColoredSpace`` keeps seven memos, filled on demand from ``_adj`` and
-``_level``, so a space made by ``from_graph`` needs no rebuild.  ``_up`` and
-``_down`` hold each vertex's strict up-set and down-set; ``apply_alpha``
-clears ``_up`` only when its lower anchor is a vertex and ``_down`` only when
-its upper anchor is one, since a chain hung from ``BOTTOM`` is reached from
-below by no old vertex, and likewise for ``TOP``.  Three follow one rule:
-their key fixes their answer, so no insert clears them.  An insert adds
-vertices with ids above every old one and edges that touch a new vertex
-only, between anchors that lie over each other, so the subgraph induced on a
-mask of old vertices never changes, nor does the set of old vertices beneath
-or over an old one.
+``_level``, so a space made by ``from_graph`` needs no rebuild.  Each follows
+one of two rules: an insert clears what it can change, and every other memo
+is keyed so that no insert can change its answer.
+
+An insert clears four.  ``_up`` and ``_down`` hold each vertex's strict
+up-set and down-set; ``apply_alpha`` clears ``_up`` only when its lower
+anchor is a vertex and ``_down`` only when its upper anchor is one, since a
+chain hung from ``BOTTOM`` is reached from below by no old vertex, and
+likewise for ``TOP``.  ``_intervals`` holds the masks of the level
+intervals, and ``_anchor_parts`` maps ``(a, b, x)`` to
+``_anchor_part(a, b, x)``, the component of vertex ``x`` inside the
+between-set of anchors ``a`` and ``b``, which the flag layer asks for at
+every step.  Every insert clears both: it adds a vertex to some interval,
+and it can grow a between-set and so a component.  Reading them is one
+lookup, with no check that they are current.
+
+No insert clears the other three.  An insert adds vertices with ids above
+every old one and edges that touch a new vertex only, between anchors that
+lie over each other, so the subgraph induced on a mask of old vertices never
+changes, nor does the set of old vertices beneath or over an old one.
 ``_dist`` maps ``(x, within)`` to the BFS distances from ``x`` inside the
 mask, and ``_parts`` maps a region mask to the masks of its components found
 so far (``_part(within, x)``, one ``_component`` fill per miss); a mask that
@@ -74,17 +82,9 @@ holds a new vertex is a new key.  ``_anchor_part`` and ``open_pairs`` read
 ``_parts`` under the between-set mask of two anchors, and non-exact niceness
 under a level-interval mask.  ``_chains`` maps an anchor pair to its
 ``_monotone_chain``, whose least-id choice at each level no new id can
-displace; a missing chain is not kept, as an insert may make one.
-``_intervals`` and ``_anchor_parts`` are kept for one vertex count: ids are
-dense and an insert only appends vertices, so an insert changes the count,
-and each is rebuilt on the first read under a new count.  ``_intervals``
-holds the interval masks, which the count fixes.  ``_anchor_parts`` maps
-``(a, b, x)`` to ``_anchor_part(a, b, x)``, the component of vertex ``x``
-inside the between-set of anchors ``a`` and ``b``, which the flag layer asks
-for at every step; an insert can grow a between-set and so a component,
-hence the count.  Code that writes ``_adj`` between existing vertices breaks
-the rules and must clear every memo but ``_intervals``, which reads levels
-only.
+displace; a missing chain is not kept, as an insert may make one.  Code that
+writes ``_adj`` between existing vertices breaks the rules and must clear
+every memo but ``_intervals``, which reads levels only.
 
 The oracle measures every level interval after each insert, so the exact
 niceness of the prior vertex set reads its BFS back from ``_dist``.
@@ -139,6 +139,10 @@ class ColoredSpace:
         self._adj: dict[int, set[int]] = {}
         self._up: dict[int, int] = {}  # vertex -> mask of its strict up-set
         self._down: dict[int, int] = {}  # vertex -> mask of its strict down-set
+        # (lo, hi) -> mask of the vertices at levels lo..hi
+        self._intervals: dict[tuple[int, int], int] = {}
+        # (a, b, x) -> _anchor_part(a, b, x)
+        self._anchor_parts: dict[tuple[Anchor, Anchor, int], int] = {}
         # no insert clears these three (module docstring)
         # region mask -> masks of its components found so far
         self._parts: dict[int, list[int]] = {}
@@ -146,11 +150,6 @@ class ColoredSpace:
         self._chains: dict[tuple[Anchor, Anchor], tuple[int, ...]] = {}
         # (x, within) -> BFS distances from x inside the mask
         self._dist: dict[tuple[int, int], dict[int, int]] = {}
-        # these two hold one vertex count and the answers under it:
-        # the _interval_masks of the space of that size
-        self._intervals: tuple[int, dict[tuple[int, int], int]] = (-1, {})
-        # and (a, b, x) -> _anchor_part(a, b, x)
-        self._anchor_parts: tuple[int, dict[tuple[Anchor, Anchor, int], int]] = (-1, {})
         self.build_log: list[BuildOp] = []
 
     # -- basic structure ---------------------------------------------------
@@ -225,6 +224,8 @@ class ColoredSpace:
             self._down.clear()
         if lo_real:
             self._up.clear()
+        self._anchor_parts.clear()
+        self._intervals = {}  # a new dict, as a caller may still read the old masks
         self.build_log.append(BuildOp(s, lo, hi, tuple(created)))
         return created
 
@@ -250,14 +251,12 @@ class ColoredSpace:
             memo[v] = mask
         return mask
 
-    def _closure(self, a: Anchor, step: int, within: int | None = None) -> int:
-        """``_reach`` from an anchor: ``BOTTOM`` reaches everything (inside
-        ``within``) upwards and ``TOP`` everything downwards."""
+    def _closure(self, a: Anchor, step: int) -> int:
+        """``_reach`` from an anchor: ``BOTTOM`` reaches everything upwards
+        and ``TOP`` everything downwards."""
         if not self.is_real(a):
-            if (a == BOTTOM) != (step > 0):
-                return 0
-            return (1 << len(self._level)) - 1 if within is None else within
-        return self._reach(a, step, within)
+            return (1 << len(self._level)) - 1 if (a == BOTTOM) == (step > 0) else 0
+        return self._reach(a, step)
 
     def upward_closure(self, a: Anchor) -> set[int]:
         """Vertices lying over the anchor (monotone ascending paths)."""
@@ -296,9 +295,10 @@ class ColoredSpace:
 
     def _between(self, a: Anchor, b: Anchor) -> int:
         """Mask of the vertices strictly between the anchors, the key of
-        their between-set in ``_parts``.  ``_anchor_part`` asks for it on
-        every miss, so a memoized up- or down-set is read directly and an
-        imaginary anchor's side constrains nothing."""
+        their between-set in ``_parts`` and the answer of ``between``.
+        ``_anchor_part`` asks for it on every miss, so a memoized up- or
+        down-set is read directly and an imaginary anchor's side constrains
+        nothing."""
         if a == BOTTOM:
             return self._closure(b, -1)
         up = self._up.get(a)
@@ -309,32 +309,26 @@ class ColoredSpace:
         down = self._down.get(b)
         return up & (self._closure(b, -1) if down is None else down)
 
-    def between(self, a: Anchor, b: Anchor, within: set[int] | None = None) -> set[int]:
-        """Vertices strictly between the anchors, joined to both by monotone
-        paths through ``within`` when given."""
-        inside = None if within is None else _mask_of(within)
-        return set(_members(self._closure(a, +1, inside) & self._closure(b, -1, inside)))
+    def between(self, a: Anchor, b: Anchor) -> set[int]:
+        """Vertices strictly between the anchors."""
+        return set(_members(self._between(a, b)))
 
     # -- metric ----------------------------------------------------------------
 
     def _interval_masks(self) -> dict[tuple[int, int], int]:
         """Mask of the vertices at levels ``lo..hi`` for every level interval
         ``(lo, hi)``, in the order ``lo`` ascending, then ``hi`` ascending.
-        Kept for the last vertex count asked about; callers only read it."""
-        count, out = self._intervals
-        if count == len(self._level):
-            return out
-        by_level = [0] * (self.n + 1)
-        for v, level in self._level.items():
-            by_level[level] |= 1 << v
-        out = {}
-        for lo in range(self.n + 1):
-            mask = 0
-            for hi in range(lo, self.n + 1):
-                mask |= by_level[hi]
-                out[(lo, hi)] = mask
-        self._intervals = (len(self._level), out)
-        return out
+        Kept in ``_intervals`` until the next insert; callers only read it."""
+        if not self._intervals:
+            by_level = [0] * (self.n + 1)
+            for v, level in self._level.items():
+                by_level[level] |= 1 << v
+            for lo in range(self.n + 1):
+                mask = 0
+                for hi in range(lo, self.n + 1):
+                    mask |= by_level[hi]
+                    self._intervals[(lo, hi)] = mask
+        return self._intervals
 
     def _part(self, within: int, x: int) -> int:
         """Mask of the component of vertex ``x`` inside the ``within`` mask,
@@ -353,17 +347,13 @@ class ColoredSpace:
         return part
 
     def _anchor_part(self, a: Anchor, b: Anchor, x: int) -> int:
-        """``_part(_between(a, b), x)``, kept in ``_anchor_parts`` for the
-        current vertex count only: an insert can grow the between-set, while
-        ``_parts`` keys a component by the mask it lies in."""
-        count, parts = self._anchor_parts
-        if count != len(self._level):
-            parts = {}
-            self._anchor_parts = (len(self._level), parts)
+        """``_part(_between(a, b), x)``, kept in ``_anchor_parts`` until the
+        next insert, which can grow the between-set, while ``_parts`` keys a
+        component by the mask it lies in."""
         key = (a, b, x)
-        part = parts.get(key)
+        part = self._anchor_parts.get(key)
         if part is None:
-            part = parts[key] = self._part(self._between(a, b), x)
+            part = self._anchor_parts[key] = self._part(self._between(a, b), x)
         return part
 
     def _component(self, x: int, within: int) -> int:
@@ -637,19 +627,16 @@ def _shortcut(space: ColoredSpace, region: int, ambient: int, intervals):
     return None
 
 
-def is_complete(space: ColoredSpace, region: set[int] | None = None) -> bool:
-    """Every vertex of the region extends to a full level-0..N path inside it."""
-    region = set(space.vertices) if region is None else set(region)
-    inside = _mask_of(region)
-    bottom = _mask_of(v for v in region if space.level(v) == 0)
-    top = _mask_of(v for v in region if space.level(v) == space.n)
-
-    memo = {+1: {}, -1: {}}  # one per direction for every vertex of the region
-
-    def reaches(v: int, step: int, goal: int) -> bool:
-        return bool((1 << v | space._reach(v, step, inside, memo[step])) & goal)
-
-    return all(reaches(v, -1, bottom) and reaches(v, +1, top) for v in region)
+def is_complete(space: ColoredSpace) -> bool:
+    """Every vertex extends to a full level-0..N path.  Edges join adjacent
+    levels only, so this holds iff every vertex above level 0 has a lower
+    neighbour and every vertex below level N an upper one."""
+    level, n = space._level, space.n
+    for v, adj in space._adj.items():
+        lv = level[v]
+        if (lv > 0 and all(level[w] > lv for w in adj)) or (lv < n and all(level[w] < lv for w in adj)):
+            return False
+    return True
 
 
 def nice_witness(space: ColoredSpace, region: set[int], exact: bool = False):

@@ -705,7 +705,7 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
     More than 2,000 between-set components and more than 300 chains found
     before an insert must be read back after it from the same memo entry,
     so a memo that an insert had to clear would show; the grown space drops
-    its component lookup ``_anchor_parts``, kept for one vertex count,
+    its component lookup ``_anchor_parts``, which every insert clears,
     before each query, so that a query asked again reaches ``_parts``.
     Positive controls: a third copy is given the between-set components of
     the third copy before the insert (of the grown space at the first
@@ -713,9 +713,8 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
     as a memo keyed by anchor pair would carry them if no insert cleared it;
     more than five of its answers must differ.  A fourth copy is given the
     fourth copy's ``_anchor_parts`` from before the insert (the grown
-    space's at the first insert) under the new vertex count, as a lookup
-    kept across inserts would have it; more than 20 of its answers must
-    differ."""
+    space's at the first insert), as a lookup that no insert clears would
+    have it; more than 20 of its answers must differ."""
     part = ColoredSpace._part
     # between mask -> its list of components in the memo before the insert, and its length then
     kept_parts: dict[int, tuple[list[int], int]] = {}
@@ -743,6 +742,7 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
             kept_parts = {m: (sp._parts[m], len(sp._parts[m])) for m in masks}
             carried = {pair: list(stale._parts.get(m, ())) for pair, m in between.items()}
             kept_chains = dict(sp._chains)
+            carried_lookup = dict(lookup._anchor_parts)
             flags = FL.enumerate_flags(sp)
             if rng.random() < 0.5:
                 letters = [rng.choice(all_letters(n)) for _ in range(rng.randint(1, 3))]
@@ -752,12 +752,11 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
             fresh = ColoredSpace.from_json(sp.to_json())
             stale = ColoredSpace.from_json(sp.to_json())
             stale._parts = {stale._between(*ab): parts for ab, parts in carried.items() if parts}
-            carried_lookup = lookup._anchor_parts[1]
             lookup = ColoredSpace.from_json(sp.to_json())
-            lookup._anchor_parts = (len(lookup.vertices), carried_lookup)
+            lookup._anchor_parts = carried_lookup
             queries += _new_queries(rng, sp, FL.enumerate_flags(sp))
             for query in queries:
-                sp._anchor_parts = (-1, {})
+                sp._anchor_parts.clear()
                 got = _answer(sp, query)
                 assert got == _answer(fresh, query), query
                 chains_read += query[0] == "chain" and got is kept_chains.get(tuple(query[1:]))
@@ -766,6 +765,27 @@ def test_memo_answers_match_a_fresh_copy_after_every_insert(monkeypatch):
     assert read_back > 2000 and chains_read > 300 and stale_differs > 5 and lookup_differs > 20, (
         read_back, chains_read, stale_differs, lookup_differs
     )
+
+
+def test_an_insert_clears_the_component_lookup():
+    """A step of the flag a0..a4 at levels 1..3 is asked, which fills the
+    component lookup for its anchors a0, a4 and vertex a1.  Two inserts then
+    hang a chain e1-e2-e3 on a0, a3 and a4, which joins a1's component
+    inside the grown between-set: the step to (a0, e1, e2, e3, a4) is not
+    global, and its path is a fresh copy's.  A lookup kept across the
+    inserts would miss every e and take the step for global."""
+    sp = ColoredSpace(4)
+    a = sp.apply_alpha(Letter(0, 4))
+    b = sp.apply_alpha(Letter(1, 3), a[0], a[4])
+    f = Flag(a)
+    assert FL.is_global_step(sp, f, Flag((a[0], *b, a[4])), Letter(1, 3))
+    e = sp.apply_alpha(Letter(1, 2), a[0], a[3])
+    e += sp.apply_alpha(Letter(3, 3), e[1], a[4])
+    h = Flag((a[0], *e, a[4]))
+    assert not FL.is_global_step(sp, f, h, Letter(1, 3))
+    got = FL.flag_path(sp, f, h)
+    assert got == FL.flag_path(ColoredSpace.from_json(sp.to_json()), f, h)
+    assert len(got.word) > 1
 
 
 def test_insert_over_a_dead_end_unsticks_a_step():
@@ -810,7 +830,7 @@ def test_warm_memos_answer_stuck_paths_like_a_fresh_copy(monkeypatch):
     assert stuck > 400 and differ == 0, (stuck, differ)
 
     def by_anchors(self, a, b, x):  # no graph here grows
-        parts = self._anchor_parts[1]
+        parts = self._anchor_parts
         if (a, b) not in parts:
             parts[a, b] = self._part(self._between(a, b), x)
         return parts[a, b]

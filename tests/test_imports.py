@@ -8,8 +8,9 @@ An AST scan stands in for a linter: a name bound by a module-level
 through the functions of ``brute.py`` they call and requires that none of
 them names ``kernels``: a fault in a kernel must not pass a cross-check by
 breaking the reference too.  The same scan requires that the flag-path
-reference names none of the library's connecting-path, bridge and chain
-searches, nor the memo of between-set components they use; that the
+reference names none of the library's connecting-path, anchor, bridge and
+chain searches, nor the memo of between-set components they use, each of
+which the library still defines; that the
 basepoint reference names neither the library's flag paths, order, ranks
 nor flag enumeration; and that the niceness, simple-connectivity and
 open-pair references name none of the library's searches and do their own
@@ -22,6 +23,8 @@ module writes a space's ``_level`` or ``_adj`` apart from
 A fourth keeps the internal word paths on keys: ``kernels.py`` and
 ``flags.py`` read no attribute named ``letters``, and ``words.py`` reads it
 only inside the class ``Word``, which derives its letters from its key.
+``flags.py`` looks a letter up in ``_LETTERS`` only in ``realize_type``,
+whose inserts record one; its step helpers take ``(lo, hi)`` keys.
 """
 
 import ast
@@ -43,7 +46,7 @@ WORD_REFERENCES = (
 FLAG_PATH_SEARCHES = (
     "_reduced_path",
     "_connecting_path",
-    "_step_part",
+    "_anchors",
     "_anchor_part",
     "_subletter_bridge",
     "shortest_path",
@@ -135,10 +138,17 @@ def test_word_references_name_no_kernel():
     assert "kernels" not in names
 
 
+def _defined(path: Path) -> set[str]:
+    """The names of the functions and methods a module defines."""
+    return {n.name for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.FunctionDef)}
+
+
 def test_flag_path_reference_names_no_library_search():
     names = _names_reached(BRUTE.read_text(), ["restart_flag_path"])
     assert {"brute_between", "dfs_closure", "_plain_connecting_path"} <= names
     assert [n for n in FLAG_PATH_SEARCHES if n in names] == []
+    library = _defined(PACKAGE / "flags.py") | _defined(PACKAGE / "space.py")
+    assert [n for n in FLAG_PATH_SEARCHES if n not in library] == []
 
 
 def test_basepoint_reference_names_no_library_search():
@@ -234,3 +244,37 @@ def test_internal_word_paths_read_keys():
     assert _letter_reads((PACKAGE / "kernels.py").read_text()) == []
     assert _letter_reads((PACKAGE / "flags.py").read_text()) == []
     assert _letter_reads((PACKAGE / "words.py").read_text(), inside="Word") == []
+
+
+def _table_lookups(source: str, inside: str) -> list[int]:
+    """The lines that subscript the name ``_LETTERS`` outside the
+    module-level function ``inside``."""
+    tree = ast.parse(source)
+    skipped = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == inside
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_LETTERS"
+        and id(node) not in skipped
+    )
+
+
+def test_scan_finds_table_lookups():
+    source = (
+        "from .letters import _LETTERS\n"
+        "def realize_type(key):\n    return _LETTERS[key]\n"
+        "def step(keys, i):\n    return _LETTERS[keys[i]]\n"
+        "def other(lo, hi):\n    return (_LETTERS, lo, hi)\n"
+    )
+    assert _table_lookups(source, inside="realize_type") == [5]
+
+
+def test_flag_steps_run_on_keys():
+    assert _table_lookups((PACKAGE / "flags.py").read_text(), inside="realize_type") == []

@@ -11,7 +11,6 @@ from pseudospace.letters import (
     contains,
     format_index_set,
     index_set_to_letters,
-    parse_index_set,
     parse_letter,
     proper_subletters,
 )
@@ -77,8 +76,6 @@ def test_letter_str_roundtrip():
 
 def test_index_set_format():
     assert format_index_set(frozenset({2, 0})) == "{0,2}"
-    assert parse_index_set("{0,2}") == frozenset({0, 2})
-    assert parse_index_set("{}") == frozenset()
 
 
 def test_index_set_interval_decomposition():

@@ -21,13 +21,14 @@ from pseudospace.oracle import SuiteConfig, run_suite
 _connecting_path, _indep, _support = FL._connecting_path, FL.indep, W.support
 
 
-def _id_dependent(space, f, g, s):
+def _id_dependent(space, f, g, lo, hi):
     """A step of two or more levels taken for global whenever the least id of
-    the old s-part lies below the new one's: the word then depends on how the
-    vertices are numbered, which the copy with reversed ids shows."""
-    if s.size > 1 and min(f.levels_of(s)) < min(g.levels_of(s)):
+    the old part at levels lo..hi lies below the new one's: the word then
+    depends on how the vertices are numbered, which the copy with reversed
+    ids shows."""
+    if hi > lo and min(f[lo : hi + 1]) < min(g[lo : hi + 1]):
         return None
-    return _connecting_path(space, f, g, s)
+    return _connecting_path(space, f, g, lo, hi)
 
 
 def _modulus(levels):
@@ -82,12 +83,19 @@ MUTANTS = {  # name: (module, attribute, replacement, suite, cases, {law: failur
     "basepoint-first-flag": (FL, "_basepoint", _first_flag,
                              "flags-forking", 100, {"basepoint-least-rank": 76}),
     # a positive control for the product: the normal form of the joined keys,
-    # which is not reduced.  words-order cannot take it, as its division laws
-    # refuse the unreduced product with NotReducedError
+    # which is not reduced.  words-order tests the product's reduction
+    # before it divides it, and words-strong misses the plain reduct among
+    # the strong reducts of a completed enumeration
     "product-without-cancellation": (W, "concat_reduce", _unreduced_product,
                                      "words-decomposition", 100, {"decomposition": 79}),
     "product-without-cancellation-absorption": (W, "concat_reduce", _unreduced_product,
                                                 "words-absorption", 1, {"absorption-law": 210}),
+    "product-without-cancellation-order": (W, "concat_reduce", _unreduced_product,
+                                           "words-order", 100,
+                                           {"product-reduced": 55, "divides-random-pair": 12}),
+    "product-without-cancellation-strong": (W, "concat_reduce", _unreduced_product,
+                                            "words-strong", 100,
+                                            {"plain-among-strong-reducts": 38}),
 }
 
 

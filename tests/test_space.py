@@ -157,10 +157,33 @@ def test_between(flag_space):
     sp, a, b1 = flag_space
     assert sp.between(a[0], a[2]) == {a[1], b1}
     assert sp.between(BOTTOM, TOP) == set(sp.vertices)
-    assert sp.between(a[0], a[2], within={b1, a[0]}) == {b1}
-    assert sp.between(BOTTOM, a[2], within={a[1]}) == {a[1]}
-    assert sp.between(BOTTOM, TOP, within={a[1], b1}) == {a[1], b1}
-    assert sp.between(a[0], TOP, within={a[2]}) == set()
+    assert sp.between(BOTTOM, a[1]) == {a[0]}
+    assert sp.between(a[1], TOP) == {a[2]}
+    assert sp.between(a[2], a[0]) == sp.between(TOP, BOTTOM) == sp.between(a[1], a[1]) == set()
+
+
+def test_between_matches_brute_force_with_cold_and_warm_memos():
+    """``between`` reads ``_between``, which takes a memoized up- or
+    down-set as it is and computes a missing one.  On every ordered anchor
+    pair (``BOTTOM`` and ``TOP`` in both orders, ``a == b`` included) of
+    built, hand-made and dead-end graphs, it must give the brute-force
+    between-set with ``_up`` and ``_down`` each empty or full."""
+    states = list(itertools.product((False, True), repeat=2))  # (warm _up, warm _down)
+    found = {True: 0, False: 0}
+    spaces = [*brute.random_spaces(44, 12), *brute.stuck_spaces(44, 8)]
+    for _, sp in spaces:
+        up = {v: sp._closure(v, +1) for v in sp.vertices}
+        down = {v: sp._closure(v, -1) for v in sp.vertices}
+        anchors = [BOTTOM, TOP, *sp.vertices]
+        for a in anchors:
+            for b in anchors:
+                expected = brute.brute_between(sp, a, b, sp.vertices)
+                for warm_up, warm_down in states:
+                    sp._up = dict(up) if warm_up else {}
+                    sp._down = dict(down) if warm_down else {}
+                    assert sp.between(a, b) == expected, (a, b, warm_up, warm_down)
+                found[bool(expected)] += 1
+    assert found[True] > 500 and found[False] > 1000, found
 
 
 def test_simply_connected_on_built_spaces():
@@ -181,10 +204,10 @@ def test_four_cycle_is_rejected():
 
 
 def test_complete(flag_space):
-    sp, a, b1 = flag_space
-    assert SP.is_complete(sp, set(a))
-    assert not SP.is_complete(sp, {a[1], a[2]})
-    assert SP.is_complete(sp)
+    assert SP.is_complete(flag_space[0])
+    assert SP.is_complete(ColoredSpace(2))
+    assert not SP.is_complete(ColoredSpace.from_graph(2, [0, 1, 2, 1], [(0, 1), (1, 2), (0, 3)]))
+    assert not SP.is_complete(ColoredSpace.from_graph(2, [0, 1, 2, 1], [(0, 1), (1, 2), (3, 2)]))
 
 
 def test_nice_examples(flag_space):
@@ -523,25 +546,25 @@ def _random_region(rng, sp):
 
 
 def test_region_searches_match_transitive_closure():
+    """The up-set of a vertex inside a region, as ``nice_witness`` reads it,
+    matches the brute-force between-set up to ``TOP`` inside the region; and
+    ``is_complete`` matches the brute-force completeness on every graph."""
     restricted = complete = incomplete = 0
     for rng, sp in brute.random_spaces(41, 40):
-        anchors = [BOTTOM, TOP] + sp.vertices
         for _ in range(4):
             region = _random_region(rng, sp)
-            for _ in range(10):
-                a, b = rng.choice(anchors), rng.choice(anchors)
-                inner = sp.between(a, b, region)
-                assert inner == brute.brute_between(sp, a, b, region), (a, b, region)
-                restricted += inner != sp.between(a, b) & region
-            if SP.is_complete(sp, region):
-                complete += 1
-                assert brute.brute_is_complete(sp, region), region
-            else:
-                incomplete += 1
-                assert not brute.brute_is_complete(sp, region), region
-        a, b = rng.choice(anchors), rng.choice(anchors)
-        assert sp.between(a, b) == brute.brute_between(sp, a, b, sp.vertices)
-    assert restricted > 5 and min(complete, incomplete) > 10
+            inside = SP._mask_of(region)
+            for v in sorted(region):
+                inner = set(SP._members(sp._reach(v, +1, inside)))
+                assert inner == brute.brute_between(sp, v, TOP, region), (v, region)
+                restricted += inner != sp.upward_closure(v) & region
+        if SP.is_complete(sp):
+            complete += 1
+            assert brute.brute_is_complete(sp, sp.vertices)
+        else:
+            incomplete += 1
+            assert not brute.brute_is_complete(sp, sp.vertices)
+    assert restricted > 5 and min(complete, incomplete) > 10, (restricted, complete, incomplete)
 
 
 def test_open_pairs_match_component_labelling():
